@@ -2,18 +2,14 @@
 
 Human mode mirrors the brace-list and bracket notation used throughout the
 library so outputs can be diffed against printed tables; record mode emits
-stable key=value lines for golden-file comparison.  Verify subcommands fan
-out across a thread pool and merge per-unit reports in input order, so output
-is deterministic for a fixed seed regardless of thread count.
+stable key=value lines for golden-file comparison.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -21,8 +17,6 @@ from . import contfrac, cutting, gamma_paths, heights, loops, rationals
 from .contfrac import CFExpansion, cf_from_rational, cf_of_surd, format_cf, parse_cf
 from .rationals import Rational
 from .surds import QuadSurd
-
-THREADS_ENV = "FAREYLOOPS_THREADS"
 
 _SURD_RE = re.compile(
     r"^\(\s*(-?\d+)\s*\+\s*sqrt\(\s*(\d+)\s*\)\s*\)\s*/\s*(-?\d+)$"
@@ -35,14 +29,13 @@ class Config:
     """Run parameters; all limits positive, seed fixes every random scan."""
 
     seed: int = 0
-    threads: int = 1
     depth: Optional[int] = None
     q_max: int = 150
     count: int = 100
     mode: str = "human"
 
     def __post_init__(self):
-        if self.threads < 1 or self.q_max < 1 or self.count < 1:
+        if self.q_max < 1 or self.count < 1:
             raise ValueError("limits must be positive")
         if self.mode not in ("human", "record"):
             raise ValueError("mode must be human or record")
@@ -136,11 +129,15 @@ def cmd_semiconv(args, cfg: Config, out) -> int:
 
 
 def cmd_loopcheck(args, cfg: Config, out) -> int:
-    e = expansions_of(parse_value(args.value))[0]
-    verdict = loops.is_infinite_loop(e, args.mod, args.depth or cfg.depth)
+    value = parse_value(args.value)
+    depth = args.depth or cfg.depth
+    # a surd is decided off its own expansion recurrence, which stops at the
+    # first witness instead of expanding the whole period up front
+    decided = value if isinstance(value, QuadSurd) else expansions_of(value)[0]
+    verdict = loops.is_infinite_loop(decided, args.mod, depth)
     print(verdict.record(), file=out)
     if args.geometric:
-        geo = cutting.loop_verdict_geometric(e, args.mod, args.depth or cfg.depth)
+        geo = cutting.loop_verdict_geometric(expansions_of(value)[0], args.mod, depth)
         print(f"geometric: {geo.record()}", file=out)
     return 0
 
@@ -242,60 +239,21 @@ _PM_DEFAULT = ((2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (
 _COUNT_PM = ((2, 2), (2, 3), (3, 2), (2, 4), (5, 2))
 
 
-def _merge_reports(parts: Sequence[heights.ScanReport]) -> heights.ScanReport:
-    merged = heights.ScanReport(parts[0].check, parts[0].params)
-    for part in parts:
-        merged.total += part.total
-        merged.violations += part.violations
-        merged.skipped += part.skipped
-        if merged.first_violation is None:
-            merged.first_violation = part.first_violation
-        merged.elapsed += part.elapsed
-        merged.records.extend(part.records)
-    return merged
-
-
 def cmd_verify(args, cfg: Config, out) -> int:
     name = args.check
     seed = args.seed if args.seed is not None else cfg.seed
     count = args.count or cfg.count
     keep = cfg.mode == "record"
-
-    def fan_out(units, worker, params):
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                merged = _merge_reports(list(pool.map(worker, units)))
-        else:
-            merged = _merge_reports([worker(u) for u in units])
-        merged.params = params
-        return merged
-
     if name == "noloop":
         lo, hi = _parse_range(args.n_range or "4..25")
-        report = fan_out(
-            range(lo, hi + 1),
-            lambda n: heights.run_noloop_scan([n], count, seed, keep),
-            {"n": f"{lo}..{hi}", "count": count, "seed": seed},
-        )
+        report = heights.run_noloop_scan(range(lo, hi + 1), count, seed, keep)
     elif name == "infl":
-        report = fan_out(
-            _PM_DEFAULT,
-            lambda pm: heights.run_infl_scan([pm], count, seed, keep),
-            {"pm": ",".join(f"{p}^{m}" for p, m in _PM_DEFAULT), "count": count, "seed": seed},
-        )
+        report = heights.run_infl_scan(_PM_DEFAULT, count, seed, keep)
     elif name == "pro2":
         lo, hi = _parse_range(args.n_range or "2..7")
-        report = fan_out(
-            range(lo, hi + 1),
-            lambda n: heights.run_pro2_scan([n], count, seed, keep),
-            {"n": f"{lo}..{hi}", "count": count, "seed": seed},
-        )
+        report = heights.run_pro2_scan(range(lo, hi + 1), count, seed, keep)
     elif name == "count-height":
-        report = fan_out(
-            _COUNT_PM,
-            lambda pm: heights.run_count_scan([pm], count, seed, L=args.L, keep_records=keep),
-            {"pm": ",".join(f"{p}^{m}" for p, m in _COUNT_PM), "count": count, "seed": seed, "L": args.L},
-        )
+        report = heights.run_count_scan(_COUNT_PM, count, seed, L=args.L, keep_records=keep)
     elif name == "defs-equivalence":
         lo, hi = _parse_range(args.n_range or "2..12")
         report = heights.run_defs_equivalence_scan(args.q_max or cfg.q_max, lo, hi, keep)
@@ -315,62 +273,6 @@ def cmd_verify(args, cfg: Config, out) -> int:
 
 # ---------------------------------------------------------------------------
 # wiring
-
-# every public library operation is exercised by at least one subcommand;
-# test_cli checks this table against the package surface
-COMMAND_OPERATIONS = {
-    "cf": (
-        contfrac.cf_from_rational,
-        contfrac.cf_of_surd,
-        contfrac.parse_cf,
-        contfrac.format_cf,
-        contfrac.shift_cf,
-        contfrac.multiply_cf,
-        contfrac.cf_value,
-    ),
-    "semiconv": (
-        contfrac.semiconvergent,
-        contfrac.convergent,
-        contfrac.convergents,
-        contfrac.cf_eval,
-        rationals.farey_difference,
-        rationals.farey_mediant,
-    ),
-    "loopcheck": (loops.is_infinite_loop, cutting.loop_verdict_geometric),
-    "loop-exists": (loops.loop_exists, loops.loop_graph),
-    "loop-example": (loops.loop_example, loops.loop_scaling_check),
-    "gamma-path": (
-        gamma_paths.v_algorithm,
-        gamma_paths.d_algorithm,
-        gamma_paths.nonterminating,
-        rationals.is_gamma0_neighbor,
-    ),
-    "cutseq": (
-        cutting.eta,
-        cutting.eta_inverse,
-        cutting.crossed_edges,
-        cutting.crosses_edge,
-        cutting.fan_chain,
-        loops.sb_walk,
-        rationals.is_farey_neighbor,
-    ),
-    "spectrum": (heights.height_spectrum, heights.persistence_scan, contfrac.height),
-    "mp-bound": (heights.mp_upper_bound, heights.mp_partial_lower_min),
-    "verify": (
-        heights.check_noloop_bound,
-        heights.check_infl,
-        heights.check_pro2,
-        heights.check_count_height,
-        heights.run_noloop_scan,
-        heights.run_infl_scan,
-        heights.run_pro2_scan,
-        heights.run_count_scan,
-        heights.run_defs_equivalence_scan,
-        heights.run_thma_scan,
-        heights.run_dual_pushforward_scan,
-        rationals.is_dual_neighbor,
-    ),
-}
 
 COMMAND_HANDLERS = {
     "cf": cmd_cf,
@@ -393,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="key = value defaults file")
     parser.add_argument("--format", choices=("human", "record"), default=None)
-    parser.add_argument("--threads", type=int, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cf", help="continued fraction expansion(s) of a value")
@@ -462,7 +363,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         raw = load_config(args.config)
         known = {
             "seed": int,
-            "threads": int,
             "depth": int,
             "q_max": int,
             "count": int,
@@ -474,11 +374,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
                 raise SystemExit(f"unknown config key {key!r}")
             updates[key] = known[key](value)
         cfg = replace(cfg, **updates)
-    env_threads = os.environ.get(THREADS_ENV)
-    if env_threads:
-        cfg = replace(cfg, threads=int(env_threads))
-    if args.threads is not None:
-        cfg = replace(cfg, threads=args.threads)
     if args.format is not None:
         cfg = replace(cfg, mode=args.format)
 

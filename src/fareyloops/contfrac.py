@@ -332,7 +332,7 @@ def _surd_of_periodic(e: CFExpansion) -> QuadSurd:
 def cf_of_surd(s: QuadSurd) -> CFExpansion:
     """Eventually periodic expansion of a positive quadratic irrational.
 
-    The classical integral recurrence on (P, Q) states; the first repeated
+    Runs the integral recurrence of ``QuadSurd.states``; the first repeated
     state closes the period and the constructor normalises to the canonical
     minimal form.
     """
@@ -340,13 +340,11 @@ def cf_of_surd(s: QuadSurd) -> CFExpansion:
         raise ValueError("expansion requires a positive value")
     entries: list[int] = []
     seen: dict[tuple[int, int], int] = {}
-    P, Q, D = s.P, s.Q, s.D
-    while (P, Q) not in seen:
+    for P, Q, a in s.states():
+        if (P, Q) in seen:
+            break
         seen[(P, Q)] = len(entries)
-        a = QuadSurd(P, Q, D).floor()
         entries.append(a)
-        P = a * Q - P
-        Q = (D - P * P) // Q
     start = seen[(P, Q)]
     if start == 0:
         # a0 is formally part of the cycle; keep it as the leading term and

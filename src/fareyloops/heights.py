@@ -19,6 +19,7 @@ from typing import Optional, Sequence, Union
 from .contfrac import (
     CFExpansion,
     cf_from_rational,
+    cf_of_surd,
     cf_value,
     convergent_pair,
     convergents,
@@ -53,26 +54,8 @@ def floor_2sqrt(n: int) -> int:
 
 
 def surd_height(s: QuadSurd) -> int:
-    """Largest partial quotient (leading term excluded) of a quadratic irrational.
-
-    Runs the integral expansion recurrence until the state repeats; the
-    supremum is attained on the preperiod plus one period.
-    """
-    if not s.is_positive():
-        raise ValueError("height requires a positive value")
-    P, Q, D = s.P, s.Q, s.D
-    seen: dict[tuple[int, int], int] = {}
-    entries: list[int] = []
-    while (P, Q) not in seen:
-        seen[(P, Q)] = len(entries)
-        a = QuadSurd(P, Q, D).floor()
-        entries.append(a)
-        P = a * Q - P
-        Q = (D - P * P) // Q
-    # a purely periodic orbit repeats its leading term at every later index
-    if seen[(P, Q)] == 0:
-        return max(entries)
-    return max(entries[1:])
+    """Largest partial quotient (leading term excluded) of a quadratic irrational."""
+    return height(cf_of_surd(s))
 
 
 def _scaled_height(e: CFExpansion, n: int) -> Union[int, float]:

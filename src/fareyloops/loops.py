@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Union
 
-from .contfrac import CFExpansion, cf_eval, cf_from_rational, twin_of
+from .contfrac import CFExpansion, cf_eval, cf_from_rational, semiconvergent, twin_of
 from .rationals import Rational
 from .surds import QuadSurd
 
@@ -143,13 +143,7 @@ def _check_periodic(e: CFExpansion, n: int) -> LoopVerdict:
         a = e.entry(j)
         m = _fan_hit(u, v, n, a, 1 if k == 0 else 0)
         if m is not None:
-            p_prev, q_prev = 1, 0
-            p, q = e.a0, 1
-            for i in range(1, k + 1):
-                ai = e.entry(i)
-                p, p_prev = ai * p + p_prev, p
-                q, q_prev = ai * q + q_prev, q
-            return LoopVerdict.not_loop(k, m, Rational(m * p + p_prev, m * q + q_prev))
+            return LoopVerdict.not_loop(k, m, semiconvergent(e, k, m))
         u, v = v, (a * v + u) % n
         k += 1
 
@@ -162,7 +156,7 @@ def _check_stream(entries_iter, n: int, depth_limit: int) -> LoopVerdict:
         raise ValueError("empty digit stream") from None
     if a0 < 0:
         raise ValueError("leading term must be nonnegative")
-    entries = [a0]
+    body: list[int] = []
     u, v = 0, 1
     for k in range(depth_limit):
         try:
@@ -171,15 +165,11 @@ def _check_stream(entries_iter, n: int, depth_limit: int) -> LoopVerdict:
             return LoopVerdict.unknown(k)
         if a < 1:
             raise ValueError("partial quotients after a0 must be >= 1")
-        entries.append(a)
+        body.append(a)
         m = _fan_hit(u, v, n, a, 1 if k == 0 else 0)
         if m is not None:
-            p_prev, q_prev = 1, 0
-            p, q = entries[0], 1
-            for ai in entries[1:-1]:
-                p, p_prev = ai * p + p_prev, p
-                q, q_prev = ai * q + q_prev, q
-            return LoopVerdict.not_loop(k, m, Rational(m * p + p_prev, m * q + q_prev))
+            prefix = CFExpansion(a0, tuple(body))
+            return LoopVerdict.not_loop(k, m, semiconvergent(prefix, k, m))
         u, v = v, (a * v + u) % n
     return LoopVerdict.unknown(depth_limit)
 
@@ -194,29 +184,23 @@ def _check_surd(s: QuadSurd, n: int) -> LoopVerdict:
         raise ValueError("loop decisions require a positive value")
     entries: list[int] = []
     seen: set[tuple[int, int, int, int]] = set()
-    P, Q, D = s.P, s.Q, s.D
     u, v = 0, 1
-    k = 0
-    while True:
-        a = QuadSurd(P, Q, D).floor()
+    for k, (P, Q, a) in enumerate(s.states()):
         entries.append(a)
-        P = a * Q - P
-        Q = (D - P * P) // Q
-        if k >= 1:  # fan k-1 closes with partial quotient a_k = entries[k]
-            m = _fan_hit(u, v, n, a, 1 if k == 1 else 0)
-            if m is not None:
-                p_prev, q_prev = 1, 0
-                p, q = entries[0], 1
-                for ai in entries[1:-1]:
-                    p, p_prev = ai * p + p_prev, p
-                    q, q_prev = ai * q + q_prev, q
-                return LoopVerdict.not_loop(k - 1, m, Rational(m * p + p_prev, m * q + q_prev))
-            u, v = v, (a * v + u) % n
+        if k == 0:
+            continue
+        # the start state is not keyed: fan 0 excludes m = 0 and later fans
+        # do not, so a return to it does not repeat the decisions made there
         key = (P, Q, u, v)
         if key in seen:
             return LoopVerdict.loop()
         seen.add(key)
-        k += 1
+        # fan k-1 closes with partial quotient a_k
+        m = _fan_hit(u, v, n, a, 1 if k == 1 else 0)
+        if m is not None:
+            prefix = CFExpansion(entries[0], tuple(entries[1:]))
+            return LoopVerdict.not_loop(k - 1, m, semiconvergent(prefix, k - 1, m))
+        u, v = v, (a * v + u) % n
 
 
 def is_infinite_loop(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterator
 
 from .rationals import Rational
 
@@ -19,6 +20,14 @@ def is_square(n: int) -> bool:
         return False
     r = math.isqrt(n)
     return r * r == n
+
+
+def _floor(P: int, Q: int, s: int) -> int:
+    """floor((P + sqrt(D))/Q) for s = isqrt(D), D non-square, so that
+    s < sqrt(D) < s + 1 strictly."""
+    if Q > 0:
+        return (P + s) // Q
+    return -((P + s) // (-Q)) - 1
 
 
 class QuadSurd:
@@ -70,10 +79,24 @@ class QuadSurd:
         return QuadSurd(-self.P, (self.D - self.P * self.P) // self.Q, self.D)
 
     def floor(self) -> int:
-        s = math.isqrt(self.D)  # s < sqrt(D) < s + 1, strictly (D non-square)
-        if self.Q > 0:
-            return (self.P + s) // self.Q
-        return -((self.P + s) // (-self.Q)) - 1
+        return _floor(self.P, self.Q, math.isqrt(self.D))
+
+    def states(self) -> Iterator[tuple[int, int, int]]:
+        """The integral expansion recurrence, one (P, Q, a) per step.
+
+        Each state is a complete quotient (P + sqrt(D))/Q with partial
+        quotient a = floor of it; the next state is P' = a*Q - P,
+        Q' = (D - P'^2)/Q.  The stream never ends: a caller stops it, and
+        the first repeated (P, Q) closes the period.
+        """
+        P, Q, D = self.P, self.Q, self.D
+        s = math.isqrt(D)
+        a = self.floor()
+        while True:
+            yield P, Q, a
+            P = a * Q - P
+            Q = (D - P * P) // Q
+            a = _floor(P, Q, s)
 
     def _cmp_rational(self, num: int, den: int) -> int:
         """Sign of self - num/den for den > 0."""

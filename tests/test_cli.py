@@ -1,20 +1,27 @@
+import importlib
+import inspect
 import io
 import re
+import sys
 
 import pytest
 
-import fareyloops
-from fareyloops.cli import (
-    COMMAND_HANDLERS,
-    COMMAND_OPERATIONS,
-    VERIFY_CHECKS,
-    build_parser,
-    main,
-    parse_value,
-)
+from fareyloops import cli
+from fareyloops.cli import COMMAND_HANDLERS, VERIFY_CHECKS, build_parser, main, parse_value
 from fareyloops.contfrac import CFExpansion
+from fareyloops.loops import is_infinite_loop
 from fareyloops.rationals import Rational
 from fareyloops.surds import QuadSurd
+
+SMALL_VERIFY = {
+    "noloop": ["--n-range", "4..5", "--count", "10"],
+    "infl": ["--count", "5"],
+    "pro2": ["--n-range", "2..3", "--count", "10"],
+    "count-height": ["--count", "5", "-L", "4"],
+    "defs-equivalence": ["--q-max", "12", "--n-range", "2..4"],
+    "thma": ["--count", "10"],
+    "dual-pushforward": ["--count", "10"],
+}
 
 
 def run_cli(*argv):
@@ -116,6 +123,16 @@ class TestCommands:
         assert out.splitlines()[0] == "upper=1/4"
         assert "(not a bound)" in out.splitlines()[1]
 
+    def test_loopcheck_decides_a_surd_without_expanding_it(self, monkeypatch):
+        def no_expansion(value):
+            raise AssertionError("loopcheck expanded the surd")
+
+        monkeypatch.setattr(cli, "cf_of_surd", no_expansion)
+        d = 10**49 + 3
+        code, out = run_cli("loopcheck", f"sqrt({d})", "--mod", "7919")
+        assert code == 0
+        assert out.strip() == is_infinite_loop(QuadSurd(0, 1, d), 7919).record()
+
     def test_parse_error_exit_code(self):
         code, _ = run_cli("cf", "1/0")
         assert code == 2
@@ -129,17 +146,8 @@ class TestVerify:
         assert "violations=0" in out
 
     def test_all_checks_run_small(self):
-        small = {
-            "noloop": ["--n-range", "4..5", "--count", "10"],
-            "infl": ["--count", "5"],
-            "pro2": ["--n-range", "2..3", "--count", "10"],
-            "count-height": ["--count", "5", "-L", "4"],
-            "defs-equivalence": ["--q-max", "12", "--n-range", "2..4"],
-            "thma": ["--count", "10"],
-            "dual-pushforward": ["--count", "10"],
-        }
-        assert set(small) == set(VERIFY_CHECKS)
-        for check, extra in small.items():
+        assert set(SMALL_VERIFY) == set(VERIFY_CHECKS)
+        for check, extra in SMALL_VERIFY.items():
             code, out = run_cli("verify", check, "--seed", "3", *extra)
             assert code == 0, (check, out)
             assert "pass=1" in out.splitlines()[-1]
@@ -154,13 +162,6 @@ class TestVerify:
             second.rsplit("elapsed", 1)[0]
         )
 
-    def test_threaded_merge_matches_serial(self):
-        serial = run_cli("--format", "record", "--threads", "1", "verify", "noloop",
-                         "--n-range", "4..7", "--count", "10", "--seed", "5")[1]
-        threaded = run_cli("--format", "record", "--threads", "4", "verify", "noloop",
-                           "--n-range", "4..7", "--count", "10", "--seed", "5")[1]
-        assert serial.splitlines()[:-1] == threaded.splitlines()[:-1]
-
 
 class TestConfigAndEnv:
     def test_config_file(self, tmp_path):
@@ -172,39 +173,69 @@ class TestConfigAndEnv:
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "scan.cfg"
-        cfg.write_text("wibble = 3\n")
-        with pytest.raises(SystemExit):
-            run_cli("--config", str(cfg), "loop-exists", "--n-range", "2..3")
+        for text in ("wibble = 3\n", "threads = 2\n"):
+            cfg.write_text(text)
+            with pytest.raises(SystemExit):
+                run_cli("--config", str(cfg), "loop-exists", "--n-range", "2..3")
 
-    def test_threads_env(self, monkeypatch):
-        monkeypatch.setenv("FAREYLOOPS_THREADS", "3")
-        code, out = run_cli("verify", "noloop", "--n-range", "4..5", "--count", "5",
-                            "--seed", "1")
-        assert code == 0
+
+# modules of the package and the public functions no subcommand calls
+LAYERS = ("rationals", "surds", "contfrac", "loops", "cutting", "gamma_paths", "heights",
+          "sampling", "cli")
+NOT_ON_CLI = {"cutting.eta", "rationals.is_dual_neighbor"}
+
+
+def executed_code(argvs):
+    """Code objects of every Python function called while the argvs run."""
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        for argv in argvs:
+            run_cli(*argv)
+    finally:
+        sys.setprofile(None)
+    return seen
 
 
 class TestCoverage:
-    def test_every_operation_reachable(self):
-        table_ops = {f for ops in COMMAND_OPERATIONS.values() for f in ops}
-        table_names = {f.__name__ for f in table_ops}
-        required = {
-            "farey_mediant", "farey_difference", "is_farey_neighbor",
-            "is_gamma0_neighbor", "is_dual_neighbor",
-            "cf_from_rational", "cf_eval", "convergent", "semiconvergent",
-            "height", "cf_of_surd", "multiply_cf", "shift_cf",
-            "is_infinite_loop", "loop_scaling_check", "loop_exists",
-            "loop_example", "sb_walk",
-            "v_algorithm", "d_algorithm", "nonterminating",
-            "eta", "eta_inverse", "crosses_edge", "crossed_edges",
-            "loop_verdict_geometric",
-            "height_spectrum", "mp_upper_bound", "check_noloop_bound",
-            "check_infl", "check_pro2", "check_count_height", "persistence_scan",
-        }
-        missing = required - table_names
-        assert not missing, f"operations not reachable from any subcommand: {missing}"
-
-    def test_table_matches_handlers(self):
-        assert set(COMMAND_OPERATIONS) == set(COMMAND_HANDLERS)
+    def test_required_operations_execute(self, tmp_path):
+        cfg = tmp_path / "smoke.cfg"
+        cfg.write_text("seed = 1\n")
+        smoke = [
+            ("cf", "3/7", "--shift", "1"),
+            ("cf", "sqrt(2)", "--times", "2"),
+            ("cf", "[1; 2, (3)]"),
+            ("semiconv", "3/7"),
+            ("loopcheck", "1/2", "--mod", "5", "--geometric"),
+            ("loopcheck", "sqrt(2)", "--mod", "5"),
+            ("loop-exists", "--n-range", "2..5"),
+            ("loop-example", "--mod", "9", "--scale-check", "3"),
+            ("gamma-path", "--mod", "5", "--max-iter", "4"),
+            ("gamma-path", "--mod", "5", "--denoms", "--max-iter", "5"),
+            ("cutseq", "3/7", "--mod", "5"),
+            ("spectrum", "sqrt(2)", "-p", "2", "-L", "2", "--persistence", "2"),
+            ("mp-bound", "sqrt(2)", "-p", "2", "-L", "1"),
+        ]
+        smoke += [("--config", str(cfg), "verify", check, *extra)
+                  for check, extra in SMALL_VERIFY.items()]
+        parser = build_parser()
+        assert {parser.parse_args(argv).command for argv in smoke} == set(COMMAND_HANDLERS)
+        executed = executed_code(smoke)
+        required = {}
+        for layer in LAYERS:
+            module = importlib.import_module(f"fareyloops.{layer}")
+            for name, fn in vars(module).items():
+                if (inspect.isfunction(fn) and fn.__module__ == module.__name__
+                        and not name.startswith("_")):
+                    required[f"{layer}.{name}"] = fn.__code__
+        assert NOT_ON_CLI <= set(required)
+        missing = {name for name, code in required.items() if code not in executed}
+        assert missing == NOT_ON_CLI, f"operations no subcommand runs: {missing - NOT_ON_CLI}"
 
     def test_parser_knows_every_command(self):
         parser = build_parser()

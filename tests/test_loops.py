@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fareyloops.contfrac import CFExpansion, cf_from_rational, cf_value
+from fareyloops.contfrac import CFExpansion, cf_from_rational, cf_of_surd, cf_value
 from fareyloops.loops import (
     LOOP,
     NOTLOOP,
@@ -112,7 +112,15 @@ class TestPeriodicDecisions:
             e = random_periodic_cf(rng)
             s = cf_value(e)
             for n in (2, 3, 4, 5, 9):
-                assert is_infinite_loop(s, n).kind == is_infinite_loop(e, n).kind
+                assert is_infinite_loop(s, n).record() == is_infinite_loop(e, n).record()
+        roots = list(range(2, 200)) + [rng.randint(200, 10**7) for _ in range(40)]
+        for d in roots:
+            if math.isqrt(d) ** 2 == d:
+                continue
+            s = QuadSurd(0, 1, d)
+            e = cf_of_surd(s)
+            for n in (2, 3, 4, 5, 7, 9, 12):
+                assert is_infinite_loop(s, n).record() == is_infinite_loop(e, n).record(), (d, n)
 
     def test_periodic_agrees_with_deep_stream(self):
         rng = random.Random(13)
