@@ -36,7 +36,7 @@ class Config:
 
     def __post_init__(self):
         if self.q_max < 1 or self.count < 1:
-            raise ValueError("limits must be positive")
+            raise ValueError(f"limits must be positive: q_max={self.q_max} count={self.count}")
         if self.mode not in ("human", "record"):
             raise ValueError("mode must be human or record")
 
@@ -88,7 +88,16 @@ def _parse_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
     if not hi:
         raise ValueError(f"range must look like a..b, got {text!r}")
-    return int(lo), int(hi)
+    bounds = int(lo), int(hi)
+    if bounds[0] > bounds[1]:
+        raise ValueError(f"range {text!r} is empty")
+    return bounds
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="batch inequality scans")
     p.add_argument("check", choices=VERIFY_CHECKS)
     p.add_argument("--seed", type=int)
-    p.add_argument("--count", type=int)
+    p.add_argument("--count", type=_positive_int)
     p.add_argument("--n-range")
-    p.add_argument("--q-max", type=int)
+    p.add_argument("--q-max", type=_positive_int)
     p.add_argument("-L", type=int, default=20)
 
     return parser
@@ -360,20 +369,17 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
 
     cfg = Config()
     if args.config:
-        raw = load_config(args.config)
-        known = {
-            "seed": int,
-            "depth": int,
-            "q_max": int,
-            "count": int,
-            "mode": str,
-        }
+        known = {"seed": int, "depth": int, "q_max": int, "count": int, "mode": str}
         updates = {}
-        for key, value in raw.items():
-            if key not in known:
-                raise SystemExit(f"unknown config key {key!r}")
-            updates[key] = known[key](value)
-        cfg = replace(cfg, **updates)
+        try:
+            for key, value in load_config(args.config).items():
+                if key not in known:
+                    raise SystemExit(f"unknown config key {key!r}")
+                updates[key] = known[key](value)
+            cfg = replace(cfg, **updates)
+        except (OSError, ValueError) as exc:
+            print(f"error: --config {args.config}: {exc}", file=sys.stderr)
+            return 2
     if args.format is not None:
         cfg = replace(cfg, mode=args.format)
 

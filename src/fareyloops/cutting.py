@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from .contfrac import CFExpansion, cf_eval, cf_from_rational, convergent_pair
-from .loops import LoopVerdict, _fan_hit, is_infinite_loop
+from .loops import LoopVerdict, _fan_hit, _raw_walk, is_infinite_loop
 from .rationals import INFINITY, FareyEdge, Rational
 from .surds import QuadSurd
 
@@ -100,31 +100,6 @@ def crosses_edge(alpha: Value, edge: FareyEdge) -> bool:
     if v.is_infinite:
         return alpha > u
     return u < alpha and alpha < v
-
-
-def _raw_walk(e: CFExpansion) -> Iterator[tuple[int, int, tuple[int, int], tuple[int, int]]]:
-    """Mediant walk from the base edge driven by the partial quotients.
-
-    Yields (k, m, lo, hi) after every step, where the step created the
-    semi-convergent {k, m} as the new interval endpoint; the leading-term fan
-    is tagged k = -1.  Endpoints are (num, den) pairs.
-    """
-    lo, hi = (0, 1), (1, 0)
-    i = 0
-    while True:
-        try:
-            a = e.entry(i)
-        except IndexError:
-            return
-        left = i % 2 == 0
-        for m in range(1, a + 1):
-            mid = (lo[0] + hi[0], lo[1] + hi[1])
-            if left:
-                lo = mid
-            else:
-                hi = mid
-            yield i - 1, m, lo, hi
-        i += 1
 
 
 def crossed_edges(e: CFExpansion, depth: Optional[int] = None) -> list[FareyEdge]:

@@ -13,9 +13,10 @@ a step is pruned exactly when it would create a denominator divisible by n.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .contfrac import CFExpansion, cf_eval, cf_from_rational, semiconvergent, twin_of
 from .rationals import Rational
@@ -275,30 +276,22 @@ def loop_exists(n: int) -> bool:
     pruning rule.
     """
     graph = loop_graph(n)
-    out = {s: sum(1 for _, t in moves if t in graph) for s, moves in graph.items()}
-    preds: dict[ModState, list[ModState]] = {s: [] for s in graph}
-    for s, moves in graph.items():
-        for _, t in moves:
-            preds[t].append(s)
-    queue = [s for s, d in out.items() if d == 0]
-    removed = set()
-    while queue:
-        s = queue.pop()
-        removed.add(s)
-        for pred in preds[s]:
-            out[pred] -= 1
-            if out[pred] == 0 and pred not in removed:
-                queue.append(pred)
-    return len(removed) < len(graph)
+    return _find_cycle(ModState(1 % n, 1 % n), graph.__getitem__) is not None
 
 
-def _find_cycle(n: int) -> tuple[list[str], list[str]]:
-    """DFS for a reachable cycle; returns (prefix letters, cycle letters)."""
-    start = ModState(1 % n, 1 % n)
+def _find_cycle(
+    start: ModState, moves: Callable[[ModState], Iterable[tuple[str, ModState]]]
+) -> Optional[tuple[list[str], list[str]]]:
+    """DFS from start for a reachable cycle; (prefix letters, cycle letters) or None.
+
+    `moves(state)` gives the unpruned (letter, target) moves.  The search
+    returns at the first edge back onto its own path; an exhausted search
+    proves that no cycle is reachable.
+    """
     path_states = [start]
     path_letters: list[str] = []
     onstack = {start: 0}
-    iters = [iter(successors(start, n))]
+    iters = [iter(moves(start))]
     visited = {start}
     while iters:
         try:
@@ -319,8 +312,8 @@ def _find_cycle(n: int) -> tuple[list[str], list[str]]:
         onstack[target] = len(path_states)
         path_states.append(target)
         path_letters.append(letter)
-        iters.append(iter(successors(target, n)))
-    raise ValueError(f"no infinite loops exist mod {n}")
+        iters.append(iter(moves(target)))
+    return None
 
 
 def _letters_to_expansion(prefix: list[str], cycle: list[str]) -> CFExpansion:
@@ -369,7 +362,10 @@ def loop_example(n: int) -> CFExpansion:
     irrational); a single-letter cycle is an absorbing mediant walk whose
     limit is rational, returned with its oo-tail.
     """
-    prefix, cycle = _find_cycle(n)
+    found = _find_cycle(ModState(1 % n, 1 % n), lambda s: successors(s, n))
+    if found is None:
+        raise ValueError(f"no infinite loops exist mod {n}")
+    prefix, cycle = found
     if len(set(cycle)) == 1:
         lo, hi = Rational(0, 1), Rational(1, 1)
         for letter in prefix:
@@ -392,6 +388,44 @@ def loop_example(n: int) -> CFExpansion:
 # mediant-tree walk
 
 
+def _raw_walk(e: CFExpansion) -> Iterator[tuple[int, int, tuple[int, int], tuple[int, int]]]:
+    """Mediant walk from the base edge driven by the partial quotients.
+
+    Yields (k, m, lo, hi) after every step, where the step created the
+    semi-convergent {k, m} as the new interval endpoint; the leading-term fan
+    is tagged k = -1.  Endpoints are (num, den) pairs.  The oo-tail of a
+    finite expansion is one endless final run; without it the walk ends on
+    the value.
+    """
+    lo, hi = (0, 1), (1, 0)
+    i = 0
+    while True:
+        try:
+            a = e.entry(i)
+        except IndexError:
+            break
+        left = i % 2 == 0
+        for m in range(1, a + 1):
+            mid = (lo[0] + hi[0], lo[1] + hi[1])
+            if left:
+                lo = mid
+            else:
+                hi = mid
+            yield i - 1, m, lo, hi
+        i += 1
+    if not e.inf_tail:
+        return
+    # the tail run stays outside the loop above, so finite steps cost no more
+    left = i % 2 == 0
+    for m in itertools.count(1):
+        mid = (lo[0] + hi[0], lo[1] + hi[1])
+        if left:
+            lo = mid
+        else:
+            hi = mid
+        yield i - 1, m, lo, hi
+
+
 def sb_walk(e: CFExpansion, n: int, depth: int) -> list[tuple[str, int]]:
     """Letter word of the mediant walk toward value(e) with created denominators mod n.
 
@@ -408,33 +442,7 @@ def sb_walk(e: CFExpansion, n: int, depth: int) -> list[tuple[str, int]]:
         value = cf_eval(e)
         if value.num == 0 or value >= Rational(1):
             raise ValueError("value must lie strictly inside (0, 1)")
-    out: list[tuple[str, int]] = []
-    c, d = 1, 0  # denominators of the current interval endpoints
-    i = 1
-    while len(out) < depth:
-        letter = "R" if i % 2 == 1 else "L"
-        try:
-            a = e.entry(i)
-        except IndexError:
-            if not e.inf_tail:
-                break
-            # the oo-tail is one infinite final run
-            while len(out) < depth:
-                created = c + d
-                out.append((letter, created % n))
-                if letter == "L":
-                    c = created
-                else:
-                    d = created
-            break
-        for _ in range(a):
-            created = c + d
-            out.append((letter, created % n))
-            if letter == "L":
-                c = created
-            else:
-                d = created
-            if len(out) == depth:
-                break
-        i += 1
-    return out
+    return [
+        ("L", lo[1] % n) if k % 2 else ("R", hi[1] % n)
+        for k, _, lo, hi in itertools.islice(_raw_walk(e), depth)
+    ]

@@ -138,6 +138,29 @@ class TestCommands:
         assert code == 2
 
 
+class TestInputErrors:
+    @pytest.mark.parametrize("argv", [
+        ("verify", "noloop", "--count", "0"),
+        ("verify", "noloop", "--count", "-5"),
+        ("verify", "noloop", "--count", "many"),
+        ("verify", "defs-equivalence", "--q-max", "-3"),
+    ])
+    def test_bad_scan_size_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert f"got {argv[-1]!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("loop-exists", "--n-range", "5..3"),
+        ("verify", "noloop", "--n-range", "5..3"),
+    ])
+    def test_empty_range_is_rejected(self, argv, capsys):
+        code, out = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: range '5..3' is empty\n"
+
+
 class TestVerify:
     def test_passing_check_exits_zero(self):
         code, out = run_cli("verify", "noloop", "--n-range", "4..5", "--count", "20",
@@ -170,6 +193,23 @@ class TestConfigAndEnv:
         code, out = run_cli("--config", str(cfg), "verify", "noloop", "--n-range", "4..4")
         assert code == 0
         assert any(line.startswith("check=noloop n=4") for line in out.splitlines())
+
+    def test_bad_config_value_is_an_error(self, tmp_path, capsys):
+        cfg = tmp_path / "scan.cfg"
+        for text, bad in (("count = 0\n", "count=0"), ("q_max = -3\n", "q_max=-3"),
+                          ("seed = x\n", "'x'"), ("mode = loud\n", "human or record"),
+                          ("garbage\n", "garbage")):
+            cfg.write_text(text)
+            code, out = run_cli("--config", str(cfg), "loop-exists", "--n-range", "2..3")
+            assert (code, out) == (2, "")
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: --config {cfg}: ") and bad in err, err
+
+    def test_missing_config_file_is_an_error(self, tmp_path, capsys):
+        code, _ = run_cli("--config", str(tmp_path / "absent.cfg"), "loop-exists",
+                          "--n-range", "2..3")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --config ")
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "scan.cfg"

@@ -3,8 +3,11 @@
 Each case concatenates the output of a group of invocations, with the
 `elapsed=` figure stripped (it is wall time), and compares its digest with
 one recorded from the program before its surd recurrence, witness rebuild
-and scan dispatch were each merged into a single implementation.  A
-mismatch means some printed verdict, witness, expansion or record changed.
+and scan dispatch were each merged into a single implementation.  The
+`cutseq tail`, `loop-exists`, `loop-example` and `gamma-path` digests were
+recorded before the graph cycle searches and the mediant walks were each
+merged into one.  A mismatch means some printed verdict, witness,
+expansion or record changed.
 """
 
 import hashlib
@@ -21,6 +24,9 @@ _SMALL_SURDS = ("sqrt(2)", "(1+sqrt(5))/2", "sqrt(8)/2", "(-4+sqrt(97))/3")
 _UNIT_SURDS = ("(-1+sqrt(5))/2", "sqrt(2)/2", "(-3+sqrt(19))/5", "(-2+sqrt(1000))/31")
 # values in (0, 1) that are loops mod some of the moduli below
 _LOOP_SURDS = ("(3+sqrt(2))/7", "(3+sqrt(3))/6", "(4+sqrt(7))/9", "(5+sqrt(5))/10", "(9+sqrt(45))/18")
+# rationals in (0, 1) whose mediant walk runs into the oo-tail, both twins
+# written out, and one finite expansion without a tail
+_TAIL_VALUES = ("3/7", "2/5", "5/8", "1/3", "7/10", "13/21", "[0; 2, 2, 1, oo]", "[0; 2, 3]")
 
 CASES = {
     "verify noloop": [("verify", "noloop", "--n-range", "4..7", "--count", "40", "--seed", "3")],
@@ -54,11 +60,24 @@ CASES = {
         for s in _UNIT_SURDS + _LOOP_SURDS
         for n in (3, 5, 8)
     ],
+    "cutseq tail": [("cutseq", v, "--mod", str(n)) for v in _TAIL_VALUES for n in (3, 4, 5)]
+    + [("cutseq", v, "--mod", "7", "--depth", "30") for v in _TAIL_VALUES],
+    "loop-exists": [("loop-exists", "--n-range", "2..60")],
+    "loop-example": [("loop-example", "--mod", str(n), "--scale-check", "3") for n in range(4, 41)],
+    "gamma-path": [
+        ("gamma-path", "--mod", str(n), "--max-iter", "6", *denoms)
+        for n in (2, 3, 4, 5, 7, 9)
+        for denoms in ((), ("--denoms",))
+    ],
 }
 
 GOLDEN = {
     "cf": "e5f18d2871c52c5f047e53ae02f57eb42c11333d2665134de379794765855b53",
     "cutseq": "54b5ef343b112f5bb3719f6a4ff4e71a4e48fcb97bb7232fd0930ed94317058f",
+    "cutseq tail": "0d3e260bdb865b9aa39f3e66f76e4d90dab113065f7f71781b411624b6a97387",
+    "gamma-path": "a959dacc02757aec7c698447bf1ff08f63a18dfbe30b031362ca9ea192c21aa6",
+    "loop-example": "50dd21dfa565986145958b02d30d0ddfb1c9e6aab49bc1d0592a30bcb6b85e1e",
+    "loop-exists": "d0aa1fb02dcd7283f3e7f40faab9a43c3da9892fbbfde1c88d0f43b1f7816438",
     "loopcheck": "50ded5ae5d2c9657ae2c70bf4e8342af93629a9a64aee14aaba6a65957265241",
     "mp-bound": "653b9160d8437e91d44b609e3c5683319b2cedfdb53f40413db6add8b619c68a",
     "spectrum": "98280d9912c067d4dad313f9cdc847c987c225f01cbe3a43077049414b33330d",

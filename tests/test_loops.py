@@ -11,6 +11,7 @@ from fareyloops.loops import (
     UNKNOWN,
     LoopVerdict,
     ModState,
+    _find_cycle,
     is_infinite_loop,
     loop_example,
     loop_exists,
@@ -192,6 +193,25 @@ class TestGraph:
 
     def test_existence_range(self):
         assert [n for n in range(2, 101) if not loop_exists(n)] == [2, 3]
+
+    def test_cycle_search_certificate(self):
+        for n in range(2, 81):
+            start = ModState(1 % n, 1 % n)
+            found = _find_cycle(start, lambda s: successors(s, n))
+            assert found == _find_cycle(start, loop_graph(n).__getitem__)
+            if n in (2, 3):
+                assert found is None
+                continue
+            prefix, cycle = found
+            assert cycle
+            state = start
+            for i, letter in enumerate(prefix + cycle):
+                if i == len(prefix):
+                    entry = state
+                moves = dict(successors(state, n))
+                assert letter in moves, (n, i)  # no step of the word is pruned
+                state = moves[letter]
+            assert state == entry, n
 
 
 class TestLoopExample:
