@@ -37,6 +37,8 @@ class Config:
     def __post_init__(self):
         if self.q_max < 1 or self.count < 1:
             raise ValueError(f"limits must be positive: q_max={self.q_max} count={self.count}")
+        if self.depth is not None and self.depth < 1:
+            raise ValueError(f"depth must be positive, got {self.depth}")
         if self.mode not in ("human", "record"):
             raise ValueError("mode must be human or record")
 
@@ -315,12 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("value")
     p.add_argument("--k", type=int)
     p.add_argument("--m", type=int)
-    p.add_argument("--depth", type=int)
+    p.add_argument("--depth", type=_positive_int)
 
     p = sub.add_parser("loopcheck", help="infinite-loop verdict mod n")
     p.add_argument("value")
     p.add_argument("--mod", type=int, required=True)
-    p.add_argument("--depth", type=int)
+    p.add_argument("--depth", type=_positive_int)
     p.add_argument("--geometric", action="store_true")
 
     p = sub.add_parser("loop-exists", help="existence of loops per modulus")
@@ -328,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("loop-example", help="a validated loop expansion")
     p.add_argument("--mod", type=int, required=True)
-    p.add_argument("--scale-check", type=int)
+    p.add_argument("--scale-check", type=_positive_int)
 
     p = sub.add_parser("gamma-path", help="mediant-insertion rounds at level n")
     p.add_argument("--mod", type=int, required=True)
@@ -337,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cutseq", help="letter word and crossed edges")
     p.add_argument("value")
-    p.add_argument("--depth", type=int)
-    p.add_argument("--mod", type=int)
+    p.add_argument("--depth", type=_positive_int)
+    p.add_argument("--mod", type=_positive_int)
 
     p = sub.add_parser("spectrum", help="heights under repeated prime scaling")
     p.add_argument("value")
@@ -374,7 +376,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         try:
             for key, value in load_config(args.config).items():
                 if key not in known:
-                    raise SystemExit(f"unknown config key {key!r}")
+                    raise ValueError(f"unknown config key {key!r}")
                 updates[key] = known[key](value)
             cfg = replace(cfg, **updates)
         except (OSError, ValueError) as exc:

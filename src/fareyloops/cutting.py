@@ -185,32 +185,26 @@ def loop_verdict_geometric(e: CFExpansion, n: int, depth: Optional[int] = None) 
         value = cf_eval(e)
         if value.num == 0 or value >= Rational(1):
             raise ValueError("value must lie strictly inside (0, 1)")
-        steps = sum(e.entry(i) for i in range(e.last_index + 1))
-        final = None
-        for idx, (k, m, lo, hi) in enumerate(_raw_walk(e)):
-            final = (k, m)
-            if idx == steps - 1:
-                break  # this step lands on the value; its edges are not crossed
-            div_lo = lo[1] % n == 0
-            div_hi = hi[1] % n == 0
-            if div_lo != div_hi:
-                return LoopVerdict.not_loop(k, m, Rational(*(lo if div_lo else hi)))
-        # termination vertex: the ray ends on the edges incident to the value
-        if value.den % n == 0:
-            k, m = final
-            return LoopVerdict.not_loop(k, m, value)
-        if e.inf_tail:
-            hit = _tail_edge_witness(value, n)
-            if hit is not None:
-                return LoopVerdict.not_loop(*hit)
-        return LoopVerdict.loop()
-
-    scan = depth if depth is not None else 1000
-    for k, m, lo, hi in itertools.islice(_raw_walk(e), scan):
+        # the last step lands on the value; its edges are not crossed
+        scan = sum(e.entry(i) for i in range(e.last_index + 1)) - 1
+    else:
+        scan = depth if depth is not None else 1000
+    walk = _raw_walk(e)
+    for k, m, lo, hi in itertools.islice(walk, scan):
         div_lo = lo[1] % n == 0
         div_hi = hi[1] % n == 0
         if div_lo != div_hi:
             return LoopVerdict.not_loop(k, m, Rational(*(lo if div_lo else hi)))
-    # no witness among the scanned edges: close the scan exactly through the
-    # state-cycle decision on the same expansion
-    return is_infinite_loop(e, n)
+    if not e.is_finite:
+        # no witness among the scanned edges: close the scan exactly through
+        # the state-cycle decision on the same expansion
+        return is_infinite_loop(e, n)
+    # termination vertex: the ray ends on the edges incident to the value
+    if value.den % n == 0:
+        k, m, _, _ = next(walk)
+        return LoopVerdict.not_loop(k, m, value)
+    if e.inf_tail:
+        hit = _tail_edge_witness(value, n)
+        if hit is not None:
+            return LoopVerdict.not_loop(*hit)
+    return LoopVerdict.loop()

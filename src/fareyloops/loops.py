@@ -16,9 +16,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Union
 
-from .contfrac import CFExpansion, cf_eval, cf_from_rational, semiconvergent, twin_of
+from .contfrac import CFExpansion, cf_eval, cf_from_rational, semiconvergent
 from .rationals import Rational
 from .surds import QuadSurd
 
@@ -128,80 +128,67 @@ def _check_finite(e: CFExpansion, n: int) -> LoopVerdict:
     return LoopVerdict.loop()
 
 
-def _check_periodic(e: CFExpansion, n: int) -> LoopVerdict:
-    plen = len(e.period)
-    blen = len(e.body)
-    u, v = 0, 1  # q_{k-1}, q_k mod n
-    seen: set[tuple[int, int, int]] = set()
+def _scan_cycle(
+    steps: Iterable[tuple[int, Optional[Hashable]]], n: int, prefix: Union[CFExpansion, list[int]]
+) -> LoopVerdict:
+    """The state-cycle scan behind the periodic, surd and stream decisions.
+
+    Step k gives a_{k+1}, which closes fan k, and the key of the expansion
+    state it was read from (None for a state that never recurs).  A repeat of
+    (key, q_{k-1} mod n, q_k mod n) repeats every decision since, so it
+    closes the scan as LOOP; steps that run out after k fans leave UNKNOWN.
+    The NOTLOOP witness is read off `prefix`: the periodic expansion itself,
+    or the digits a_0, a_1, ... that the step source has recorded.
+    """
+    u, v = 0, 1
+    seen: set[tuple[Hashable, int, int]] = set()
     k = 0
-    while True:
-        j = k + 1  # index of the fan's closing partial quotient
-        if j - 1 >= blen:
-            key = ((j - 1 - blen) % plen, u, v)
-            if key in seen:
+    for a, key in steps:
+        if key is not None:
+            state = (key, u, v)
+            if state in seen:
                 return LoopVerdict.loop()
-            seen.add(key)
-        a = e.entry(j)
+            seen.add(state)
         m = _fan_hit(u, v, n, a, 1 if k == 0 else 0)
         if m is not None:
-            return LoopVerdict.not_loop(k, m, semiconvergent(e, k, m))
+            if isinstance(prefix, list):
+                prefix = CFExpansion(prefix[0], tuple(prefix[1:]))
+            return LoopVerdict.not_loop(k, m, semiconvergent(prefix, k, m))
         u, v = v, (a * v + u) % n
         k += 1
+    return LoopVerdict.unknown(k)
 
 
-def _check_stream(entries_iter, n: int, depth_limit: int) -> LoopVerdict:
-    it = iter(entries_iter)
+def _surd_steps(s: QuadSurd, digits: list[int]) -> Iterator[tuple[int, tuple[int, int]]]:
+    """Steps keyed by the (P, Q) expansion state; a_0, a_1, ... go to digits."""
+    if not s.is_positive():
+        raise ValueError("loop decisions require a positive value")
+    states = s.states()
+    # the start state is not keyed: fan 0 excludes m = 0 and later fans do
+    # not, so a return to it does not repeat the decisions made there
+    digits.append(next(states)[2])
+    for P, Q, a in states:
+        digits.append(a)
+        yield a, (P, Q)
+
+
+def _stream_steps(
+    stream: Iterable[int], depth_limit: int, digits: list[int]
+) -> Iterator[tuple[int, None]]:
+    """At most depth_limit unkeyed steps of a digit stream; a_0, a_1, ... go to digits."""
+    it = iter(stream)
     try:
         a0 = next(it)
     except StopIteration:
         raise ValueError("empty digit stream") from None
     if a0 < 0:
         raise ValueError("leading term must be nonnegative")
-    body: list[int] = []
-    u, v = 0, 1
-    for k in range(depth_limit):
-        try:
-            a = next(it)
-        except StopIteration:
-            return LoopVerdict.unknown(k)
+    digits.append(a0)
+    for a in itertools.islice(it, depth_limit):
         if a < 1:
             raise ValueError("partial quotients after a0 must be >= 1")
-        body.append(a)
-        m = _fan_hit(u, v, n, a, 1 if k == 0 else 0)
-        if m is not None:
-            prefix = CFExpansion(a0, tuple(body))
-            return LoopVerdict.not_loop(k, m, semiconvergent(prefix, k, m))
-        u, v = v, (a * v + u) % n
-    return LoopVerdict.unknown(depth_limit)
-
-
-def _check_surd(s: QuadSurd, n: int) -> LoopVerdict:
-    """Exact loop decision straight off a quadratic irrational.
-
-    Avoids materialising the full expansion: the (P, Q) expansion state
-    together with the denominator pair mod n is eventually periodic.
-    """
-    if not s.is_positive():
-        raise ValueError("loop decisions require a positive value")
-    entries: list[int] = []
-    seen: set[tuple[int, int, int, int]] = set()
-    u, v = 0, 1
-    for k, (P, Q, a) in enumerate(s.states()):
-        entries.append(a)
-        if k == 0:
-            continue
-        # the start state is not keyed: fan 0 excludes m = 0 and later fans
-        # do not, so a return to it does not repeat the decisions made there
-        key = (P, Q, u, v)
-        if key in seen:
-            return LoopVerdict.loop()
-        seen.add(key)
-        # fan k-1 closes with partial quotient a_k
-        m = _fan_hit(u, v, n, a, 1 if k == 1 else 0)
-        if m is not None:
-            prefix = CFExpansion(entries[0], tuple(entries[1:]))
-            return LoopVerdict.not_loop(k - 1, m, semiconvergent(prefix, k - 1, m))
-        u, v = v, (a * v + u) % n
+        digits.append(a)
+        yield a, None
 
 
 def is_infinite_loop(
@@ -215,17 +202,26 @@ def is_infinite_loop(
     consulted when the tail convention is active), for periodic expansions
     and for QuadSurd values.  A bare iterable of partial quotients is treated
     as a truncated digit stream and checked up to depth_limit (default
-    10000), returning UNKNOWN when no witness surfaces.
+    10000, at least 1), returning UNKNOWN when no witness surfaces.
     """
     if n < 2:
         raise ValueError("modulus must be >= 2")
+    if depth_limit is not None and depth_limit < 1:
+        raise ValueError(f"depth_limit must be >= 1, got {depth_limit}")
     if isinstance(e, CFExpansion):
-        if e.is_periodic:
-            return _check_periodic(e, n)
-        return _check_finite(e, n)
+        if not e.is_periodic:
+            return _check_finite(e, n)
+        # the preperiod is unkeyed; the period offset keys every later state
+        steps = itertools.chain(
+            zip(e.body, itertools.repeat(None)), itertools.cycle(zip(e.period, itertools.count()))
+        )
+        return _scan_cycle(steps, n, e)
+    digits: list[int] = []
     if isinstance(e, QuadSurd):
-        return _check_surd(e, n)
-    return _check_stream(e, n, depth_limit or DEFAULT_STREAM_DEPTH)
+        steps = _surd_steps(e, digits)
+    else:
+        steps = _stream_steps(e, depth_limit or DEFAULT_STREAM_DEPTH, digits)
+    return _scan_cycle(steps, n, digits)
 
 
 def loop_scaling_check(e: CFExpansion, n: int, k: int) -> bool:
@@ -401,11 +397,13 @@ def _raw_walk(e: CFExpansion) -> Iterator[tuple[int, int, tuple[int, int], tuple
     i = 0
     while True:
         try:
-            a = e.entry(i)
+            run = range(1, e.entry(i) + 1)
         except IndexError:
-            break
+            if not e.inf_tail:
+                return
+            run = itertools.count(1)
         left = i % 2 == 0
-        for m in range(1, a + 1):
+        for m in run:
             mid = (lo[0] + hi[0], lo[1] + hi[1])
             if left:
                 lo = mid
@@ -413,17 +411,6 @@ def _raw_walk(e: CFExpansion) -> Iterator[tuple[int, int, tuple[int, int], tuple
                 hi = mid
             yield i - 1, m, lo, hi
         i += 1
-    if not e.inf_tail:
-        return
-    # the tail run stays outside the loop above, so finite steps cost no more
-    left = i % 2 == 0
-    for m in itertools.count(1):
-        mid = (lo[0] + hi[0], lo[1] + hi[1])
-        if left:
-            lo = mid
-        else:
-            hi = mid
-        yield i - 1, m, lo, hi
 
 
 def sb_walk(e: CFExpansion, n: int, depth: int) -> list[tuple[str, int]]:

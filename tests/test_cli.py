@@ -144,6 +144,11 @@ class TestInputErrors:
         ("verify", "noloop", "--count", "-5"),
         ("verify", "noloop", "--count", "many"),
         ("verify", "defs-equivalence", "--q-max", "-3"),
+        ("loop-example", "--mod", "4", "--scale-check", "0"),
+        ("cutseq", "3/7", "--mod", "5", "--depth", "0"),
+        ("cutseq", "3/7", "--mod", "0"),
+        ("semiconv", "sqrt(2)", "--depth", "0"),
+        ("loopcheck", "sqrt(2)", "--mod", "5", "--depth", "0"),
     ])
     def test_bad_scan_size_is_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -198,6 +203,7 @@ class TestConfigAndEnv:
         cfg = tmp_path / "scan.cfg"
         for text, bad in (("count = 0\n", "count=0"), ("q_max = -3\n", "q_max=-3"),
                           ("seed = x\n", "'x'"), ("mode = loud\n", "human or record"),
+                          ("depth = 0\n", "depth must be positive, got 0"),
                           ("garbage\n", "garbage")):
             cfg.write_text(text)
             code, out = run_cli("--config", str(cfg), "loop-exists", "--n-range", "2..3")
@@ -211,12 +217,13 @@ class TestConfigAndEnv:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: --config ")
 
-    def test_unknown_config_key(self, tmp_path):
+    def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "scan.cfg"
-        for text in ("wibble = 3\n", "threads = 2\n"):
-            cfg.write_text(text)
-            with pytest.raises(SystemExit):
-                run_cli("--config", str(cfg), "loop-exists", "--n-range", "2..3")
+        for key in ("wibble", "threads"):
+            cfg.write_text(f"{key} = 3\n")
+            code, out = run_cli("--config", str(cfg), "loop-exists", "--n-range", "2..3")
+            assert (code, out) == (2, "")
+            assert capsys.readouterr().err == f"error: --config {cfg}: unknown config key {key!r}\n"
 
 
 # modules of the package and the public functions no subcommand calls

@@ -6,8 +6,11 @@ one recorded from the program before its surd recurrence, witness rebuild
 and scan dispatch were each merged into a single implementation.  The
 `cutseq tail`, `loop-exists`, `loop-example` and `gamma-path` digests were
 recorded before the graph cycle searches and the mediant walks were each
-merged into one.  A mismatch means some printed verdict, witness,
-expansion or record changed.
+merged into one.  The `loopcheck periodic` and `loopcheck rational
+geometric` digests were recorded before the periodic, surd and stream
+deciders were merged into one state-cycle scan and the finite and periodic
+edge scans of the geometric route into one.  A mismatch means some printed
+verdict, witness, expansion or record changed.
 """
 
 import hashlib
@@ -27,6 +30,22 @@ _LOOP_SURDS = ("(3+sqrt(2))/7", "(3+sqrt(3))/6", "(4+sqrt(7))/9", "(5+sqrt(5))/1
 # rationals in (0, 1) whose mediant walk runs into the oo-tail, both twins
 # written out, and one finite expansion without a tail
 _TAIL_VALUES = ("3/7", "2/5", "5/8", "1/3", "7/10", "13/21", "[0; 2, 2, 1, oo]", "[0; 2, 3]")
+# written eventually periodic expansions, loops and non-loops; those in
+# (0, 1) also go through the edge route
+_PERIODIC = ("[1; (2)]", "[2; (1, 1, 4)]", "[3; 1, 1, (7)]", "[4; 6, 2, (1, 5, 1, 8)]")
+_UNIT_PERIODIC = (
+    "[0; (1)]",
+    "[0; (2, 9)]",
+    "[0; 1, 2, (3, 1)]",
+    "[0; 5, (1, 2, 3)]",
+    "[0; 2, (1, 1, 2)]",
+    "[0; 1, 1, 1, (2)]",
+    "[0; 1, 2, (1)]",
+    "[0; 1, 3, (1, 2)]",
+    "[0; 1, 5, (1, 4)]",
+    "[0; 1, 9, (1, 8)]",
+    "[0; 1, 2, (1, 4, 1, 1)]",
+)
 
 CASES = {
     "verify noloop": [("verify", "noloop", "--n-range", "4..7", "--count", "40", "--seed", "3")],
@@ -48,6 +67,16 @@ CASES = {
         ("loopcheck", s, "--mod", str(n), "--geometric")
         for s in _UNIT_SURDS + _LOOP_SURDS
         for n in (5, 6, 7, 8, 9, 18)
+    ],
+    "loopcheck periodic": [("loopcheck", v, "--mod", str(n)) for v in _PERIODIC for n in range(2, 13)]
+    + [
+        ("loopcheck", v, "--mod", str(n), "--geometric", *depth)
+        for v in _UNIT_PERIODIC
+        for n in range(2, 13)
+        for depth in ((), ("--depth", "4"))
+    ],
+    "loopcheck rational geometric": [
+        ("loopcheck", v, "--mod", str(n), "--geometric") for v in _TAIL_VALUES for n in range(2, 13)
     ],
     "spectrum": [
         ("spectrum", s, "-p", str(p), "-L", "3", "--persistence", "3")
@@ -79,6 +108,8 @@ GOLDEN = {
     "loop-example": "50dd21dfa565986145958b02d30d0ddfb1c9e6aab49bc1d0592a30bcb6b85e1e",
     "loop-exists": "d0aa1fb02dcd7283f3e7f40faab9a43c3da9892fbbfde1c88d0f43b1f7816438",
     "loopcheck": "50ded5ae5d2c9657ae2c70bf4e8342af93629a9a64aee14aaba6a65957265241",
+    "loopcheck periodic": "6698382466cfac9f618d1bd5e656224808741237aa312ed8bbc2baaafb766164",
+    "loopcheck rational geometric": "b552a14e57c85203d2623596873df24ae5f37854c7a21e8c9b4d9fdec832aa0d",
     "mp-bound": "653b9160d8437e91d44b609e3c5683319b2cedfdb53f40413db6add8b619c68a",
     "spectrum": "98280d9912c067d4dad313f9cdc847c987c225f01cbe3a43077049414b33330d",
     "verify count-height": "6a0f72aeb5dbf2987fed62d8cf4be4bc271c5311221d44ac626b53633b29b897",

@@ -141,6 +141,7 @@ class TestStreams:
     def test_unknown_at_depth(self):
         v = is_infinite_loop(iter([0, 2, 1, 1]), 97)
         assert v.kind == UNKNOWN and v.depth == 3
+        assert is_infinite_loop(iter([3]), 5).record() == "UNKNOWN depth=0"
 
     def test_depth_limit(self):
         def ones():
@@ -150,10 +151,23 @@ class TestStreams:
 
         v = is_infinite_loop(ones(), 10**9, depth_limit=50)
         assert v.kind == UNKNOWN and v.depth == 50
+        for bad in (0, -5):
+            with pytest.raises(ValueError, match="depth_limit must be >= 1"):
+                is_infinite_loop(ones(), 5, depth_limit=bad)
 
     def test_witness_found(self):
         v = is_infinite_loop(iter([0, 2, 3, 1]), 7, depth_limit=10)
         assert v.kind == NOTLOOP and v.witness.den == 7
+
+    @pytest.mark.parametrize("value, message", [
+        (iter([]), "empty digit stream"),
+        (iter([-1, 2, 3]), "leading term must be nonnegative"),
+        (iter([1, 2, 0, 4]), "partial quotients after a0 must be >= 1"),
+        (QuadSurd(-3, 1, 2), "loop decisions require a positive value"),
+    ])
+    def test_bad_input_is_rejected(self, value, message):
+        with pytest.raises(ValueError, match=message):
+            is_infinite_loop(value, 97)
 
 
 class TestScaling:
