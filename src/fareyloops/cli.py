@@ -102,6 +102,12 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _nonnegative_int(text: str) -> int:
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -299,7 +305,18 @@ COMMAND_HANDLERS = {
 }
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it.
+
+    Sharing is safe: argparse gives every ``parse_args`` call a fresh
+    namespace, subcommand namespaces included, and the handlers only read it.
+    """
+    global _parser
+    if _parser is not None:
+        return _parser
     parser = argparse.ArgumentParser(
         prog="fareyloops",
         description="Exact continued-fraction and loop-mod-n computations",
@@ -311,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cf", help="continued fraction expansion(s) of a value")
     p.add_argument("value")
     p.add_argument("--shift", type=int, default=0)
-    p.add_argument("--times", type=int, default=1)
+    p.add_argument("--times", type=_positive_int, default=1)
 
     p = sub.add_parser("semiconv", help="semi-convergents of a value")
     p.add_argument("value")
@@ -345,13 +362,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="heights under repeated prime scaling")
     p.add_argument("value")
     p.add_argument("-p", type=int, required=True)
-    p.add_argument("-L", type=int, required=True)
-    p.add_argument("--persistence", type=int)
+    p.add_argument("-L", type=_nonnegative_int, required=True)
+    p.add_argument("--persistence", type=_positive_int)
 
     p = sub.add_parser("mp-bound", help="upper bound from the height spectrum")
     p.add_argument("value")
     p.add_argument("-p", type=int, required=True)
-    p.add_argument("-L", type=int, required=True)
+    p.add_argument("-L", type=_nonnegative_int, required=True)
 
     p = sub.add_parser("verify", help="batch inequality scans")
     p.add_argument("check", choices=VERIFY_CHECKS)
@@ -359,8 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=_positive_int)
     p.add_argument("--n-range")
     p.add_argument("--q-max", type=_positive_int)
-    p.add_argument("-L", type=int, default=20)
+    p.add_argument("-L", type=_nonnegative_int, default=20)
 
+    _parser = parser
     return parser
 
 

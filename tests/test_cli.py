@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import importlib
 import inspect
 import io
@@ -133,6 +135,15 @@ class TestCommands:
         assert code == 0
         assert out.strip() == is_infinite_loop(QuadSurd(0, 1, d), 7919).record()
 
+    @pytest.mark.parametrize("argv, first_line", [
+        (("spectrum", "sqrt(2)", "-p", "2", "-L", "0"), "l=0 B=2"),
+        (("mp-bound", "sqrt(2)", "-p", "2", "-L", "0"), "upper=1/2"),
+        (("verify", "count-height", "--count", "3", "-L", "0"), "check=count-height L=0 "),
+    ])
+    def test_zero_scale_range_is_accepted(self, argv, first_line):
+        code, out = run_cli(*argv)
+        assert code == 0 and out.startswith(first_line)
+
     def test_parse_error_exit_code(self):
         code, _ = run_cli("cf", "1/0")
         assert code == 2
@@ -149,6 +160,12 @@ class TestInputErrors:
         ("cutseq", "3/7", "--mod", "0"),
         ("semiconv", "sqrt(2)", "--depth", "0"),
         ("loopcheck", "sqrt(2)", "--mod", "5", "--depth", "0"),
+        ("cf", "sqrt(2)", "--times", "0"),
+        ("cf", "sqrt(2)", "--times", "-3"),
+        ("spectrum", "sqrt(2)", "-p", "2", "-L", "2", "--persistence", "0"),
+        ("verify", "count-height", "--count", "1", "-L", "-2"),
+        ("spectrum", "sqrt(2)", "-p", "2", "-L", "-1"),
+        ("mp-bound", "sqrt(2)", "-p", "2", "-L", "-1"),
     ])
     def test_bad_scan_size_is_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -224,6 +241,72 @@ class TestConfigAndEnv:
             code, out = run_cli("--config", str(cfg), "loop-exists", "--n-range", "2..3")
             assert (code, out) == (2, "")
             assert capsys.readouterr().err == f"error: --config {cfg}: unknown config key {key!r}\n"
+
+
+def outcome(argv):
+    """(exit code, output, error output) of one main() call; argparse errors
+    included, with the scan's elapsed wall time blanked out."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code, out = run_cli(*argv)
+        except SystemExit as exc:
+            code, out = exc.code, ""
+    return code, re.sub(r"elapsed=\S+", "elapsed=", out), err.getvalue()
+
+
+class TestSharedParser:
+    def test_calls_do_not_depend_on_earlier_calls(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("count = 5\ndepth = 3\n")
+        # each call with options set, then the same call without them
+        pairs = [
+            (("--format", "record", "--config", str(cfg), "verify", "noloop", "--n-range", "4..4",
+              "--seed", "7"),
+             ("verify", "noloop", "--n-range", "4..4")),
+            (("verify", "count-height", "--count", "3", "-L", "2", "--seed", "1"),
+             ("verify", "count-height", "--count", "3")),
+            (("cf", "sqrt(2)", "--times", "2", "--shift", "1"), ("cf", "sqrt(2)")),
+            (("semiconv", "3/7", "--k", "1", "--m", "1"), ("semiconv", "3/7")),
+            (("loopcheck", "1/2", "--mod", "5", "--geometric"), ("loopcheck", "1/2", "--mod", "5")),
+            (("loop-example", "--mod", "4", "--scale-check", "3"), ("loop-example", "--mod", "4")),
+            (("gamma-path", "--mod", "5", "--denoms", "--max-iter", "3"),
+             ("gamma-path", "--mod", "5")),
+            (("--config", str(cfg), "cutseq", "(1+sqrt(5))/2", "--mod", "5"),
+             ("cutseq", "(1+sqrt(5))/2")),
+            (("spectrum", "sqrt(2)", "-p", "2", "-L", "2", "--persistence", "2"),
+             ("spectrum", "sqrt(2)", "-p", "2", "-L", "2")),
+        ]
+        calls = [argv for pair in pairs for argv in pair]
+        calls[4:4] = [("cf",)]  # an argparse error between two calls
+        calls += [("loop-exists", "--n-range", "2..4"), ("mp-bound", "sqrt(2)", "-p", "2", "-L", "1")]
+        fresh = {}
+        for argv in calls:
+            monkeypatch.setattr(cli, "_parser", None)
+            fresh[argv] = outcome(argv)
+        forward = {argv: outcome(argv) for argv in calls}
+        backward = {argv: outcome(argv) for argv in reversed(calls)}
+        assert forward == fresh and backward == fresh
+        assert forward[("cf",)][0] == 2
+        for with_options, without in pairs:
+            assert forward[with_options] != forward[without], with_options
+        assert build_parser() is build_parser()
+
+    def test_main_builds_no_parser_after_the_first_call(self, monkeypatch):
+        argvs = [("cf", "sqrt(2)"), ("loopcheck", "sqrt(3)", "--mod", "7"),
+                 ("spectrum", "sqrt(2)", "-p", "2", "-L", "1"), ("loop-exists", "--n-range", "2..3")]
+        run_cli(*argvs[0])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for i in range(20):
+            assert run_cli(*argvs[i % len(argvs)])[0] == 0
+        assert built == []
 
 
 # modules of the package and the public functions no subcommand calls
