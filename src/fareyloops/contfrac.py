@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .rationals import INFINITY, Rational
-from .surds import QuadSurd, is_square
+from .surds import QuadSurd
 
 Value = Union[Rational, QuadSurd]
 
@@ -321,12 +321,16 @@ def _surd_of_periodic(e: CFExpansion) -> QuadSurd:
     c, d = 0, 1
     for entry in e.period:
         a, b, c, d = a * entry + b, a, c * entry + d, c
-    # positive root of c*y^2 + (d - a)*y - b = 0
-    disc = (a - d) * (a - d) + 4 * b * c
-    y = QuadSurd(a - d, 2 * c, disc)
+    # positive root of c*y^2 + (d - a)*y - b = 0, as (P + sqrt(D))/Q; it is
+    # normalised, since D - P^2 = 4*b*c = Q * 2*b
+    P, Q, D = a - d, 2 * c, (a - d) * (a - d) + 4 * b * c
+    # x = entry + 1/y for each preperiod entry, last first: the reciprocal
+    # (-P + sqrt(D))/((D - P^2)/Q), then a shift of P by entry*Q, both of
+    # which keep Q | D - P^2
     for entry in reversed((e.a0, *e.body)):
-        y = y.reciprocal().shifted(entry)
-    return y
+        P, Q = -P, (D - P * P) // Q
+        P += entry * Q
+    return QuadSurd(P, Q, D)
 
 
 def cf_of_surd(s: QuadSurd) -> CFExpansion:

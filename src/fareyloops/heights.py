@@ -19,7 +19,6 @@ from typing import Optional, Sequence, Union
 from .contfrac import (
     CFExpansion,
     cf_from_rational,
-    cf_of_surd,
     cf_value,
     convergent_pair,
     convergents,
@@ -54,8 +53,25 @@ def floor_2sqrt(n: int) -> int:
 
 
 def surd_height(s: QuadSurd) -> int:
-    """Largest partial quotient (leading term excluded) of a quadratic irrational."""
-    return height(cf_of_surd(s))
+    """Largest partial quotient (leading term excluded) of a quadratic irrational.
+
+    Equal to ``height(cf_of_surd(s))``, read in one pass over the expansion
+    states with the same closure: the first repeated (P, Q) ends the period.
+    The max runs over a_1 up to and including the digit of that repeated
+    state, which for a purely periodic value is where a_0 comes back.
+    """
+    if not s.is_positive():
+        raise ValueError("expansion requires a positive value")
+    states = s.states()
+    P, Q, _ = next(states)
+    seen = {(P, Q)}
+    best = 0
+    for P, Q, a in states:
+        if a > best:
+            best = a
+        if (P, Q) in seen:
+            return best
+        seen.add((P, Q))
 
 
 def _scaled_height(e: CFExpansion, n: int) -> Union[int, float]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import sys
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .contfrac import CFExpansion, cf_eval, cf_from_rational, semiconvergent
@@ -29,13 +29,60 @@ NOTLOOP = "NOTLOOP"
 UNKNOWN = "UNKNOWN"
 
 
-@dataclass(frozen=True)
+def _decimal_digits(q: int) -> int:
+    """Number of decimal digits of q >= 1, found without converting q to a string."""
+    d = (q.bit_length() - 1) * 30103 // 100000 + 1
+    while d > 1 and q < 10 ** (d - 1):
+        d -= 1
+    while q >= 10**d:
+        d += 1
+    return d
+
+
+def _den_field(q: int) -> str:
+    """`q=<q>`, or `q_digits=N` when q has more digits than Python may print.
+
+    The limit is `sys.get_int_max_str_digits()`; a missing getter (Python
+    before 3.10.7) or a limit of 0 means there is none.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and (digits := _decimal_digits(q)) > limit:
+        return f"q_digits={digits}"
+    return f"q={q}"
+
+
 class LoopVerdict:
-    kind: str
-    witness_k: Optional[int] = None
-    witness_m: Optional[int] = None
-    witness: Optional[Rational] = None
-    depth: Optional[int] = None
+    """Outcome of one loop decision: LOOP, NOTLOOP at fan (k, m), or UNKNOWN.
+
+    A NOTLOOP's witness is the semi-convergent {k, m}, whose denominator the
+    modulus divides.  It is built on the first read of `.witness`: p and q
+    have O(k) digits, so building them costs O(k^2) bit work that a caller
+    reading only `.kind` never needs.  The state-cycle scan hands over the
+    periodic expansion or the digits a_0, ..., a_{k+1} it read; the other
+    routes pass a ready Rational.  Equality also compares the witnesses, so
+    equal verdicts always name the same p/q.
+    """
+
+    __slots__ = ("kind", "witness_k", "witness_m", "depth", "_witness", "_source")
+
+    def __init__(
+        self,
+        kind: str,
+        witness_k: Optional[int] = None,
+        witness_m: Optional[int] = None,
+        witness: Optional[Rational] = None,
+        depth: Optional[int] = None,
+    ):
+        set_ = object.__setattr__
+        set_(self, "kind", kind)
+        set_(self, "witness_k", witness_k)
+        set_(self, "witness_m", witness_m)
+        set_(self, "depth", depth)
+        set_(self, "_witness", witness)
+        set_(self, "_source", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LoopVerdict is immutable")
 
     @classmethod
     def loop(cls) -> "LoopVerdict":
@@ -46,19 +93,53 @@ class LoopVerdict:
         return cls(NOTLOOP, witness_k=k, witness_m=m, witness=value)
 
     @classmethod
+    def _not_loop_at(cls, k: int, m: int, source: Union[CFExpansion, list[int]]) -> "LoopVerdict":
+        """NOTLOOP whose witness is read off `source` when first asked for."""
+        verdict = cls(NOTLOOP, witness_k=k, witness_m=m)
+        object.__setattr__(verdict, "_source", source)
+        return verdict
+
+    @classmethod
     def unknown(cls, depth: int) -> "LoopVerdict":
         return cls(UNKNOWN, depth=depth)
 
     @property
+    def witness(self) -> Optional[Rational]:
+        source = self._source
+        if source is not None:
+            if isinstance(source, list):
+                source = CFExpansion(source[0], tuple(source[1 : self.witness_k + 2]))
+            object.__setattr__(self, "_witness", semiconvergent(source, self.witness_k, self.witness_m))
+            object.__setattr__(self, "_source", None)
+        return self._witness
+
+    @property
     def is_loop(self) -> bool:
         return self.kind == LOOP
+
+    def _fields(self) -> tuple:
+        return self.kind, self.witness_k, self.witness_m, self.depth
+
+    def __eq__(self, other):
+        if not isinstance(other, LoopVerdict):
+            return NotImplemented
+        return self._fields() == other._fields() and self.witness == other.witness
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (
+            f"LoopVerdict(kind={self.kind!r}, witness_k={self.witness_k!r}, "
+            f"witness_m={self.witness_m!r}, witness={self.witness!r}, depth={self.depth!r})"
+        )
 
     def record(self) -> str:
         """Single-line serialisation."""
         if self.kind == LOOP:
             return "LOOP"
         if self.kind == NOTLOOP:
-            return f"NOTLOOP k={self.witness_k} m={self.witness_m} q={self.witness.den}"
+            return f"NOTLOOP k={self.witness_k} m={self.witness_m} {_den_field(self.witness.den)}"
         return f"UNKNOWN depth={self.depth}"
 
 
@@ -137,8 +218,9 @@ def _scan_cycle(
     state it was read from (None for a state that never recurs).  A repeat of
     (key, q_{k-1} mod n, q_k mod n) repeats every decision since, so it
     closes the scan as LOOP; steps that run out after k fans leave UNKNOWN.
-    The NOTLOOP witness is read off `prefix`: the periodic expansion itself,
-    or the digits a_0, a_1, ... that the step source has recorded.
+    A NOTLOOP keeps `prefix` to build its witness from on first read: the
+    periodic expansion itself, or the digits a_0, a_1, ... that the step
+    source has recorded.
     """
     u, v = 0, 1
     seen: set[tuple[Hashable, int, int]] = set()
@@ -151,9 +233,7 @@ def _scan_cycle(
             seen.add(state)
         m = _fan_hit(u, v, n, a, 1 if k == 0 else 0)
         if m is not None:
-            if isinstance(prefix, list):
-                prefix = CFExpansion(prefix[0], tuple(prefix[1:]))
-            return LoopVerdict.not_loop(k, m, semiconvergent(prefix, k, m))
+            return LoopVerdict._not_loop_at(k, m, prefix)
         u, v = v, (a * v + u) % n
         k += 1
     return LoopVerdict.unknown(k)

@@ -79,6 +79,11 @@ class TestCommands:
         assert lines[0] == "NOTLOOP k=1 m=2 q=5"
         assert lines[1].startswith("geometric: NOTLOOP")
 
+    def test_loopcheck_witness_past_the_int_str_limit(self, int_str_limit):
+        # q has 5629 digits, more than Python prints by default
+        code, out = run_cli("loopcheck", "sqrt(3)", "--mod", "19683")
+        assert (code, out) == (0, "NOTLOOP k=19681 m=2 q_digits=5629\n")
+
     def test_loop_exists_table(self):
         code, out = run_cli("loop-exists", "--n-range", "2..6")
         assert out.splitlines() == [

@@ -202,6 +202,15 @@ class TestSurdExpansion:
             e = random_periodic_cf(rng)
             assert cf_of_surd(cf_value(e)) == e
 
+    @given(
+        st.integers(min_value=0, max_value=9),
+        st.lists(st.integers(min_value=1, max_value=9), max_size=6),
+        st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=5),
+    )
+    def test_value_round_trip_any_periodic(self, a0, body, period):
+        e = CFExpansion(a0, tuple(body), tuple(period))
+        assert cf_of_surd(cf_value(e)) == e
+
     def test_surd_round_trip(self):
         for surd in [QuadSurd(0, 1, 2), QuadSurd(3, 2, 5), QuadSurd(-1, 3, 7),
                      QuadSurd(5, 4, 19), QuadSurd(1, 7, 13)]:

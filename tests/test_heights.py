@@ -3,10 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from fareyloops.contfrac import (
     CFExpansion,
     cf_from_rational,
+    cf_of_surd,
     cf_value,
     convergent_pair,
     height,
@@ -75,6 +78,31 @@ class TestSpectrum:
         for _ in range(100):
             e = random_periodic_cf(rng)
             assert surd_height(cf_value(e)) == height(e)
+
+    @given(
+        st.integers(min_value=-60, max_value=60),
+        st.integers(min_value=-40, max_value=40).filter(bool),
+        st.integers(min_value=-200, max_value=5000),
+    )
+    def test_surd_height_matches_height_of_expansion(self, P, Q, t):
+        # D = P^2 + Q*t makes (P + sqrt(D))/Q normalised: Q divides D - P^2
+        D = P * P + Q * t
+        assume(D > 0 and math.isqrt(D) ** 2 != D)
+        s = QuadSurd(P, Q, D)
+        assume(s.is_positive())
+        assert surd_height(s) == height(cf_of_surd(s))
+
+    @given(st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=5))
+    def test_purely_periodic_height_counts_the_returning_a0(self, cycle):
+        # [(c1, ..., cj)] is purely periodic: a0 = c1 recurs as a_j
+        e = CFExpansion(cycle[0], (), tuple(cycle[1:]) + (cycle[0],))
+        assert surd_height(cf_value(e)) == height(e) == max(cycle)
+
+    def test_height_is_the_returning_a0(self):
+        # [3; (1, 3)]: the only 3 after a0 is the digit of the closing state
+        assert surd_height(cf_value(CFExpansion(3, (), (1, 3)))) == 3
+        with pytest.raises(ValueError, match="positive"):
+            surd_height(QuadSurd(-5, 2, 5))
 
 
 class TestUpperBound:

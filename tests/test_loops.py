@@ -1,16 +1,19 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from fareyloops.contfrac import CFExpansion, cf_from_rational, cf_of_surd, cf_value
+from fareyloops import contfrac, cutting, heights, loops
+from fareyloops.contfrac import CFExpansion, cf_from_rational, cf_of_surd, cf_value, semiconvergent
 from fareyloops.loops import (
     LOOP,
     NOTLOOP,
     UNKNOWN,
     LoopVerdict,
     ModState,
+    _decimal_digits,
     _find_cycle,
     is_infinite_loop,
     loop_example,
@@ -52,6 +55,109 @@ class TestVerdictRecord:
         v = LoopVerdict.not_loop(1, 2, Rational(2, 5))
         assert v.record() == "NOTLOOP k=1 m=2 q=5"
         assert LoopVerdict.unknown(10000).record() == "UNKNOWN depth=10000"
+
+    def test_decimal_digits(self):
+        for d in range(1, 400):
+            for q in (10 ** (d - 1), 10 ** (d - 1) + 1, 2 * 10 ** (d - 1), 10**d - 1):
+                assert _decimal_digits(q) == d, q
+        rng = random.Random(16)
+        for _ in range(200):
+            q = rng.randrange(1, 10**300)
+            assert _decimal_digits(q) == len(str(q))
+
+    def test_den_printed_in_full_up_to_the_limit(self, int_str_limit):
+        widest = 10**int_str_limit - 1
+        v = LoopVerdict.not_loop(0, 1, Rational(1, widest))
+        assert v.record() == f"NOTLOOP k=0 m=1 q={widest}"
+
+    def test_den_past_the_limit_gives_its_digit_count(self, int_str_limit):
+        for q, digits in ((10**int_str_limit, 4301), (7 * 10**9000 + 3, 9001)):
+            v = LoopVerdict.not_loop(2, 3, Rational(1, q))
+            assert v.record() == f"NOTLOOP k=2 m=3 q_digits={digits}"
+
+    def test_no_limit_prints_in_full(self, int_str_limit, monkeypatch):
+        q = 10**5000 + 1
+        sys.set_int_max_str_digits(0)
+        assert LoopVerdict.not_loop(0, 1, Rational(1, q)).record() == f"NOTLOOP k=0 m=1 q={q}"
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        assert LoopVerdict.not_loop(0, 1, Rational(1, q)).record() == f"NOTLOOP k=0 m=1 q={q}"
+
+    def test_sqrt3_mod_3_to_the_9th(self):
+        v = is_infinite_loop(QuadSurd(0, 1, 3), 19683)
+        q = v.witness.den
+        assert q % 19683 == 0 and _decimal_digits(q) == 5629
+
+
+def _seeded_population(seed: int, count: int) -> list[CFExpansion]:
+    rng = random.Random(seed)
+    return [random_periodic_cf(rng) for _ in range(count)]
+
+
+class TestLazyWitness:
+    def test_kind_readers_build_no_witness(self, monkeypatch):
+        calls = {"semiconvergent": 0, "convergent_pair": 0}
+        for name in calls:
+            original = getattr(contfrac, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            for module in (contfrac, loops, cutting, heights):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        kinds = set()
+        for e in _seeded_population(21, 60):
+            for n in range(2, 13):
+                heights.check_noloop_bound(e, n)
+                kinds.add(is_infinite_loop(e, n).kind)
+            for p, m in ((2, 2), (3, 1), (5, 1)):
+                heights.check_infl(e, p, m)
+            heights.check_count_height(e, 2, 2, 3)
+            heights.persistence_scan(e, 3, 3, 2)
+        assert kinds == {LOOP, NOTLOOP}
+        assert calls == {"semiconvergent": 0, "convergent_pair": 0}
+
+    def test_witness_equals_eager_semiconvergent(self):
+        notloops = 0
+        for e in _seeded_population(22, 150):
+            for n in (2, 3, 4, 5, 7, 9, 12):
+                exact = is_infinite_loop(e, n)
+                if exact.kind != NOTLOOP:
+                    continue
+                notloops += 1
+                eager = semiconvergent(e, exact.witness_k, exact.witness_m)
+                assert eager.den % n == 0
+                surd = is_infinite_loop(cf_value(e), n)
+                stream = is_infinite_loop((e.entry(i) for i in range(10_001)), n)
+                for v in (exact, surd, stream):
+                    assert (v.witness_k, v.witness_m) == (exact.witness_k, exact.witness_m)
+                    assert v.witness == eager
+                assert surd == exact == stream
+        assert notloops > 300
+
+    def test_equal_verdicts_name_the_same_witness(self):
+        # the golden ratio and its conjugate share denominators, so their
+        # verdicts hit the same fan (k, m) with witnesses one apart
+        conj = is_infinite_loop(GOLDEN_CONJ, 7)
+        golden = is_infinite_loop(CFExpansion(1, (), (1,)), 7)
+        assert (conj.kind, conj.witness_k, conj.witness_m) == (golden.kind, golden.witness_k, golden.witness_m)
+        assert conj != golden
+        ready = LoopVerdict.not_loop(conj.witness_k, conj.witness_m, conj.witness)
+        assert is_infinite_loop(GOLDEN_CONJ, 7) == ready
+        assert hash(is_infinite_loop(GOLDEN_CONJ, 7)) == hash(ready)
+        assert LoopVerdict.loop() == LoopVerdict.loop() != LoopVerdict.unknown(3)
+
+    def test_verdicts_are_immutable(self):
+        v = is_infinite_loop(GOLDEN_CONJ, 5)
+        with pytest.raises(AttributeError):
+            v.kind = LOOP
+
+    def test_sqrt3_first_hit_law(self):
+        # for sqrt(3) mod 3^m the first fan hit is always {3^m - 2, 2}
+        for m in range(1, 11):
+            v = is_infinite_loop(QuadSurd(0, 1, 3), 3**m)
+            assert (v.kind, v.witness_k, v.witness_m) == (NOTLOOP, 3**m - 2, 2), m
 
 
 class TestRationalDecisions:
