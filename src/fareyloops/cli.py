@@ -19,9 +19,10 @@ from .rationals import Rational
 from .surds import QuadSurd
 
 _SURD_RE = re.compile(
-    r"^\(\s*(-?\d+)\s*\+\s*sqrt\(\s*(\d+)\s*\)\s*\)\s*/\s*(-?\d+)$"
+    r"^\(\s*(-?\d+)\s*\+\s*sqrt\(\s*(\d+)\s*\)\s*\)(?:\s*/\s*(-?\d+))?$"
 )
 _SQRT_RE = re.compile(r"^sqrt\(\s*(\d+)\s*\)(?:\s*/\s*(\d+))?$")
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:\s*/\s*([+-]?\d+))?$")
 
 
 @dataclass(frozen=True)
@@ -58,20 +59,22 @@ def load_config(path: str) -> dict:
 
 
 def parse_value(text: str):
-    """Rational `p/q`, integer, surd `(P+sqrt(D))/Q` or `sqrt(D)[/Q]`, or `[...]`."""
+    """Rational `p/q`, integer, surd `(P+sqrt(D))[/Q]` or `sqrt(D)[/Q]`, or `[...]`."""
     s = text.strip()
     if s.startswith("["):
         return parse_cf(s)
     m = _SURD_RE.match(s)
     if m:
-        return QuadSurd(int(m.group(1)), int(m.group(3)), int(m.group(2)))
+        return QuadSurd(int(m.group(1)), int(m.group(3) or 1), int(m.group(2)))
     m = _SQRT_RE.match(s)
     if m:
         return QuadSurd(0, int(m.group(2) or 1), int(m.group(1)))
-    if "/" in s:
-        num, _, den = s.partition("/")
-        return Rational(int(num), int(den))
-    return Rational(int(s))
+    m = _RATIONAL_RE.match(s)
+    if m:
+        return Rational(int(m.group(1)), int(m.group(2) or 1))
+    raise ValueError(
+        f"cannot read {text!r}: expected p/q, an integer, (P+sqrt(D))[/Q], sqrt(D)[/Q] or [a0; ...]"
+    )
 
 
 def expansions_of(value) -> list[CFExpansion]:
@@ -154,7 +157,14 @@ def cmd_loopcheck(args, cfg: Config, out) -> int:
     verdict = loops.is_infinite_loop(decided, args.mod, depth)
     print(verdict.record(), file=out)
     if args.geometric:
-        geo = cutting.loop_verdict_geometric(expansions_of(value)[0], args.mod, depth)
+        e = expansions_of(value)[0]
+        # denominators do not depend on a0: the edge route decides the value
+        # shifted into [0, 1), and its witness is shifted back by a0
+        geo = cutting.loop_verdict_geometric(contfrac.shift_cf(e, -e.a0), args.mod, depth)
+        if e.a0 and geo.kind == loops.NOTLOOP:
+            w = geo.witness
+            shifted = Rational(w.num + e.a0 * w.den, w.den)
+            geo = loops.LoopVerdict.not_loop(geo.witness_k, geo.witness_m, shifted)
         print(f"geometric: {geo.record()}", file=out)
     return 0
 

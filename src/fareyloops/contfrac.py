@@ -180,29 +180,27 @@ def cf_from_rational(x) -> tuple[CFExpansion, CFExpansion]:
         entries.append(a)
         num, den = den, rem
     canonical = CFExpansion(entries[0], tuple(entries[1:]), None, True)
-    if len(entries) == 1:
-        if entries[0] == 0:
-            return canonical, canonical
-        twin_entries = [entries[0] - 1, 1]
-    else:
-        twin_entries = entries[:-1] + [entries[-1] - 1, 1]
-        if twin_entries[-2] == 0:  # last quotient was 1 only in the integer case
-            raise AssertionError("Euclid produced a trailing 1")
-    twin = CFExpansion(twin_entries[0], tuple(twin_entries[1:]), None, True)
-    return canonical, twin
+    if entries == [0]:
+        return canonical, canonical
+    # Euclid's last quotient is at least 2 unless it is the only one
+    twin = twin_entries(entries)
+    return canonical, CFExpansion(twin[0], tuple(twin[1:]), None, True)
+
+
+def twin_entries(entries: list[int]) -> list[int]:
+    """Entries a0, a1, ... of the other finite expansion of the same rational."""
+    if entries[-1] == 1 and len(entries) >= 2:
+        return entries[:-2] + [entries[-2] + 1]
+    if entries[-1] == 0:
+        raise ValueError("0 has a single expansion")
+    return entries[:-1] + [entries[-1] - 1, 1]
 
 
 def twin_of(e: CFExpansion) -> CFExpansion:
     """The other finite expansion of the same rational value."""
     if not e.is_finite:
         raise ValueError("only rationals have twin expansions")
-    entries = [e.a0, *e.body]
-    if entries[-1] == 1 and len(entries) >= 2:
-        entries = entries[:-2] + [entries[-2] + 1]
-    else:
-        if entries[-1] == 0:
-            raise ValueError("0 has a single expansion")
-        entries = entries[:-1] + [entries[-1] - 1, 1]
+    entries = twin_entries([e.a0, *e.body])
     return CFExpansion(entries[0], tuple(entries[1:]), None, e.inf_tail)
 
 

@@ -12,8 +12,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .contfrac import CFExpansion, cf_eval, cf_from_rational, convergent_pair
-from .loops import LoopVerdict, _fan_hit, _raw_walk, is_infinite_loop
+from .contfrac import CFExpansion
+from .loops import LoopVerdict, _fan_hit, _raw_walk, _require_unit_interval, is_infinite_loop
 from .rationals import INFINITY, FareyEdge, Rational
 from .surds import QuadSurd
 
@@ -109,13 +109,11 @@ def crossed_edges(e: CFExpansion, depth: Optional[int] = None) -> list[FareyEdge
     value, so the edges incident to it are never crossed.  Infinite
     expansions are truncated to `depth` edges.
     """
-    value = cf_eval(e) if e.is_finite else None
-    if value is not None and value.num == 0:
+    if e.is_finite and e.a0 == 0 and not e.body:
         raise ValueError("the ray needs a positive endpoint")
     edges = [FareyEdge(Rational(0, 1), INFINITY)]
     if e.is_finite:
-        steps = sum(e.entry(i) for i in range(e.last_index + 1))
-        take = steps - 1  # final step lands on the value itself
+        take = e.a0 + sum(e.body) - 1  # final step lands on the value itself
         if depth is not None:
             take = min(take, depth - 1)
     else:
@@ -151,42 +149,24 @@ def fan_chain(edges: list[FareyEdge]) -> list[tuple[Rational, int]]:
 # geometric loop verdict
 
 
-def _tail_edge_witness(value: Rational, n: int) -> Optional[tuple[int, int, Rational]]:
-    """Witness from the terminal fans of a rational endpoint, if any.
-
-    The two expansions of the value contribute the arithmetic progressions
-    m*q_M + q_{M-1} of denominators; a solvable congruence yields the edge
-    between the endpoint and that tail vertex.
-    """
-    for cand in cf_from_rational(value):
-        last = cand.last_index
-        p_prev, q_prev = convergent_pair(cand, last - 1)
-        p, q = convergent_pair(cand, last)
-        m = _fan_hit(q_prev, q, n, None, 1)
-        if m is not None:
-            return last, m, Rational(m * p + p_prev, m * q + q_prev)
-    return None
-
-
 def loop_verdict_geometric(e: CFExpansion, n: int, depth: Optional[int] = None) -> LoopVerdict:
     """Loop decision by scanning the crossed edges for level-n edges.
 
     Exact for finite input (complete edge list, endpoint and terminal-fan
     handling) and for periodic input (the scan is closed by the state-cycle
     decision when `depth` edges show no witness).  Edges through integer
-    vertices and the base edge itself are exempt by definition.
+    vertices and the base edge itself are exempt by definition.  The
+    terminal fans of a rational come from the walk's last interval: its last
+    step lands on the value, and the endpoint it kept and the one it
+    replaced are the value's two Farey parents, which seed the oo-tail
+    progressions of its two expansions.
     """
     if n < 2:
         raise ValueError("modulus must be >= 2")
-    if e.a0 != 0:
-        raise ValueError("reduce to (0, 1) by an integer shift first")
-
+    _require_unit_interval(e)
     if e.is_finite:
-        value = cf_eval(e)
-        if value.num == 0 or value >= Rational(1):
-            raise ValueError("value must lie strictly inside (0, 1)")
         # the last step lands on the value; its edges are not crossed
-        scan = sum(e.entry(i) for i in range(e.last_index + 1)) - 1
+        scan = sum(e.body) - 1
     else:
         scan = depth if depth is not None else 1000
     walk = _raw_walk(e)
@@ -199,12 +179,21 @@ def loop_verdict_geometric(e: CFExpansion, n: int, depth: Optional[int] = None) 
         # no witness among the scanned edges: close the scan exactly through
         # the state-cycle decision on the same expansion
         return is_infinite_loop(e, n)
-    # termination vertex: the ray ends on the edges incident to the value
-    if value.den % n == 0:
-        k, m, _, _ = next(walk)
-        return LoopVerdict.not_loop(k, m, value)
+    # termination vertex: the ray ends on the edges incident to the value;
+    # odd fans move the lower endpoint
+    k, m, lo, hi = next(walk)
+    (p, q), kept = (lo, hi) if k % 2 else (hi, lo)
+    if q % n == 0:
+        return LoopVerdict.not_loop(k, m, Rational(p, q))
     if e.inf_tail:
-        hit = _tail_edge_witness(value, n)
-        if hit is not None:
-            return LoopVerdict.not_loop(*hit)
+        replaced = (p - kept[0], q - kept[1])
+        # the fan of Euclid's expansion (not ending in 1) comes first
+        if e.body[-1] == 1:
+            fans = ((k, replaced), (k + 1, kept))
+        else:
+            fans = ((k + 1, kept), (k + 2, replaced))
+        for label, (p_prev, q_prev) in fans:
+            m = _fan_hit(q_prev, q, n, None, 1)
+            if m is not None:
+                return LoopVerdict.not_loop(label, m, Rational(m * p + p_prev, m * q + q_prev))
     return LoopVerdict.loop()

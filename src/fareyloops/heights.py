@@ -419,7 +419,7 @@ def run_defs_equivalence_scan(
         for p in range(1, q):
             if math.gcd(p, q) != 1:
                 continue
-            e = cf_from_rational(Fraction(p, q))[0]
+            e = cf_from_rational(Rational(p, q))[0]
             for n in range(n_lo, n_hi + 1):
                 v1 = is_infinite_loop(e, n)
                 v2 = loop_verdict_geometric(e, n)

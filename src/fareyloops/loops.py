@@ -18,7 +18,7 @@ import math
 import sys
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Union
 
-from .contfrac import CFExpansion, cf_eval, cf_from_rational, semiconvergent
+from .contfrac import CFExpansion, cf_from_rational, semiconvergent, twin_entries
 from .rationals import Rational
 from .surds import QuadSurd
 
@@ -192,17 +192,18 @@ def _finite_witness(entries: list[int], inf_tail: bool, n: int):
 
 
 def _check_finite(e: CFExpansion, n: int) -> LoopVerdict:
-    value = cf_eval(e)
-    if value.num == 0:
+    entries = [e.a0, *e.body]
+    if entries == [0]:
         raise ValueError("loop decisions require a positive value")
+    candidates = [entries]
     if e.inf_tail:
         # the verdict is about the rational value, so examine both of its
-        # expansions together with their tail progressions
-        candidates = cf_from_rational(value)
-    else:
-        candidates = (e,)
+        # expansions with their tail progressions, Euclid's form first
+        candidates.append(twin_entries(entries))
+        if len(entries) >= 2 and entries[-1] == 1:
+            candidates.reverse()
     for cand in candidates:
-        hit = _finite_witness([cand.a0, *cand.body], cand.inf_tail, n)
+        hit = _finite_witness(cand, e.inf_tail, n)
         if hit is not None:
             k, m, p, q = hit
             return LoopVerdict.not_loop(k, m, Rational(p, q))
@@ -464,6 +465,14 @@ def loop_example(n: int) -> CFExpansion:
 # mediant-tree walk
 
 
+def _require_unit_interval(e: CFExpansion) -> None:
+    """Reject an expansion whose value is not strictly inside (0, 1)."""
+    if e.a0 != 0:
+        raise ValueError("reduce to (0, 1) by an integer shift first")
+    if e.is_finite and e.body in ((), (1,)):
+        raise ValueError("an integer value lies on a vertex, not strictly inside (0, 1)")
+
+
 def _raw_walk(e: CFExpansion) -> Iterator[tuple[int, int, tuple[int, int], tuple[int, int]]]:
     """Mediant walk from the base edge driven by the partial quotients.
 
@@ -503,12 +512,7 @@ def sb_walk(e: CFExpansion, n: int, depth: int) -> list[tuple[str, int]]:
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if e.a0 != 0:
-        raise ValueError("value must lie in (0, 1)")
-    if e.is_finite:
-        value = cf_eval(e)
-        if value.num == 0 or value >= Rational(1):
-            raise ValueError("value must lie strictly inside (0, 1)")
+    _require_unit_interval(e)
     return [
         ("L", lo[1] % n) if k % 2 else ("R", hi[1] % n)
         for k, _, lo, hi in itertools.islice(_raw_walk(e), depth)

@@ -8,8 +8,11 @@ rational.  Everything here is immutable and pure.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+
+_HASH_MODULUS = sys.hash_info.modulus
 
 
 class Rational:
@@ -87,9 +90,17 @@ class Rational:
         return Rational(-self.num, self.den)
 
     def __hash__(self):
-        if self.den == 0:
+        # Fraction's hash formula on the reduced pair, which for integers is
+        # hash(num): equal to both, as __eq__ accepts ints
+        num, den = self.num, self.den
+        if den == 0:
             return hash(("rational-infinity",))
-        return hash(Fraction(self.num, self.den))
+        if den % _HASH_MODULUS:
+            h = hash(hash(abs(num)) * pow(den, -1, _HASH_MODULUS))
+        else:
+            h = sys.hash_info.inf
+        # 0 <= h < modulus, so hash(-h) is -h, or -2 for h = 1, as for ints
+        return hash(-h) if num < 0 else h
 
     def __repr__(self):
         return f"Rational({self.num}, {self.den})"

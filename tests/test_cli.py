@@ -54,6 +54,15 @@ class TestValueParsing:
         with pytest.raises(ValueError):
             parse_value("sqrt(two)")
 
+    def test_surd_without_denominator(self):
+        assert parse_value("(-1+sqrt(3))") == parse_value("(-1+sqrt(3))/1") == QuadSurd(-1, 1, 3)
+
+    @pytest.mark.parametrize("text", ["sqrt(two)", "1/x", "3/", "half"])
+    def test_unreadable_value_names_the_forms(self, text, capsys):
+        code, _ = run_cli("loopcheck", text, "--mod", "7")
+        assert code == 2
+        assert "expected p/q, an integer, (P+sqrt(D))[/Q], sqrt(D)[/Q] or [a0; ...]" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_cf(self):
@@ -78,6 +87,19 @@ class TestCommands:
         lines = out.splitlines()
         assert lines[0] == "NOTLOOP k=1 m=2 q=5"
         assert lines[1].startswith("geometric: NOTLOOP")
+
+    @pytest.mark.parametrize("value", ["5/3", "[2; 1, 3, oo]", "(1+sqrt(3))/2", "sqrt(2)"])
+    def test_loopcheck_geometric_outside_the_unit_interval(self, value):
+        for n in range(2, 13):
+            code, out = run_cli("loopcheck", value, "--mod", str(n), "--geometric")
+            verdict, geometric = out.splitlines()
+            assert code == 0 and geometric == f"geometric: {verdict}"
+
+    @pytest.mark.parametrize("value", ["3", "[2; 1, oo]"])
+    def test_loopcheck_geometric_on_an_integer(self, value, capsys):
+        code, out = run_cli("loopcheck", value, "--mod", "7", "--geometric")
+        assert code == 2 and out.startswith("NOTLOOP")
+        assert "lies on a vertex" in capsys.readouterr().err
 
     def test_loopcheck_witness_past_the_int_str_limit(self, int_str_limit):
         # q has 5629 digits, more than Python prints by default

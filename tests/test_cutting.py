@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -6,11 +8,14 @@ from hypothesis import strategies as st
 
 from fareyloops.contfrac import (
     CFExpansion,
+    cf_eval,
     cf_from_rational,
     cf_value,
+    convergent_pair,
     convergents,
     multiply_cf,
     semiconvergent,
+    twin_of,
 )
 from fareyloops.cutting import (
     CuttingWord,
@@ -21,7 +26,15 @@ from fareyloops.cutting import (
     fan_chain,
     loop_verdict_geometric,
 )
-from fareyloops.loops import LOOP, NOTLOOP, is_infinite_loop
+from fareyloops.loops import (
+    LOOP,
+    NOTLOOP,
+    LoopVerdict,
+    _fan_hit,
+    _finite_witness,
+    _raw_walk,
+    is_infinite_loop,
+)
 from fareyloops.rationals import INFINITY, FareyEdge, Rational
 from fareyloops.sampling import random_finite_cf, random_periodic_cf
 from fareyloops.surds import QuadSurd
@@ -210,3 +223,66 @@ class TestGeometricVerdict:
     def test_requires_unit_interval(self):
         with pytest.raises(ValueError):
             loop_verdict_geometric(CFExpansion(1, (2,)), 4)
+
+
+# ---------------------------------------------------------------------------
+# the rational routes against the Euclid reference: each expansion of the
+# value rebuilt from cf_eval by cf_from_rational, with convergent_pair for
+# the terminal fans
+
+
+def _reference_geometric(e: CFExpansion, n: int) -> LoopVerdict:
+    """The edge route on a finite expansion in (0, 1), its oo-tail fans taken
+    from both expansions of cf_eval(e)."""
+    value = cf_eval(e)
+    walk = _raw_walk(e)
+    for k, m, lo, hi in itertools.islice(walk, sum(e.body) - 1):
+        div_lo, div_hi = lo[1] % n == 0, hi[1] % n == 0
+        if div_lo != div_hi:
+            return LoopVerdict.not_loop(k, m, Rational(*(lo if div_lo else hi)))
+    if value.den % n == 0:
+        k, m, _, _ = next(walk)
+        return LoopVerdict.not_loop(k, m, value)
+    if e.inf_tail:
+        for cand in cf_from_rational(value):
+            last = cand.last_index
+            p_prev, q_prev = convergent_pair(cand, last - 1)
+            p, q = convergent_pair(cand, last)
+            m = _fan_hit(q_prev, q, n, None, 1)
+            if m is not None:
+                return LoopVerdict.not_loop(last, m, Rational(m * p + p_prev, m * q + q_prev))
+    return LoopVerdict.loop()
+
+
+def _reference_finite(e: CFExpansion, n: int) -> LoopVerdict:
+    """The denominator route on a finite expansion with the oo-tail."""
+    for cand in cf_from_rational(cf_eval(e)):
+        hit = _finite_witness([cand.a0, *cand.body], True, n)
+        if hit is not None:
+            k, m, p, q = hit
+            return LoopVerdict.not_loop(k, m, Rational(p, q))
+    return LoopVerdict.loop()
+
+
+def _unit_twins(q_max: int):
+    """Both oo-tail expansions of every reduced p/q in (0, 1) with q <= q_max."""
+    for q in range(2, q_max + 1):
+        for p in range(1, q):
+            if math.gcd(p, q) == 1:
+                yield from cf_from_rational(Rational(p, q))
+
+
+class TestEuclidReference:
+    # LoopVerdict equality compares kind, k, m and the witness p/q
+    def test_geometric_terminal_fans(self):
+        for e in _unit_twins(40):
+            for n in range(2, 13):
+                assert loop_verdict_geometric(e, n) == _reference_geometric(e, n), (e, n)
+
+    def test_finite_decider(self):
+        integers = [CFExpansion(a0, (), None, True) for a0 in range(1, 30)]
+        above_one = [CFExpansion(a0, e.body, None, True) for e in _unit_twins(15) for a0 in (1, 2)]
+        cases = integers + [twin_of(e) for e in integers] + list(_unit_twins(40)) + above_one
+        for e in cases:
+            for n in range(2, 13):
+                assert is_infinite_loop(e, n) == _reference_finite(e, n), (e, n)

@@ -1,3 +1,6 @@
+import sys
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -174,3 +177,25 @@ def test_mediant_commutes_and_sits_between(p, q, r, s):
     assert m == farey_mediant(b, a)
     lo, hi = (a, b) if a < b else (b, a)
     assert lo < m < hi
+
+
+@given(
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.integers(min_value=1, max_value=10**30)
+    | st.just(1)
+    | st.integers(min_value=1, max_value=5).map(lambda k: k * sys.hash_info.modulus),
+)
+def test_hash_matches_fraction_and_int(p, q):
+    # __eq__ accepts ints and Fraction is the reference formula, so both
+    # hashes must agree: negative numerators, integers, and denominators
+    # that the hash modulus divides (no inverse: Fraction hashes those as inf)
+    assert hash(Rational(p, q)) == hash(Fraction(p, q))
+    if q == 1:
+        assert hash(Rational(p)) == hash(p)
+
+
+def test_hash_of_infinity_and_minus_one():
+    assert hash(INFINITY) == hash(("rational-infinity",))
+    # hash() maps a -1 from __hash__ to -2 by itself; a direct call does not
+    assert Rational(-1).__hash__() == (-1).__hash__() == -2
+    assert hash(Rational(-1, sys.hash_info.modulus)) == hash(Fraction(-1, sys.hash_info.modulus))
