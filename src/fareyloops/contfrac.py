@@ -173,18 +173,26 @@ def cf_from_rational(x) -> tuple[CFExpansion, CFExpansion]:
         raise TypeError(f"cannot expand {x!r}")
     if num < 0:
         raise ValueError("expansion requires x >= 0")
-
-    entries = []
-    while den:
-        a, rem = divmod(num, den)
-        entries.append(a)
-        num, den = den, rem
+    entries = euclid_entries(num, den)
     canonical = CFExpansion(entries[0], tuple(entries[1:]), None, True)
     if entries == [0]:
         return canonical, canonical
     # Euclid's last quotient is at least 2 unless it is the only one
     twin = twin_entries(entries)
     return canonical, CFExpansion(twin[0], tuple(twin[1:]), None, True)
+
+
+def euclid_entries(num: int, den: int) -> list[int]:
+    """Partial quotients a0, a1, ... of num/den (den >= 1) by Euclid's algorithm.
+
+    The last one is at least 2 unless it is the only one.
+    """
+    entries = []
+    while den:
+        a, rem = divmod(num, den)
+        entries.append(a)
+        num, den = den, rem
+    return entries
 
 
 def twin_entries(entries: list[int]) -> list[int]:

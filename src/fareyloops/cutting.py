@@ -134,10 +134,10 @@ def fan_chain(edges: list[FareyEdge]) -> list[tuple[Rational, int]]:
     """
     chain: list[tuple[Rational, int]] = []
     for e1, e2 in zip(edges, edges[1:]):
-        shared = set(e1.endpoints()) & set(e2.endpoints())
+        shared = [x for x in e2.endpoints() if x == e1.a or x == e1.b]
         if len(shared) != 1:
             raise ValueError("consecutive crossed edges must share one endpoint")
-        pivot = shared.pop()
+        pivot = shared[0]
         if chain and chain[-1][0] == pivot:
             chain[-1] = (pivot, chain[-1][1] + 1)
         else:

@@ -22,6 +22,7 @@ from .contfrac import (
     cf_value,
     convergent_pair,
     convergents,
+    euclid_entries,
     height,
     multiply_cf,
     semiconvergent,
@@ -419,7 +420,8 @@ def run_defs_equivalence_scan(
         for p in range(1, q):
             if math.gcd(p, q) != 1:
                 continue
-            e = cf_from_rational(Rational(p, q))[0]
+            entries = euclid_entries(p, q)
+            e = CFExpansion(entries[0], tuple(entries[1:]), None, True)
             for n in range(n_lo, n_hi + 1):
                 v1 = is_infinite_loop(e, n)
                 v2 = loop_verdict_geometric(e, n)

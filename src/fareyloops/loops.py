@@ -318,16 +318,25 @@ def loop_scaling_check(e: CFExpansion, n: int, k: int) -> bool:
 # the pruned denominator-pair graph
 
 
+# what ModState(u, v) calls, without the Python frame of the generated __new__
+_new_tuple = tuple.__new__
+
+
 def successors(state: ModState, n: int) -> tuple[tuple[str, ModState], ...]:
     """Unpruned moves; the created denominator u+v must not vanish mod n."""
-    w = (state.u + state.v) % n
+    u, v = state
+    w = (u + v) % n
     if w == 0:
         return ()
-    return (("L", ModState(w, state.v)), ("R", ModState(state.u, w)))
+    return (("L", _new_tuple(ModState, (w, v))), ("R", _new_tuple(ModState, (u, w))))
 
 
 def loop_graph(n: int) -> dict[ModState, tuple[tuple[str, ModState], ...]]:
-    """Subgraph reachable from the start state (1, 1), i.e. the interval (0, 1)."""
+    """Subgraph reachable from the start state (1, 1), i.e. the interval (0, 1).
+
+    A depth-first build that pushes only targets not yet in the graph; a
+    state pushed twice before its first pop is still expanded once.
+    """
     if n < 2:
         raise ValueError("modulus must be >= 2")
     start = ModState(1 % n, 1 % n)
@@ -337,9 +346,10 @@ def loop_graph(n: int) -> dict[ModState, tuple[tuple[str, ModState], ...]]:
         state = frontier.pop()
         if state in graph:
             continue
-        moves = successors(state, n)
-        graph[state] = moves
-        frontier.extend(t for _, t in moves)
+        moves = graph[state] = successors(state, n)
+        for _, target in moves:
+            if target not in graph:
+                frontier.append(target)
     return graph
 
 
@@ -439,6 +449,8 @@ def loop_example(n: int) -> CFExpansion:
     irrational); a single-letter cycle is an absorbing mediant walk whose
     limit is rational, returned with its oo-tail.
     """
+    if n < 2:
+        raise ValueError("modulus must be >= 2")
     found = _find_cycle(ModState(1 % n, 1 % n), lambda s: successors(s, n))
     if found is None:
         raise ValueError(f"no infinite loops exist mod {n}")

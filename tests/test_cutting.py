@@ -264,6 +264,21 @@ def _reference_finite(e: CFExpansion, n: int) -> LoopVerdict:
     return LoopVerdict.loop()
 
 
+def _reference_fan_chain(edges: list[FareyEdge]) -> list[tuple[Rational, int]]:
+    """fan_chain with the pivot found by intersecting the endpoint sets."""
+    chain: list[tuple[Rational, int]] = []
+    for e1, e2 in zip(edges, edges[1:]):
+        shared = set(e1.endpoints()) & set(e2.endpoints())
+        if len(shared) != 1:
+            raise ValueError("consecutive crossed edges must share one endpoint")
+        pivot = shared.pop()
+        if chain and chain[-1][0] == pivot:
+            chain[-1] = (pivot, chain[-1][1] + 1)
+        else:
+            chain.append((pivot, 1))
+    return chain
+
+
 def _unit_twins(q_max: int):
     """Both oo-tail expansions of every reduced p/q in (0, 1) with q <= q_max."""
     for q in range(2, q_max + 1):
@@ -286,3 +301,16 @@ class TestEuclidReference:
         for e in cases:
             for n in range(2, 13):
                 assert is_infinite_loop(e, n) == _reference_finite(e, n), (e, n)
+
+    def test_fan_chain(self):
+        for e in _unit_twins(40):
+            edges = crossed_edges(e)
+            assert fan_chain(edges) == _reference_fan_chain(edges), e
+
+    def test_fan_chain_needs_one_shared_endpoint(self):
+        a = FareyEdge(Rational(0, 1), Rational(1, 1))
+        b = FareyEdge(Rational(1, 2), Rational(1, 3))
+        for edges in ([a, a], [a, b]):
+            for chain in (fan_chain, _reference_fan_chain):
+                with pytest.raises(ValueError, match="share one endpoint"):
+                    chain(edges)

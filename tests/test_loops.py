@@ -303,6 +303,26 @@ class TestGraph:
         assert ModState(1, 1) in g
         assert all(isinstance(s, ModState) for s in g)
 
+    def test_graph_matches_plain_traversal(self):
+        for n in range(2, 61):
+            start = ModState(1 % n, 1 % n)
+            reference = {}
+            todo = [start]
+            while todo:
+                state = todo.pop()
+                if state not in reference:
+                    reference[state] = successors(state, n)
+                    todo.extend(t for _, t in reference[state])
+            g = loop_graph(n)
+            assert g == reference, n
+            for state, moves in g.items():
+                assert type(state) is ModState
+                assert all(type(t) is ModState for _, t in moves)
+
+    def test_graph_sizes(self):
+        assert len(loop_graph(110)) == 8521
+        assert sum(len(loop_graph(n)) for n in range(2, 111)) == 362_739
+
     def test_existence_small(self):
         assert not loop_exists(2)
         assert not loop_exists(3)
@@ -346,6 +366,11 @@ class TestLoopExample:
     def test_error_when_none_exist(self):
         with pytest.raises(ValueError):
             loop_example(2)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_modulus_below_two(self, n):
+        with pytest.raises(ValueError, match="modulus must be >= 2"):
+            loop_example(n)
 
     def test_examples_validated_range(self):
         for n in range(4, 40):
