@@ -219,6 +219,8 @@ def cmd_gamma_path(args, cfg: Config, out) -> int:
 def cmd_cutseq(args, cfg: Config, out) -> int:
     e = expansions_of(parse_value(args.value))[0]
     depth = args.depth or cfg.depth
+    # the walk is built first so that a bad --mod prints nothing
+    walk = loops.sb_walk(e, args.mod, depth or 12) if args.mod else None
     word_depth = None if e.is_finite else (depth or 12)
     print(f"word: {cutting.eta_inverse(e, word_depth)}", file=out)
     edges = cutting.crossed_edges(e, depth if e.is_finite else (depth or 12))
@@ -226,8 +228,7 @@ def cmd_cutseq(args, cfg: Config, out) -> int:
     for edge in edges:
         assert edge.is_base or cutting.crosses_edge(value, edge)
         print(str(edge), file=out)
-    if args.mod:
-        walk = loops.sb_walk(e, args.mod, depth or 12)
+    if walk is not None:
         print("walk: " + " ".join(f"{l}:{r}" for l, r in walk), file=out)
     return 0
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .rationals import INFINITY, Rational
-from .surds import QuadSurd
+from .surds import QuadSurd, is_reduced
 
 Value = Union[Rational, QuadSurd]
 
@@ -342,20 +342,24 @@ def _surd_of_periodic(e: CFExpansion) -> QuadSurd:
 def cf_of_surd(s: QuadSurd) -> CFExpansion:
     """Eventually periodic expansion of a positive quadratic irrational.
 
-    Runs the integral recurrence of ``QuadSurd.states``; the first repeated
-    state closes the period and the constructor normalises to the canonical
-    minimal form.
+    Runs the integral recurrence of ``QuadSurd.states``; the first reduced
+    state (``surds.is_reduced``) opens the period, its return closes it, and
+    the constructor normalises to the canonical minimal form.
     """
     if not s.is_positive():
         raise ValueError("expansion requires a positive value")
-    entries: list[int] = []
-    seen: dict[tuple[int, int], int] = {}
-    for P, Q, a in s.states():
-        if (P, Q) in seen:
-            break
-        seen[(P, Q)] = len(entries)
+    r = math.isqrt(s.D)
+    states = s.states()
+    P, Q, a = next(states)
+    entries = [a]
+    while not is_reduced(P, Q, r):
+        P, Q, a = next(states)
         entries.append(a)
-    start = seen[(P, Q)]
+    start = len(entries) - 1
+    for P1, Q1, a in states:
+        if P1 == P and Q1 == Q:
+            break
+        entries.append(a)
     if start == 0:
         # a0 is formally part of the cycle; keep it as the leading term and
         # let the canonicaliser minimise the preperiod of the rest

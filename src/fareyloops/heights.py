@@ -13,7 +13,6 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .contfrac import (
@@ -32,7 +31,7 @@ from .cutting import crossed_edges, fan_chain, loop_verdict_geometric
 from .loops import NOTLOOP, is_infinite_loop, loop_example
 from .rationals import Rational
 from .sampling import random_finite_cf, random_periodic_cf, random_unit_rational
-from .surds import QuadSurd
+from .surds import QuadSurd, is_reduced
 
 
 def is_prime(n: int) -> bool:
@@ -53,35 +52,40 @@ def floor_2sqrt(n: int) -> int:
     return math.isqrt(4 * n)
 
 
-def surd_height(s: QuadSurd) -> int:
+def surd_height(s: QuadSurd, cap: Optional[int] = None) -> int:
     """Largest partial quotient (leading term excluded) of a quadratic irrational.
 
     Equal to ``height(cf_of_surd(s))``, read in one pass over the expansion
-    states with the same closure: the first repeated (P, Q) ends the period.
-    The max runs over a_1 up to and including the digit of that repeated
-    state, which for a purely periodic value is where a_0 comes back.
+    states in O(1) memory.  The period opens at the first reduced state
+    (``surds.is_reduced``) and closes on the return to it, the same closure
+    as ``cf_of_surd``.  The max runs over a_1 up to and including the digit
+    of that returning state, which for a purely periodic value is where a_0
+    comes back.
+
+    With a ``cap`` the scan stops at the first partial quotient >= cap and
+    returns cap, so the result is min(height, cap): a result below the cap
+    is the exact height.
     """
     if not s.is_positive():
         raise ValueError("expansion requires a positive value")
+    r = math.isqrt(s.D)
     states = s.states()
     P, Q, _ = next(states)
-    seen = {(P, Q)}
     best = 0
+    while not is_reduced(P, Q, r):
+        P, Q, a = next(states)
+        if a > best:
+            best = a
+            if cap is not None and best >= cap:
+                return cap
+    P0, Q0 = P, Q
     for P, Q, a in states:
         if a > best:
             best = a
-        if (P, Q) in seen:
+            if cap is not None and best >= cap:
+                return cap
+        if P == P0 and Q == Q0:
             return best
-        seen.add((P, Q))
-
-
-def _scaled_height(e: CFExpansion, n: int) -> Union[int, float]:
-    """Height of n * value(e), staying in the value domain for surds."""
-    if e.inf_tail:
-        return math.inf
-    if e.is_finite:
-        return height(multiply_cf(e, n))
-    return surd_height(cf_value(e).scaled(n))
 
 
 @dataclass(frozen=True)
@@ -201,16 +205,12 @@ def check_noloop_bound(e: CFExpansion, n: int) -> CheckRecord:
     verdict = is_infinite_loop(e, n)
     if verdict.kind != NOTLOOP or e.is_finite:
         return CheckRecord("noloop", params, False, True, f"verdict={verdict.kind}")
-    b_alpha = height(e)
-    b_scaled = _scaled_height(e, n)
-    threshold = floor_2sqrt(n) - 1
-    ok = max(b_alpha, b_scaled) >= threshold
-    witness = "-" if ok else f"B={b_alpha} Bn={b_scaled} thr={threshold} e={e}"
-    return CheckRecord("noloop", params, True, ok, witness)
+    return CheckRecord("noloop", params, True, *_height_bound(e, n))
 
 
 def check_infl(e: CFExpansion, p: int, m: int) -> CheckRecord:
-    """For non-loops mod p^m: min{1/B(a), 1/B(p^m a)} <= 1/(floor(2*sqrt(p^m))-1)."""
+    """For non-loops mod p^m: min{1/B(a), 1/B(p^m a)} <= 1/(floor(2*sqrt(p^m))-1),
+    decided as the equivalent max{B(a), B(p^m a)} >= floor(2*sqrt(p^m)) - 1."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     n = p**m
@@ -218,14 +218,24 @@ def check_infl(e: CFExpansion, p: int, m: int) -> CheckRecord:
     verdict = is_infinite_loop(e, n)
     if verdict.kind != NOTLOOP or e.is_finite:
         return CheckRecord("infl", params, False, True, f"verdict={verdict.kind}")
-    b_alpha = height(e)
-    b_scaled = _scaled_height(e, n)
+    return CheckRecord("infl", params, True, *_height_bound(e, n))
+
+
+def _height_bound(e: CFExpansion, n: int) -> tuple[bool, str]:
+    """(passed, witness) for max{B(a), B(n*a)} >= floor(2*sqrt(n)) - 1 on a
+    periodic expansion e.
+
+    B(n*a) is read only when B(a) falls short, and only up to the threshold:
+    below it the capped height is exact, so a violation's witness is too.
+    """
     threshold = floor_2sqrt(n) - 1
-    if threshold <= 0:
-        return CheckRecord("infl", params, True, True, "threshold<=0")
-    ok = min(Fraction(1, b_alpha), Fraction(1, b_scaled)) <= Fraction(1, threshold)
-    witness = "-" if ok else f"B={b_alpha} Bn={b_scaled} thr={threshold} e={e}"
-    return CheckRecord("infl", params, True, ok, witness)
+    b_alpha = height(e)
+    if b_alpha >= threshold:
+        return True, "-"
+    b_scaled = surd_height(cf_value(e).scaled(n), threshold)
+    if b_scaled >= threshold:
+        return True, "-"
+    return False, f"B={b_alpha} Bn={b_scaled} thr={threshold} e={e}"
 
 
 def check_pro2(e: CFExpansion, n: int, k: int) -> CheckRecord:

@@ -520,8 +520,10 @@ def sb_walk(e: CFExpansion, n: int, depth: int) -> list[tuple[str, int]]:
     The walk starts at the base edge, so the word groups into runs matching
     the partial quotients (first run length a_1) and the created denominators
     are the nonzero semi-convergent denominators in order of appearance.
-    Requires a value strictly inside (0, 1).
+    Requires a value strictly inside (0, 1) and n >= 2.
     """
+    if n < 2:
+        raise ValueError(f"modulus must be >= 2, got {n}")
     if depth < 1:
         raise ValueError("depth must be >= 1")
     _require_unit_interval(e)

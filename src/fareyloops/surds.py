@@ -30,6 +30,16 @@ def _floor(P: int, Q: int, s: int) -> int:
     return -((P + s) // (-Q)) - 1
 
 
+def is_reduced(P: int, Q: int, r: int) -> bool:
+    """Whether (P + sqrt(D))/Q, with r = isqrt(D), is reduced: greater than 1
+    with conjugate in (-1, 0).
+
+    By Galois's theorem these are exactly the purely periodic values, so in
+    an expansion the first reduced state is the first state of the period.
+    """
+    return P <= r and r - P < Q <= r + P
+
+
 class QuadSurd:
     """Value (P + sqrt(D))/Q with D > 0 non-square and Q | D - P^2."""
 
@@ -86,8 +96,9 @@ class QuadSurd:
 
         Each state is a complete quotient (P + sqrt(D))/Q with partial
         quotient a = floor of it; the next state is P' = a*Q - P,
-        Q' = (D - P'^2)/Q.  The stream never ends: a caller stops it, and
-        the first repeated (P, Q) closes the period.
+        Q' = (D - P'^2)/Q.  The stream never ends: a caller stops it.  The
+        period opens at the first state that ``is_reduced`` and closes when
+        that state comes back.
         """
         P, Q, D = self.P, self.Q, self.D
         s = math.isqrt(D)

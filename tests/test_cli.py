@@ -200,6 +200,11 @@ class TestInputErrors:
         assert exc.value.code == 2
         assert f"got {argv[-1]!r}" in capsys.readouterr().err
 
+    def test_cutseq_modulus_one_is_rejected(self, capsys):
+        code, out = run_cli("cutseq", "3/7", "--mod", "1")
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: modulus must be >= 2, got 1\n"
+
     @pytest.mark.parametrize("argv", [
         ("loop-exists", "--n-range", "5..3"),
         ("verify", "noloop", "--n-range", "5..3"),

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from fareyloops import contfrac, heights
+from fareyloops.cli import _PM_DEFAULT
 from fareyloops.contfrac import (
     CFExpansion,
     cf_from_rational,
@@ -17,6 +19,7 @@ from fareyloops.contfrac import (
     shift_cf,
 )
 from fareyloops.heights import (
+    CheckRecord,
     check_count_height,
     check_infl,
     check_noloop_bound,
@@ -36,7 +39,7 @@ from fareyloops.heights import (
     run_thma_scan,
     surd_height,
 )
-from fareyloops.loops import loop_example
+from fareyloops.loops import NOTLOOP, is_infinite_loop, loop_example
 from fareyloops.rationals import Rational
 from fareyloops.sampling import random_finite_cf, random_periodic_cf
 from fareyloops.surds import QuadSurd
@@ -159,6 +162,197 @@ class TestInfl:
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
             check_infl(GOLDEN_CONJ, 4, 1)
+
+
+@st.composite
+def normalised_surds(draw):
+    """A positive normalised (P + sqrt(D))/Q, Q of either sign, or a purely
+    periodic value with partial quotients up to 40."""
+    if draw(st.booleans()):
+        cycle = draw(st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=5))
+        return cf_value(CFExpansion(cycle[0], (), tuple(cycle[1:]) + (cycle[0],)))
+    P = draw(st.integers(min_value=-60, max_value=60))
+    Q = draw(st.integers(min_value=-40, max_value=40).filter(bool))
+    t = draw(st.integers(min_value=-200, max_value=5000))
+    D = P * P + Q * t  # Q divides D - P^2
+    assume(D > 0 and math.isqrt(D) ** 2 != D)
+    s = QuadSurd(P, Q, D)
+    assume(s.is_positive())
+    return s
+
+
+def random_surds(seed, count):
+    """Seeded positive normalised surds, Q of either sign."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        P, Q, t = rng.randint(-60, 60), rng.choice([-1, 1]) * rng.randint(1, 40), rng.randint(-200, 5000)
+        D = P * P + Q * t
+        if D > 0 and math.isqrt(D) ** 2 != D and QuadSurd(P, Q, D).is_positive():
+            out.append(QuadSurd(P, Q, D))
+    return out
+
+
+def seen_set_height(s):
+    """The uncapped height with a set of every (P, Q) seen, as it was
+    computed before the reduced-state closure."""
+    states = s.states()
+    P, Q, _ = next(states)
+    seen = {(P, Q)}
+    best = 0
+    for P, Q, a in states:
+        if a > best:
+            best = a
+        if (P, Q) in seen:
+            return best
+        seen.add((P, Q))
+
+
+def seen_dict_split(s):
+    """(a0, body, period) as handed to the constructor by the seen-dict
+    ``cf_of_surd``."""
+    entries = []
+    seen = {}
+    for P, Q, a in s.states():
+        if (P, Q) in seen:
+            break
+        seen[(P, Q)] = len(entries)
+        entries.append(a)
+    start = seen[(P, Q)]
+    if start == 0:
+        return entries[0], (), tuple(entries[1:]) + (entries[0],)
+    return entries[0], tuple(entries[1:start]), tuple(entries[start:])
+
+
+def uncapped_noloop(e, n):
+    """check_noloop_bound as it was: B(n*a) always read in full."""
+    params = (("n", n),)
+    verdict = is_infinite_loop(e, n)
+    if verdict.kind != NOTLOOP or e.is_finite:
+        return CheckRecord("noloop", params, False, True, f"verdict={verdict.kind}")
+    b_alpha = height(e)
+    b_scaled = seen_set_height(cf_value(e).scaled(n))
+    threshold = heights.floor_2sqrt(n) - 1
+    ok = max(b_alpha, b_scaled) >= threshold
+    witness = "-" if ok else f"B={b_alpha} Bn={b_scaled} thr={threshold} e={e}"
+    return CheckRecord("noloop", params, True, ok, witness)
+
+
+def uncapped_infl(e, p, m):
+    """check_infl as it was: B(p^m*a) always read in full, compared as 1/B."""
+    n = p**m
+    params = (("p", p), ("m", m))
+    verdict = is_infinite_loop(e, n)
+    if verdict.kind != NOTLOOP or e.is_finite:
+        return CheckRecord("infl", params, False, True, f"verdict={verdict.kind}")
+    b_alpha = height(e)
+    b_scaled = seen_set_height(cf_value(e).scaled(n))
+    threshold = heights.floor_2sqrt(n) - 1
+    if threshold <= 0:
+        return CheckRecord("infl", params, True, True, "threshold<=0")
+    ok = min(Fraction(1, b_alpha), Fraction(1, b_scaled)) <= Fraction(1, threshold)
+    witness = "-" if ok else f"B={b_alpha} Bn={b_scaled} thr={threshold} e={e}"
+    return CheckRecord("infl", params, True, ok, witness)
+
+
+def check_pairs():
+    """(capped, uncapped) records over a seeded population: noloop for
+    n = 2..40 and infl for every default (p, m) of the CLI."""
+    rng = random.Random(41)
+    population = [random_periodic_cf(rng) for _ in range(40)]
+    for e in population:
+        for n in range(2, 41):
+            yield check_noloop_bound(e, n), uncapped_noloop(e, n)
+        for p, m in _PM_DEFAULT:
+            yield check_infl(e, p, m), uncapped_infl(e, p, m)
+
+
+class TestCappedHeight:
+    @given(normalised_surds(), st.integers(min_value=1, max_value=30))
+    def test_cap_gives_min_of_height_and_cap(self, s, cap):
+        assert surd_height(s, cap) == min(surd_height(s), cap)
+
+    @given(normalised_surds())
+    def test_reduced_closure_matches_seen_set(self, s):
+        assert surd_height(s) == seen_set_height(s)
+
+    def test_cf_of_surd_splits_as_seen_dict(self, monkeypatch):
+        # the constructor canonicalises, so the split is read off its arguments
+        handed = []
+
+        def record(*args):
+            handed.append(args)
+            return CFExpansion(*args)
+
+        monkeypatch.setattr(contfrac, "CFExpansion", record)
+        rng = random.Random(42)
+        periodic = [cf_value(random_periodic_cf(rng, max_entry=40)) for _ in range(300)]
+        for s in random_surds(43, 2000) + periodic:
+            handed.clear()
+            cf_of_surd(s)
+            assert handed == [seen_dict_split(s)], s
+
+    def test_long_period_in_constant_memory(self):
+        import tracemalloc
+
+        s = QuadSurd(0, 1, 2).scaled(2**14)
+        tracemalloc.start()
+        try:
+            b = surd_height(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert b == seen_set_height(s)
+        assert peak < 20_000  # a set of the states seen peaks near 1.9 MB here
+
+
+class TestCappedChecks:
+    def test_records_match_uncapped_checks(self):
+        pairs = list(check_pairs())
+        assert any(new.applicable for new, _ in pairs)
+        for new, old in pairs:
+            assert new.line() == old.line()
+
+    def test_violations_carry_the_exact_height(self, monkeypatch):
+        # an unreachable threshold sends every applicable case down the
+        # violation path, where Bn= must be the exact height
+        monkeypatch.setattr(heights, "floor_2sqrt", lambda n: 10**6)
+        applicable = 0
+        for new, old in check_pairs():
+            assert new.line() == old.line()
+            if new.applicable:
+                applicable += 1
+                assert not new.passed and "Bn=" in new.witness
+        assert applicable > 0
+
+    def test_scaled_value_is_read_only_below_threshold(self, monkeypatch):
+        real_height, real_check = heights.surd_height, heights.check_noloop_bound
+        caps = []
+        cases = []
+
+        def counting_height(s, cap=None):
+            caps.append(cap)
+            return real_height(s, cap)
+
+        def recording_check(e, n):
+            before = len(caps)
+            rec = real_check(e, n)
+            cases.append((e, n, rec, caps[before:]))
+            return rec
+
+        monkeypatch.setattr(heights, "surd_height", counting_height)
+        monkeypatch.setattr(heights, "check_noloop_bound", recording_check)
+        run_noloop_scan(range(2, 41), 30, seed=5)
+        skipped = read = 0
+        for e, n, rec, seen_caps in cases:
+            threshold = floor_2sqrt(n) - 1
+            if not rec.applicable or height(e) >= threshold:
+                assert seen_caps == []
+                skipped += rec.applicable
+            else:
+                assert seen_caps == [threshold]
+                read += 1
+        assert skipped > 0 and read > 0
 
 
 class TestPro2:

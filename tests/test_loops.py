@@ -408,6 +408,11 @@ class TestWalk:
                 hit = any(r == 0 for _, r in walk)
                 assert hit == (not is_infinite_loop(e, n).is_loop)
 
+    @pytest.mark.parametrize("n", [-3, 0, 1])
+    def test_modulus_below_two(self, n):
+        with pytest.raises(ValueError, match=f"modulus must be >= 2, got {n}"):
+            sb_walk(CFExpansion(0, (2, 3), None, True), n, 4)
+
     def test_domain_checks(self):
         with pytest.raises(ValueError):
             sb_walk(CFExpansion(1, (2,)), 4, 5)

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fareyloops.rationals import INFINITY, Rational
-from fareyloops.surds import QuadSurd, is_square
+from fareyloops.surds import QuadSurd, is_reduced, is_square
 
 
 def test_is_square():
@@ -96,3 +96,18 @@ def test_comparison_matches_float(P, Q, D, p, q):
     r = p / q
     if abs(x - r) > 1e-9:
         assert (s < Rational(p, q)) == (x < r)
+
+
+@given(
+    st.integers(min_value=-60, max_value=60),
+    st.integers(min_value=-40, max_value=40).filter(bool),
+    st.integers(min_value=-200, max_value=5000),
+)
+def test_reduced_means_above_one_with_conjugate_in_minus_one_zero(P, Q, t):
+    D = P * P + Q * t  # Q divides D - P^2, so QuadSurd keeps (P, Q, D)
+    if D <= 0 or is_square(D):
+        return
+    s = QuadSurd(P, Q, D)
+    conjugate = QuadSurd(-P, -Q, D)  # (P - sqrt(D))/Q
+    expected = s > 1 and -1 < conjugate < 0
+    assert is_reduced(P, Q, math.isqrt(D)) == expected
