@@ -15,7 +15,6 @@ from fareyloops import (
     cf_of_surd,
     format_cf,
     height_spectrum,
-    mp_upper_bound,
     persistence_scan,
 )
 from fareyloops.heights import (
@@ -32,7 +31,7 @@ for label, e in [("golden conjugate", golden_conj), ("sqrt(2)", sqrt2)]:
     spectrum = height_spectrum(e, 2, 4)
     row = "  ".join(f"B(2^{l}a)={b}" for l, b in spectrum.entries)
     print(f"{label:18} {format_cf(e):10} {row}")
-    print(f"{'':18} upper bound from the spectrum: {mp_upper_bound(e, 2, 4)}")
+    print(f"{'':18} upper bound from the spectrum: {spectrum.bound()}")
 
 print()
 print("== every power of 2 is witnessed for the golden conjugate ==")

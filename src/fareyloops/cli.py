@@ -8,6 +8,7 @@ stable key=value lines for golden-file comparison.
 from __future__ import annotations
 
 import argparse
+import itertools
 import re
 import sys
 from dataclasses import dataclass, replace
@@ -217,14 +218,28 @@ def cmd_gamma_path(args, cfg: Config, out) -> int:
 
 
 def cmd_cutseq(args, cfg: Config, out) -> int:
-    e = expansions_of(parse_value(args.value))[0]
+    value = parse_value(args.value)
     depth = args.depth or cfg.depth
+    if isinstance(value, QuadSurd):
+        # the output reads only a_0..a_depth: the word has depth runs after
+        # a_0, and the walk's depth steps and the edges' depth - 1 use no
+        # more, since every a_i after a_0 is at least 1.  So a surd is
+        # expanded that far and no further, whatever its period; the period
+        # (1) stands in for the digits never read, and the crossing check
+        # below runs against the surd itself
+        if not value.is_positive():
+            raise ValueError("expansion requires a positive value")
+        depth = depth or 12
+        digits = [a for _, _, a in itertools.islice(value.states(), depth + 1)]
+        e = CFExpansion(digits[0], tuple(digits[1:]), (1,))
+    else:
+        e = expansions_of(value)[0]
+        value = contfrac.cf_value(e)
     # the walk is built first so that a bad --mod prints nothing
     walk = loops.sb_walk(e, args.mod, depth or 12) if args.mod else None
     word_depth = None if e.is_finite else (depth or 12)
     print(f"word: {cutting.eta_inverse(e, word_depth)}", file=out)
     edges = cutting.crossed_edges(e, depth if e.is_finite else (depth or 12))
-    value = contfrac.cf_value(e)
     for edge in edges:
         assert edge.is_base or cutting.crosses_edge(value, edge)
         print(str(edge), file=out)
@@ -246,9 +261,8 @@ def cmd_spectrum(args, cfg: Config, out) -> int:
 
 def cmd_mp_bound(args, cfg: Config, out) -> int:
     e = expansions_of(parse_value(args.value))[0]
-    upper = heights.mp_upper_bound(e, args.p, args.L)
+    upper, partial = heights.mp_bounds(e, args.p, args.L)
     print(f"upper={upper}", file=out)
-    partial = heights.mp_partial_lower_min(e, args.p, args.L)
     print(f"partial_lower_min={partial} (not a bound)", file=out)
     return 0
 

@@ -314,7 +314,12 @@ def height(e: CFExpansion) -> Union[int, float]:
 
 
 def cf_value(e: CFExpansion) -> Value:
-    """Exact value: a Rational for finite input, a QuadSurd for periodic."""
+    """Exact value: a Rational for finite input, a QuadSurd for periodic.
+
+    A periodic value comes back in lowest terms: D is the discriminant of
+    the value's primitive quadratic, so it divides 4*D of any equal surd and
+    stays small however long the period is.
+    """
     if e.is_finite:
         return cf_eval(e)
     return _surd_of_periodic(e)
@@ -327,9 +332,14 @@ def _surd_of_periodic(e: CFExpansion) -> QuadSurd:
     c, d = 0, 1
     for entry in e.period:
         a, b, c, d = a * entry + b, a, c * entry + d, c
-    # positive root of c*y^2 + (d - a)*y - b = 0, as (P + sqrt(D))/Q; it is
-    # normalised, since D - P^2 = 4*b*c = Q * 2*b
-    P, Q, D = a - d, 2 * c, (a - d) * (a - d) + 4 * b * c
+    # y is the positive root of c*y^2 + (d - a)*y - b = 0.  The entries grow
+    # like a power of the fundamental unit, so the common factor g is taken
+    # out first; the root is then (P + sqrt(D))/Q with P = (a - d)/g,
+    # Q = 2c/g and D = ((a - d)^2 + 4bc)/g^2, normalised since
+    # D - P^2 = 4bc/g^2 = Q * 2b/g
+    g = math.gcd(c, a - d, b)
+    P, Q = (a - d) // g, 2 * c // g
+    D = P * P + 4 * (b // g) * (c // g)
     # x = entry + 1/y for each preperiod entry, last first: the reciprocal
     # (-P + sqrt(D))/((D - P^2)/Q), then a shift of P by entry*Q, both of
     # which keep Q | D - P^2

@@ -86,7 +86,7 @@ def crosses_edge(alpha: Value, edge: FareyEdge) -> bool:
     the anchor, not a crossing, and meeting an endpoint is termination.
     """
     u, v = edge.a, edge.b
-    if u < Rational(0, 1):
+    if u.num < 0:
         raise ValueError("tessellation edges here have nonnegative endpoints")
     if edge.is_base:
         return False

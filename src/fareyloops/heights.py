@@ -119,25 +119,23 @@ def height_spectrum(e: CFExpansion, p: int, L: int) -> HeightSpectrum:
     return HeightSpectrum(e, p, tuple(entries))
 
 
-def mp_upper_bound(e: CFExpansion, p: int, L: int) -> Rational:
-    """min over l <= L of 1/B(p^l alpha): an upper bound for the p-adic
-    approximation constant at any L, nonincreasing in L.
+def mp_bounds(e: CFExpansion, p: int, L: int) -> tuple[Rational, Rational]:
+    """(upper, partial_lower_min), both read off one height spectrum.
 
-    Rational input returns exactly 0 (its own denominators already realise
-    the infimum); the value is then a statement, not a scan bound.
+    upper = min over l <= L of 1/B(p^l alpha): an upper bound for the
+    p-adic approximation constant at any L, nonincreasing in L.
+
+    partial_lower_min = min over l <= L of 1/(B(p^l alpha)+2).  NOT a
+    bound: the true lower bound is an infimum over all l, which no finite
+    scan can certify.
+
+    Rational input returns exactly (0, 0) (its own denominators already
+    realise the infimum); the value is then a statement, not a scan bound.
     """
     if e.is_finite:
-        return Rational(0, 1)
-    return height_spectrum(e, p, L).bound()
-
-
-def mp_partial_lower_min(e: CFExpansion, p: int, L: int) -> Rational:
-    """min over l <= L of 1/(B(p^l alpha)+2).  NOT a bound: the true lower
-    bound is an infimum over all l, which no finite scan can certify."""
-    if e.is_finite:
-        return Rational(0, 1)
+        return Rational(0, 1), Rational(0, 1)
     worst = max(b for _, b in height_spectrum(e, p, L).entries)
-    return Rational(1, worst + 2)
+    return Rational(1, worst), Rational(1, worst + 2)
 
 
 # ---------------------------------------------------------------------------

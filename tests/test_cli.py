@@ -3,15 +3,22 @@ import contextlib
 import importlib
 import inspect
 import io
+import math
+import os
+import random
 import re
+import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from fareyloops import cli
+from fareyloops import cli, contfrac, heights
 from fareyloops.cli import COMMAND_HANDLERS, VERIFY_CHECKS, build_parser, main, parse_value
-from fareyloops.contfrac import CFExpansion
-from fareyloops.loops import is_infinite_loop
+from fareyloops.contfrac import CFExpansion, cf_of_surd
+from fareyloops.cutting import crossed_edges, eta_inverse
+from fareyloops.loops import is_infinite_loop, sb_walk
 from fareyloops.rationals import Rational
 from fareyloops.surds import QuadSurd
 
@@ -152,6 +159,18 @@ class TestCommands:
         assert out.splitlines()[0] == "upper=1/4"
         assert "(not a bound)" in out.splitlines()[1]
 
+    def test_mp_bound_reads_one_spectrum(self, monkeypatch):
+        calls = []
+
+        def counted(*args, _fn=heights.height_spectrum):
+            calls.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(heights, "height_spectrum", counted)
+        code, out = run_cli("mp-bound", "(-1+sqrt(5))/2", "-p", "2", "-L", "2")
+        assert out.splitlines() == ["upper=1/8", "partial_lower_min=1/10 (not a bound)"]
+        assert len(calls) == 1
+
     def test_loopcheck_decides_a_surd_without_expanding_it(self, monkeypatch):
         def no_expansion(value):
             raise AssertionError("loopcheck expanded the surd")
@@ -174,6 +193,81 @@ class TestCommands:
     def test_parse_error_exit_code(self):
         code, _ = run_cli("cf", "1/0")
         assert code == 2
+
+
+def cutseq_of_full_expansion(s, depth, mod):
+    """(exit code, output) of cutseq on s, built from its whole expansion."""
+    e = cf_of_surd(s)
+    try:
+        walk = sb_walk(e, mod, depth) if mod else None
+    except ValueError:
+        return 2, ""
+    lines = [f"word: {eta_inverse(e, depth)}", *map(str, crossed_edges(e, depth))]
+    if walk is not None:
+        lines.append("walk: " + " ".join(f"{l}:{r}" for l, r in walk))
+    return 0, "".join(line + "\n" for line in lines)
+
+
+HUGE_PERIOD = "sqrt(100000000000000000000000000003)/400000000000000"
+
+
+class TestCutseqPrefix:
+    def test_prefix_matches_the_full_expansion(self, capsys):
+        rng = random.Random(17)
+        seen = set()
+        cases = 0
+        while cases < 200:
+            P, Q, t = rng.randint(-60, 60), rng.choice([-1, 1]) * rng.randint(1, 40), rng.randint(-200, 5000)
+            D = P * P + Q * t
+            if D <= 0 or math.isqrt(D) ** 2 == D or not QuadSurd(P, Q, D).is_positive():
+                continue
+            s = QuadSurd(P, Q, D)
+            if rng.random() < 0.5:
+                s = s.shifted(-s.floor())
+            e = cf_of_surd(s)
+            depth = rng.randint(1, 3 * (len(e.body) + len(e.period)) + 2)
+            mod = rng.choice([None, rng.randint(2, 30)])
+            argv = ["cutseq", f"({s.P}+sqrt({s.D}))/{s.Q}", "--depth", str(depth)]
+            if mod:
+                argv += ["--mod", str(mod)]
+            assert run_cli(*argv) == cutseq_of_full_expansion(s, depth, mod), argv
+            seen.add((e.a0 == 0, mod is None, depth > len(e.body) + len(e.period)))
+            cases += 1
+        capsys.readouterr()
+        assert len(seen) == 8
+
+    def test_cutseq_on_a_surd_never_expands_or_rebuilds_it(self, monkeypatch):
+        calls = []
+        for module, name in ((cli, "cf_of_surd"), (contfrac, "cf_of_surd"), (contfrac, "cf_value")):
+            def counted(*args, _fn=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(module, name, counted)
+        for argv in (("cutseq", "sqrt(2)"), ("cutseq", "(-1+sqrt(5))/2", "--mod", "5"),
+                     ("cutseq", "(2+sqrt(4000432))/6", "--depth", "200")):
+            assert run_cli(*argv)[0] == 0
+        assert calls == []
+        # an expansion on input is still turned into its value for the check
+        assert run_cli("cutseq", "[0; (1, 2)]", "--mod", "5")[0] == 0
+        assert calls == ["cf_value"]
+
+    def test_huge_period_answers_at_once(self):
+        # a fresh process, so that a full expansion of the period is killed
+        # at the timeout instead of running on in the test process
+        start = time.perf_counter()
+        run = subprocess.run(
+            [sys.executable, "-m", "fareyloops.cli", "cutseq", HUGE_PERIOD, "--depth", "5", "--mod", "7"],
+            capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        )
+        assert time.perf_counter() - start < 1
+        assert run.returncode == 0
+        assert run.stdout.splitlines()[-1].startswith("walk: ")
+
+    def test_nonpositive_surd_is_rejected(self, capsys):
+        code, out = run_cli("cutseq", "(-5+sqrt(5))/2")
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: expansion requires a positive value\n"
 
 
 class TestInputErrors:

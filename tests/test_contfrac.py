@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from fareyloops.contfrac import (
@@ -216,6 +216,60 @@ class TestSurdExpansion:
                      QuadSurd(5, 4, 19), QuadSurd(1, 7, 13)]:
             if surd.is_positive():
                 assert cf_value(cf_of_surd(surd)) == surd
+
+
+@st.composite
+def normalised_surds(draw):
+    """A positive normalised (P + sqrt(D))/Q with P and Q of either sign,
+    shifted into (0, 1) half of the time."""
+    P = draw(st.integers(min_value=-60, max_value=60))
+    Q = draw(st.integers(min_value=-40, max_value=40).filter(bool))
+    t = draw(st.integers(min_value=-200, max_value=5000))
+    D = P * P + Q * t  # Q divides D - P^2
+    assume(D > 0 and math.isqrt(D) ** 2 != D)
+    s = QuadSurd(P, Q, D)
+    if draw(st.booleans()):
+        s = s.shifted(-s.floor())
+    assume(s.is_positive())
+    return s
+
+
+def unreduced_surd_of_periodic(e):
+    """The periodic value rebuilt from the period's matrix product without
+    taking out the common factor of its entries."""
+    a, b, c, d = 1, 0, 0, 1
+    for entry in e.period:
+        a, b, c, d = a * entry + b, a, c * entry + d, c
+    P, Q, D = a - d, 2 * c, (a - d) ** 2 + 4 * b * c
+    for entry in reversed((e.a0, *e.body)):
+        P, Q = -P, (D - P * P) // Q
+        P += entry * Q
+    return QuadSurd(P, Q, D)
+
+
+class TestLowestTerms:
+    @given(normalised_surds())
+    def test_rebuilt_value_is_in_lowest_terms(self, s):
+        rebuilt = cf_value(cf_of_surd(s))
+        assert rebuilt == s
+        assert (4 * s.D) % rebuilt.D == 0
+
+    def test_long_period_keeps_a_small_discriminant(self):
+        s = QuadSurd(1, 3, 1000108)
+        e = cf_of_surd(s)
+        assert len(e.period) == 1080
+        rebuilt = cf_value(e)
+        assert rebuilt == s
+        assert rebuilt.D < 10**19
+        # the unreduced rebuild carries the period's growth in D
+        assert unreduced_surd_of_periodic(e).D > 10**1000
+
+    def test_multiply_matches_the_unreduced_rebuild(self):
+        rng = random.Random(11)
+        for _ in range(150):
+            e = random_periodic_cf(rng)
+            n = rng.randint(2, 30)
+            assert multiply_cf(e, n) == cf_of_surd(unreduced_surd_of_periodic(e).scaled(n))
 
 
 class TestMultiplyShift:

@@ -108,8 +108,9 @@ class TestCrossesEdge:
         assert not crosses_edge(Rational(2, 5), edge)
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            crosses_edge(Rational(1, 2), FareyEdge(Rational(-1), Rational(0)))
+        for edge in (FareyEdge(Rational(-1), Rational(0)), FareyEdge(Rational(-1, 2), INFINITY)):
+            with pytest.raises(ValueError, match="nonnegative endpoints"):
+                crosses_edge(Rational(1, 2), edge)
 
 
 class TestCrossedEdges:

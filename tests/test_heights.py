@@ -27,8 +27,7 @@ from fareyloops.heights import (
     floor_2sqrt,
     height_spectrum,
     is_prime,
-    mp_partial_lower_min,
-    mp_upper_bound,
+    mp_bounds,
     persistence_scan,
     plant_pro2_case,
     run_count_scan,
@@ -110,15 +109,15 @@ class TestSpectrum:
 
 class TestUpperBound:
     def test_examples(self):
-        assert mp_upper_bound(SQRT2, 2, 1) == Rational(1, 4)
-        assert mp_upper_bound(GOLDEN_CONJ, 2, 1) == Rational(1, 4)
-        assert mp_upper_bound(cf_from_rational(Rational(3, 7))[0], 2, 2) == Rational(0)
+        assert mp_bounds(SQRT2, 2, 1)[0] == Rational(1, 4)
+        assert mp_bounds(GOLDEN_CONJ, 2, 1)[0] == Rational(1, 4)
+        assert mp_bounds(cf_from_rational(Rational(3, 7))[0], 2, 2)[0] == Rational(0)
 
     def test_monotone_in_levels(self):
         rng = random.Random(32)
         for _ in range(40):
             e = random_periodic_cf(rng)
-            bounds = [mp_upper_bound(e, 3, L) for L in range(4)]
+            bounds = [mp_bounds(e, 3, L)[0] for L in range(4)]
             assert all(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:]))
 
     def test_shift_invariant(self):
@@ -126,10 +125,11 @@ class TestUpperBound:
         for _ in range(40):
             e = random_periodic_cf(rng)
             for k in (1, 2, 5):
-                assert mp_upper_bound(shift_cf(e, k), 2, 2) == mp_upper_bound(e, 2, 2)
+                assert mp_bounds(shift_cf(e, k), 2, 2)[0] == mp_bounds(e, 2, 2)[0]
 
     def test_partial_lower_min_labelled_value(self):
-        assert mp_partial_lower_min(GOLDEN_CONJ, 2, 1) == Rational(1, 6)
+        assert mp_bounds(GOLDEN_CONJ, 2, 1) == (Rational(1, 4), Rational(1, 6))
+        assert mp_bounds(cf_from_rational(Rational(3, 7))[0], 2, 2) == (Rational(0), Rational(0))
 
 
 class TestNoloopBound:
