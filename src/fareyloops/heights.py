@@ -132,6 +132,8 @@ def mp_bounds(e: CFExpansion, p: int, L: int) -> tuple[Rational, Rational]:
     Rational input returns exactly (0, 0) (its own denominators already
     realise the infimum); the value is then a statement, not a scan bound.
     """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if e.is_finite:
         return Rational(0, 1), Rational(0, 1)
     worst = max(b for _, b in height_spectrum(e, p, L).entries)

@@ -16,11 +16,11 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .contfrac import CFExpansion, cf_from_rational, semiconvergent, twin_entries
 from .rationals import Rational
-from .surds import QuadSurd
+from .surds import QuadSurd, is_reduced
 
 DEFAULT_STREAM_DEPTH = 10_000
 
@@ -211,27 +211,32 @@ def _check_finite(e: CFExpansion, n: int) -> LoopVerdict:
 
 
 def _scan_cycle(
-    steps: Iterable[tuple[int, Optional[Hashable]]], n: int, prefix: Union[CFExpansion, list[int]]
+    steps: Iterable[tuple[int, bool]], n: int, prefix: Union[CFExpansion, list[int]]
 ) -> LoopVerdict:
     """The state-cycle scan behind the periodic, surd and stream decisions.
 
-    Step k gives a_{k+1}, which closes fan k, and the key of the expansion
-    state it was read from (None for a state that never recurs).  A repeat of
-    (key, q_{k-1} mod n, q_k mod n) repeats every decision since, so it
-    closes the scan as LOOP; steps that run out after k fans leave UNKNOWN.
-    A NOTLOOP keeps `prefix` to build its witness from on first read: the
-    periodic expansion itself, or the digits a_0, a_1, ... that the step
-    source has recorded.
+    Step k gives a_{k+1}, which closes fan k at (u, v) = (q_{k-1}, q_k) mod n,
+    and whether fan k starts a period.  The pair at the first period start is
+    saved; a later start where the point [u : v] of P^1(Z/n) is back is LOOP:
+    1. The step (u, v) -> (v, a*v + u) is invertible mod n, so from period start
+       to period start the orbit is purely periodic.
+    2. The fan test u + m*v = 0 (mod n) is unchanged by a unit multiple of (u, v).
+    3. Consecutive denominators are coprime, so (u, v) is primitive; for
+       primitive vectors u*v0 = v*u0 makes them unit multiples mod each prime
+       power, which the CRT joins.  So each later fan repeats a scanned one.
+    4. Only fan 0 excludes m = 0, but a return to u = 0 at k > 0 has already
+       stopped the scan: q_{k-1} is the last denominator of fan k - 2.
+    Steps that run out after k fans leave UNKNOWN; NOTLOOP builds its witness lazily from `prefix`.
     """
     u, v = 0, 1
-    seen: set[tuple[Hashable, int, int]] = set()
+    u0 = None
     k = 0
-    for a, key in steps:
-        if key is not None:
-            state = (key, u, v)
-            if state in seen:
+    for a, boundary in steps:
+        if boundary:
+            if u0 is None:
+                u0, v0 = u, v
+            elif (u * v0 - v * u0) % n == 0:
                 return LoopVerdict.loop()
-            seen.add(state)
         m = _fan_hit(u, v, n, a, 1 if k == 0 else 0)
         if m is not None:
             return LoopVerdict._not_loop_at(k, m, prefix)
@@ -240,23 +245,26 @@ def _scan_cycle(
     return LoopVerdict.unknown(k)
 
 
-def _surd_steps(s: QuadSurd, digits: list[int]) -> Iterator[tuple[int, tuple[int, int]]]:
-    """Steps keyed by the (P, Q) expansion state; a_0, a_1, ... go to digits."""
+def _surd_steps(s: QuadSurd, digits: list[int]) -> Iterator[tuple[int, bool]]:
+    """Steps of a surd; a_0, a_1, ... go to digits.  A period starts at the first
+    reduced state after the start state (``surds.is_reduced``) and its returns."""
     if not s.is_positive():
         raise ValueError("loop decisions require a positive value")
+    r = math.isqrt(s.D)
     states = s.states()
-    # the start state is not keyed: fan 0 excludes m = 0 and later fans do
-    # not, so a return to it does not repeat the decisions made there
     digits.append(next(states)[2])
+    start = None
     for P, Q, a in states:
         digits.append(a)
-        yield a, (P, Q)
+        if start is None and is_reduced(P, Q, r):
+            start = P, Q
+        yield a, start == (P, Q)
 
 
 def _stream_steps(
     stream: Iterable[int], depth_limit: int, digits: list[int]
-) -> Iterator[tuple[int, None]]:
-    """At most depth_limit unkeyed steps of a digit stream; a_0, a_1, ... go to digits."""
+) -> Iterator[tuple[int, bool]]:
+    """At most depth_limit steps of a digit stream, none a period start; a_0, ... go to digits."""
     it = iter(stream)
     try:
         a0 = next(it)
@@ -269,7 +277,7 @@ def _stream_steps(
         if a < 1:
             raise ValueError("partial quotients after a0 must be >= 1")
         digits.append(a)
-        yield a, None
+        yield a, False
 
 
 def is_infinite_loop(
@@ -292,10 +300,9 @@ def is_infinite_loop(
     if isinstance(e, CFExpansion):
         if not e.is_periodic:
             return _check_finite(e, n)
-        # the preperiod is unkeyed; the period offset keys every later state
-        steps = itertools.chain(
-            zip(e.body, itertools.repeat(None)), itertools.cycle(zip(e.period, itertools.count()))
-        )
+        # the preperiod is minimal, so offset 0 of the period is its canonical start
+        period = [(a, i == 0) for i, a in enumerate(e.period)]
+        steps = itertools.chain(zip(e.body, itertools.repeat(False)), itertools.cycle(period))
         return _scan_cycle(steps, n, e)
     digits: list[int] = []
     if isinstance(e, QuadSurd):
@@ -518,15 +525,16 @@ def sb_walk(e: CFExpansion, n: int, depth: int) -> list[tuple[str, int]]:
     """Letter word of the mediant walk toward value(e) with created denominators mod n.
 
     The walk starts at the base edge, so the word groups into runs matching
-    the partial quotients (first run length a_1) and the created denominators
-    are the nonzero semi-convergent denominators in order of appearance.
-    Requires a value strictly inside (0, 1) and n >= 2.
+    the partial quotients (a leading run of a_0 L's with denominator 1) and the
+    created denominators are the nonzero semi-convergent denominators in order
+    of appearance.  Requires a positive value and n >= 2.
     """
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    _require_unit_interval(e)
+    if e.is_finite and e.a0 == 0 and not e.body:
+        raise ValueError("the ray needs a positive endpoint")
     return [
         ("L", lo[1] % n) if k % 2 else ("R", hi[1] % n)
         for k, _, lo, hi in itertools.islice(_raw_walk(e), depth)

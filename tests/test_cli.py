@@ -3,6 +3,7 @@ import contextlib
 import importlib
 import inspect
 import io
+import itertools
 import math
 import os
 import random
@@ -149,6 +150,32 @@ class TestCommands:
         assert lines[1] == "0/1 -- 1/0"
         assert any(line.startswith("walk:") for line in lines)
 
+    @pytest.mark.parametrize("value, depth", [
+        ("7/3", None), ("17/5", "9"), ("sqrt(7)", "4"), ("sqrt(7)", "15"), ("[3; 1, (2, 5)]", "10"),
+    ])
+    def test_cutseq_walks_from_the_leading_term(self, value, depth):
+        argv = ["cutseq", value, "--mod", "5"] + (["--depth", depth] if depth else [])
+        code, out = run_cli(*argv)
+        assert code == 0
+        lines = out.splitlines()
+        word = [l for l, c in re.findall(r"([LR])(?:\^(\d+))?", lines[0][len("word: "):])
+                for _ in range(int(c or 1))]
+        walk = [step.split(":") for step in lines[-1][len("walk: "):].split()]
+        assert len(walk) == int(depth or 12)
+        # the word of a rational ends on the value, while its walk runs on
+        # down the oo-tail
+        assert [l for l, _ in walk][: len(word)] == word[: len(walk)]
+        parsed = parse_value(value)
+        e = cf_of_surd(parsed) if isinstance(parsed, QuadSurd) else cli.expansions_of(parsed)[0]
+        dens = [1] * e.a0  # the leading-term fan: m*q_{-1} + q_{-2} = 1
+        for k in itertools.count():
+            if len(dens) >= len(walk):
+                break
+            tail = e.is_finite and k == e.last_index
+            run = range(1, len(walk) + 1) if tail else range(1, e.entry(k + 1) + 1)
+            dens.extend(contfrac.semiconvergent(e, k, m).den for m in run)
+        assert [int(r) for _, r in walk] == [q % 5 for q in dens[: len(walk)]]
+
     def test_spectrum_with_persistence(self):
         code, out = run_cli("spectrum", "(-1+sqrt(5))/2", "-p", "2", "-L", "1",
                             "--persistence", "3")
@@ -293,6 +320,12 @@ class TestInputErrors:
             run_cli(*argv)
         assert exc.value.code == 2
         assert f"got {argv[-1]!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["3/7", "sqrt(2)"])
+    def test_mp_bound_rejects_a_p_that_is_not_prime(self, value, capsys):
+        code, out = run_cli("mp-bound", value, "-p", "4", "-L", "1")
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: 4 is not prime\n"
 
     def test_cutseq_modulus_one_is_rejected(self, capsys):
         code, out = run_cli("cutseq", "3/7", "--mod", "1")

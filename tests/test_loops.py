@@ -1,11 +1,16 @@
+import itertools
 import math
 import random
 import sys
+import tracemalloc
+import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from fareyloops import contfrac, cutting, heights, loops
+from fareyloops import contfrac, cutting, heights, loops, surds
 from fareyloops.contfrac import CFExpansion, cf_from_rational, cf_of_surd, cf_value, semiconvergent
 from fareyloops.loops import (
     LOOP,
@@ -14,6 +19,7 @@ from fareyloops.loops import (
     LoopVerdict,
     ModState,
     _decimal_digits,
+    _fan_hit,
     _find_cycle,
     is_infinite_loop,
     loop_example,
@@ -24,7 +30,7 @@ from fareyloops.loops import (
     successors,
 )
 from fareyloops.rationals import Rational
-from fareyloops.sampling import random_periodic_cf
+from fareyloops.sampling import random_finite_cf, random_periodic_cf
 from fareyloops.surds import QuadSurd
 
 GOLDEN_CONJ = CFExpansion(0, (), (1,))
@@ -243,6 +249,117 @@ class TestPeriodicDecisions:
                 assert stream.kind == UNKNOWN
 
 
+UNPATCHED_STATES = QuadSurd.states
+DIFFERENTIAL_MODULI = [*range(2, 61), 360, 1001, 2310, 4096, 3**8, 5**5, 10007]
+# [0; 6, (9, 5, 1)] mod 3^9: the point [u : v] at the period start comes
+# back after 486 periods, the pair (u, v) itself only after 27 times as many
+LOOP_CASE = CFExpansion(0, (6,), (9, 5, 1))
+
+
+def seen_set_verdict(x, n):
+    """(kind, k, m, steps read) of the earlier state-cycle scan, kept as the
+    reference: it stores every (key, u, v) it visits and closes on the first
+    exact repeat.  Keys are the period offset of a periodic expansion and
+    the (P, Q) state of a surd; the preperiod and the surd's start state
+    are unkeyed."""
+    if isinstance(x, CFExpansion):
+        steps = itertools.chain(
+            zip(x.body, itertools.repeat(None)), itertools.cycle(zip(x.period, itertools.count()))
+        )
+    else:
+        states = UNPATCHED_STATES(x)
+        next(states)
+        steps = ((a, (P, Q)) for P, Q, a in states)
+    u, v = 0, 1
+    seen = set()
+    for k, (a, key) in enumerate(steps):
+        if key is not None:
+            if (key, u, v) in seen:
+                return LOOP, None, None, k
+            seen.add((key, u, v))
+        m = _fan_hit(u, v, n, a, 1 if k == 0 else 0)
+        if m is not None:
+            return NOTLOOP, k, m, k
+        u, v = v, (a * v + u) % n
+
+
+@pytest.fixture
+def state_budget(monkeypatch):
+    """Caps the expansion states a surd hands out at `.limit` and counts them
+    in `.read`, so that a scan that fails to close ends as UNKNOWN instead of
+    hanging."""
+    budget = types.SimpleNamespace(limit=0, read=0)
+
+    def states(s):
+        for state in itertools.islice(UNPATCHED_STATES(s), budget.limit):
+            budget.read += 1
+            yield state
+
+    monkeypatch.setattr(QuadSurd, "states", states)
+    return budget
+
+
+def assert_agrees_with_seen_set(x, n, budget):
+    *expected, steps = seen_set_verdict(x, n)
+    # the start state, then one state per step up to and including the last
+    budget.limit = steps + 2
+    v = is_infinite_loop(x, n)
+    assert [v.kind, v.witness_k, v.witness_m] == expected, (x, n)
+    return v.kind
+
+
+class TestProjectiveClosure:
+    def test_agrees_with_the_seen_set_scan(self, state_budget):
+        rng = random.Random(16)
+        kinds = set()
+        for i in range(12):
+            e = random_periodic_cf(rng, a0_max=0 if i % 3 == 0 else 2)
+            s = cf_value(e)
+            for x in (e, CFExpansion(e.a0, (), e.period), s, s.scaled(2), s.scaled(3)):
+                start = "expansion"
+                if isinstance(x, QuadSurd):
+                    start = surds.is_reduced(x.P, x.Q, math.isqrt(x.D))
+                for n in DIFFERENTIAL_MODULI:
+                    kinds.add((start, assert_agrees_with_seen_set(x, n, state_budget)))
+        # LOOP and NOTLOOP for expansions and for surds whose start is not reduced
+        assert {(start, kind) for start in ("expansion", False) for kind in (LOOP, NOTLOOP)} <= kinds
+
+    @given(
+        st.integers(0, 6),
+        st.lists(st.integers(1, 12), min_size=1, max_size=5),
+        st.integers(2, 3000),
+    )
+    def test_purely_periodic_value_never_loops(self, a0, period, n):
+        # the orbit of [0 : 1] returns to it, and there u = 0 is a hit
+        assert is_infinite_loop(CFExpansion(a0, (), tuple(period)), n).kind == NOTLOOP
+
+    def test_loop_closes_at_the_first_projective_return(self, state_budget):
+        n = 3**9
+        u0, v0 = u, v = 1, 6  # (q_0, q_1) at the period start, fan 1
+        returns = 0
+        while True:
+            for a in LOOP_CASE.period:
+                u, v = v, (a * v + u) % n
+            returns += 1
+            if (u * v0 - v * u0) % n == 0:
+                break
+        assert returns == 486
+        # the start state, the steps of fans 0 and 1, then 486 periods of 3
+        state_budget.limit = 1 + 2 + 3 * returns
+        assert is_infinite_loop(cf_value(LOOP_CASE), n).kind == LOOP
+        assert state_budget.read == state_budget.limit
+
+    def test_loop_verdict_needs_constant_memory(self):
+        tracemalloc.start()
+        try:
+            verdict = is_infinite_loop(LOOP_CASE, 3**9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict.kind == LOOP
+        assert peak < 50_000
+
+
 class TestStreams:
     def test_unknown_at_depth(self):
         v = is_infinite_loop(iter([0, 2, 1, 1]), 97)
@@ -414,7 +531,28 @@ class TestWalk:
             sb_walk(CFExpansion(0, (2, 3), None, True), n, 4)
 
     def test_domain_checks(self):
-        with pytest.raises(ValueError):
-            sb_walk(CFExpansion(1, (2,)), 4, 5)
-        with pytest.raises(ValueError):
+        # a leading term is walked as its own fan; only a value of 0 has no walk
+        assert sb_walk(CFExpansion(1, (2,)), 4, 5) == [("L", 1), ("R", 1), ("R", 2)]
+        with pytest.raises(ValueError, match="the ray needs a positive endpoint"):
             sb_walk(cf_from_rational(0)[0], 4, 5)
+
+    def test_leading_term_walk_spells_the_word(self):
+        rng = random.Random(18)
+        for i in range(60):
+            e = random_periodic_cf(rng) if i % 2 else random_finite_cf(rng)
+            e = CFExpansion(rng.randint(1, 4), e.body, e.period)
+            # a finite walk ends on the value, one step after its last edge
+            depth = rng.randint(1, 30 if e.period else e.a0 + sum(e.body))
+            n = rng.randint(2, 40)
+            walk = sb_walk(e, n, depth)
+            assert len(walk) == depth
+            word = cutting.eta_inverse(e, None if e.is_finite else depth)
+            assert [letter for letter, _ in walk] == [l for l, c in word.runs for _ in range(c)][:depth]
+            # semi-convergent denominators m*q_k + q_{k-1}, the leading-term fan
+            # k = -1 being m*q_{-1} + q_{-2} = m*0 + 1
+            dens = [1] * e.a0
+            for k in itertools.count():
+                if len(dens) >= depth:
+                    break
+                dens.extend(semiconvergent(e, k, m).den for m in range(1, e.entry(k + 1) + 1))
+            assert [r for _, r in walk] == [q % n for q in dens[:depth]]
