@@ -237,9 +237,10 @@ def cmd_cutseq(args, cfg: Config, out) -> int:
         value = contfrac.cf_value(e)
     # the walk is built first so that a bad --mod prints nothing
     walk = loops.sb_walk(e, args.mod, depth or 12) if args.mod else None
+    # the edges too, so that a value with no ray (0) prints nothing
+    edges = cutting.crossed_edges(e, depth if e.is_finite else (depth or 12))
     word_depth = None if e.is_finite else (depth or 12)
     print(f"word: {cutting.eta_inverse(e, word_depth)}", file=out)
-    edges = cutting.crossed_edges(e, depth if e.is_finite else (depth or 12))
     for edge in edges:
         assert edge.is_base or cutting.crosses_edge(value, edge)
         print(str(edge), file=out)

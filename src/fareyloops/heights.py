@@ -134,6 +134,8 @@ def mp_bounds(e: CFExpansion, p: int, L: int) -> tuple[Rational, Rational]:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    if L < 0:
+        raise ValueError("L must be >= 0")
     if e.is_finite:
         return Rational(0, 1), Rational(0, 1)
     worst = max(b for _, b in height_spectrum(e, p, L).entries)

@@ -18,7 +18,7 @@ import math
 import sys
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
-from .contfrac import CFExpansion, cf_from_rational, semiconvergent, twin_entries
+from .contfrac import CFExpansion, semiconvergent, twin_entries
 from .rationals import Rational
 from .surds import QuadSurd, is_reduced
 
@@ -410,73 +410,30 @@ def _find_cycle(
     return None
 
 
-def _letters_to_expansion(prefix: list[str], cycle: list[str]) -> CFExpansion:
-    """Eventually periodic expansion of the word R . prefix . cycle^oo.
-
-    The leading R is the step from the base edge into the interval (0, 1);
-    run lengths of the letter word are the partial quotients.  Runs are
-    collected until a run starts twice at the same cycle offset with the same
-    letter, which closes the period of the quotient sequence.
-    """
-
-    def letter_stream():
-        yield "R", None
-        for ltr in prefix:
-            yield ltr, None
-        while True:
-            for i, ltr in enumerate(cycle):
-                yield ltr, i
-
-    runs: list[tuple[str, int, Optional[int]]] = []
-    stream = letter_stream()
-    cur_letter, cur_anchor = next(stream)
-    cur_count = 1
-    anchors_seen: dict[tuple[Optional[int], str], int] = {}
-    while True:
-        letter, anchor = next(stream)
-        if letter == cur_letter:
-            cur_count += 1
-            continue
-        runs.append((cur_letter, cur_count, cur_anchor))
-        if cur_anchor is not None:
-            key = (cur_anchor, cur_letter)
-            if key in anchors_seen:
-                s = anchors_seen[key]
-                t = len(runs) - 1
-                counts = [c for _, c, _ in runs]
-                return CFExpansion(0, tuple(counts[:s]), tuple(counts[s:t]))
-            anchors_seen[key] = len(runs) - 1
-        cur_letter, cur_anchor, cur_count = letter, anchor, 1
-
-
 def loop_example(n: int) -> CFExpansion:
     """A concrete infinite loop mod n, validated by the exact decision.
 
-    A mixed cycle word yields an eventually periodic expansion (a quadratic
-    irrational); a single-letter cycle is an absorbing mediant walk whose
-    limit is rational, returned with its oo-tail.
+    None exists mod 2 or 3: there the cycle search over the pruned graph
+    runs out (`_find_cycle` returns None, as the test suite pins in
+    `TestGraph.test_cycle_search_certificate`).  Mod 4 the answer is 1/2
+    with its oo-tail, [0; 2, oo]: fan 0 draws 1 and 2, and the tail
+    denominators 2m + 1 are odd.  For n >= 5 it is [0; 1, n-3, (1, n-4)],
+    whose denominators q_{-1}, q_0, ... run mod n through 0, 1, 1, -2, -1 and
+    then repeat (2, 1, -2, -1).  So fan 0 draws 1, fan 1 draws 1 + m for
+    m <= n-3, each later fan over a 1 draws 1 and -1, and each fan over n-4
+    draws 2 + m or -(2 + m) for m <= n-4: no denominator past q_{-1} is 0.
     """
     if n < 2:
         raise ValueError("modulus must be >= 2")
-    found = _find_cycle(ModState(1 % n, 1 % n), lambda s: successors(s, n))
-    if found is None:
+    if n < 4:
         raise ValueError(f"no infinite loops exist mod {n}")
-    prefix, cycle = found
-    if len(set(cycle)) == 1:
-        lo, hi = Rational(0, 1), Rational(1, 1)
-        for letter in prefix:
-            m = Rational(lo.num + hi.num, lo.den + hi.den)
-            if letter == "L":
-                lo = m
-            else:
-                hi = m
-        value = hi if cycle[0] == "L" else lo
-        result = cf_from_rational(value)[0]
+    if n == 4:
+        result = CFExpansion(0, (2,), None, True)
     else:
-        result = _letters_to_expansion(prefix, cycle)
+        result = CFExpansion(0, (1, n - 3), (1, n - 4))
     verdict = is_infinite_loop(result, n)
     if not verdict.is_loop:
-        raise RuntimeError(f"extracted cycle mod {n} failed validation: {verdict.record()}")
+        raise RuntimeError(f"loop example mod {n} failed validation: {verdict.record()}")
     return result
 
 

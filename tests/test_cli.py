@@ -291,6 +291,11 @@ class TestCutseqPrefix:
         assert run.returncode == 0
         assert run.stdout.splitlines()[-1].startswith("walk: ")
 
+    def test_zero_has_no_ray(self, capsys):
+        code, out = run_cli("cutseq", "0")
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: the ray needs a positive endpoint\n"
+
     def test_nonpositive_surd_is_rejected(self, capsys):
         code, out = run_cli("cutseq", "(-5+sqrt(5))/2")
         assert (code, out) == (2, "")

@@ -127,6 +127,11 @@ class TestUpperBound:
             for k in (1, 2, 5):
                 assert mp_bounds(shift_cf(e, k), 2, 2)[0] == mp_bounds(e, 2, 2)[0]
 
+    @pytest.mark.parametrize("e", [cf_from_rational(Rational(3, 7))[0], CFExpansion(1, (), (2,))])
+    def test_negative_level_is_rejected(self, e):
+        with pytest.raises(ValueError, match=r"^L must be >= 0$"):
+            mp_bounds(e, 2, -1)
+
     def test_partial_lower_min_labelled_value(self):
         assert mp_bounds(GOLDEN_CONJ, 2, 1) == (Rational(1, 4), Rational(1, 6))
         assert mp_bounds(cf_from_rational(Rational(3, 7))[0], 2, 2) == (Rational(0), Rational(0))

@@ -1,10 +1,14 @@
 import itertools
 import math
+import os
 import random
+import subprocess
 import sys
+import time
 import tracemalloc
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -490,8 +494,76 @@ class TestLoopExample:
             loop_example(n)
 
     def test_examples_validated_range(self):
-        for n in range(4, 40):
+        for n in range(4, 20001):
             assert is_infinite_loop(loop_example(n), n).kind == LOOP
+
+    def test_family_matches_the_cycle_search_route(self):
+        for n in range(4, 400):
+            assert loop_example(n) == cycle_search_loop_example(n), n
+
+    def test_large_modulus_in_a_fresh_process(self):
+        # a fresh process, so that a slow route is killed at the timeout
+        # instead of running on in the test process
+        start = time.perf_counter()
+        run = subprocess.run(
+            [sys.executable, "-m", "fareyloops.cli", "loop-example", "--mod", "1000003"],
+            capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": str(Path(loops.__file__).parents[1])},
+        )
+        assert time.perf_counter() - start < 1
+        assert run.returncode == 0
+        assert run.stdout == "[0; 1, 1000000, (1, 999999)]\nverdict=LOOP\n"
+
+
+# the route loop_example took before it returned its closed-form family: a DFS
+# for a reachable cycle of the pruned graph, then the expansion of the letter
+# word R . prefix . cycle^oo; a single-letter cycle ends on a rational limit
+
+
+def _letters_to_expansion(prefix, cycle):
+    def letter_stream():
+        yield "R", None
+        for ltr in prefix:
+            yield ltr, None
+        while True:
+            for i, ltr in enumerate(cycle):
+                yield ltr, i
+
+    runs = []
+    stream = letter_stream()
+    cur_letter, cur_anchor = next(stream)
+    cur_count = 1
+    anchors_seen = {}
+    while True:
+        letter, anchor = next(stream)
+        if letter == cur_letter:
+            cur_count += 1
+            continue
+        runs.append((cur_letter, cur_count, cur_anchor))
+        if cur_anchor is not None:
+            key = (cur_anchor, cur_letter)
+            if key in anchors_seen:
+                s = anchors_seen[key]
+                t = len(runs) - 1
+                counts = [c for _, c, _ in runs]
+                return CFExpansion(0, tuple(counts[:s]), tuple(counts[s:t]))
+            anchors_seen[key] = len(runs) - 1
+        cur_letter, cur_anchor, cur_count = letter, anchor, 1
+
+
+def cycle_search_loop_example(n):
+    """The cycle search route's loop mod n, for n >= 4."""
+    prefix, cycle = _find_cycle(ModState(1 % n, 1 % n), lambda s: successors(s, n))
+    if len(set(cycle)) > 1:
+        return _letters_to_expansion(prefix, cycle)
+    lo, hi = Rational(0, 1), Rational(1, 1)
+    for letter in prefix:
+        m = Rational(lo.num + hi.num, lo.den + hi.den)
+        if letter == "L":
+            lo = m
+        else:
+            hi = m
+    return cf_from_rational(hi if cycle[0] == "L" else lo)[0]
 
 
 class TestWalk:
