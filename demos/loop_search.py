@@ -3,9 +3,10 @@
 
 A positive real is an infinite loop mod n when none of its semi-convergent
 denominators (tail progressions included) is divisible by n.  Loops exist for
-every n >= 4 and for no smaller modulus, which a cycle search over a pruned
-finite graph of denominator pairs decides; the examples come from a proven
-family, [0; 1, n-3, (1, n-4)] for n >= 5, and are validated exactly.
+every n >= 4, as the examples show: they come from a proven family,
+[0; 1, n-3, (1, n-4)] for n >= 5, and are validated exactly.  Mod 2 and 3
+there is none, which an exhausted cycle search over a pruned finite graph of
+denominator pairs proves.
 """
 
 from fareyloops import (

@@ -6,9 +6,11 @@ convention supplies the two final arithmetic progressions of denominators.
 The decision is exact for finite and periodic expansions; truncated digit
 streams can only ever refute, never confirm.
 
-Existence of loops mod n is decided on a finite state graph: a walk down the
-mediant tree only sees the pair of interval-endpoint denominators mod n, and
-a step is pruned exactly when it would create a denominator divisible by n.
+Loops exist mod every n >= 4, as the validated family of `loop_example`
+shows; mod 2 and 3 their absence is proved on a finite state graph: a walk
+down the mediant tree only sees the pair of interval-endpoint denominators
+mod n, and a step is pruned exactly when it would create a denominator
+divisible by n.
 """
 
 from __future__ import annotations
@@ -361,16 +363,21 @@ def loop_graph(n: int) -> dict[ModState, tuple[tuple[str, ModState], ...]]:
 
 
 def loop_exists(n: int) -> bool:
-    """True iff some cycle is reachable in the pruned graph.
+    """True iff some infinite loop mod n exists.
 
-    An infinite unpruned walk in a finite graph must revisit a state, and a
-    reachable cycle conversely extends to an infinite walk; eventually
-    constant letter words (rational limits, decided through their tail
-    progressions) appear as single-letter cycles and are covered by the same
-    pruning rule.
+    For n >= 4 the loop of `loop_example`, which the exact decision has
+    validated, proves existence; a failed validation raises, never answers.
+    For n < 4 the cycle search over the pruned graph decides: an infinite
+    unpruned walk in a finite graph must revisit a state, and a reachable
+    cycle conversely extends to an infinite walk; eventually constant letter
+    words (rational limits, decided through their tail progressions) appear
+    as single-letter cycles and are covered by the same pruning rule.  So an
+    exhausted search proves absence.
     """
-    graph = loop_graph(n)
-    return _find_cycle(ModState(1 % n, 1 % n), graph.__getitem__) is not None
+    if n >= 4:
+        loop_example(n)  # raises RuntimeError if the validation fails
+        return True
+    return _find_cycle(ModState(1 % n, 1 % n), loop_graph(n).__getitem__) is not None
 
 
 def _find_cycle(

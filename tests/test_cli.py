@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from fareyloops import cli, contfrac, heights
+from fareyloops import cli, contfrac, heights, loops
 from fareyloops.cli import COMMAND_HANDLERS, VERIFY_CHECKS, build_parser, main, parse_value
 from fareyloops.contfrac import CFExpansion, cf_of_surd
 from fareyloops.cutting import crossed_edges, eta_inverse
@@ -130,6 +130,32 @@ class TestCommands:
         assert lines[0] == "[0; 2, oo]"
         assert lines[1] == "verdict=LOOP"
         assert lines[2] == "scale_check k=3 pass=1"
+
+    def test_loop_example_decides_its_loop_once(self, monkeypatch):
+        calls = []
+        decide = loops.is_infinite_loop
+
+        def counted(e, n, *rest):
+            calls.append((e, n))
+            return decide(e, n, *rest)
+
+        monkeypatch.setattr(loops, "is_infinite_loop", counted)
+        code, out = run_cli("loop-example", "--mod", "1000003")
+        assert (code, out) == (0, "[0; 1, 1000000, (1, 999999)]\nverdict=LOOP\n")
+        assert calls == [(CFExpansion(0, (1, 1000000), (1, 999999)), 1000003)]
+
+    def test_loop_exists_for_huge_moduli_in_a_fresh_process(self):
+        # a fresh process, so that a graph build of about 7e11 states is
+        # killed at the timeout instead of running on in the test process
+        start = time.perf_counter()
+        run = subprocess.run(
+            [sys.executable, "-m", "fareyloops.cli", "loop-exists", "--n-range", "1000000..1000002"],
+            capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        )
+        assert time.perf_counter() - start < 1
+        assert run.returncode == 0
+        assert run.stdout.splitlines() == [f"n={n} loop_exists=1" for n in range(1000000, 1000003)]
 
     def test_gamma_path_vertices_mod_two(self):
         code, out = run_cli("gamma-path", "--mod", "2", "--max-iter", "10")
@@ -319,6 +345,8 @@ class TestInputErrors:
         ("verify", "count-height", "--count", "1", "-L", "-2"),
         ("spectrum", "sqrt(2)", "-p", "2", "-L", "-1"),
         ("mp-bound", "sqrt(2)", "-p", "2", "-L", "-1"),
+        ("cf", "sqrt(2)", "--times", "\u00b2"),
+        ("mp-bound", "sqrt(2)", "-p", "2", "-L", "\u00b2"),
     ])
     def test_bad_scan_size_is_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -345,6 +373,12 @@ class TestInputErrors:
         code, out = run_cli(*argv)
         assert (code, out) == (2, "")
         assert capsys.readouterr().err == "error: range '5..3' is empty\n"
+
+    @pytest.mark.parametrize("text", ["2..3.5", "..5", "3.."])
+    def test_range_bound_that_is_not_an_integer(self, text, capsys):
+        code, out = run_cli("loop-exists", "--n-range", text)
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == f"error: range must look like a..b, got {text!r}\n"
 
 
 class TestVerify:

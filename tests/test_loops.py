@@ -453,7 +453,24 @@ class TestGraph:
             loop_exists(1)
 
     def test_existence_range(self):
-        assert [n for n in range(2, 101) if not loop_exists(n)] == [2, 3]
+        assert [n for n in range(2, 1001) if not loop_exists(n)] == [2, 3]
+
+    def test_existence_matches_the_cycle_search(self):
+        for n in range(2, 401):
+            found = _find_cycle(ModState(1 % n, 1 % n), lambda s: successors(s, n))
+            assert loop_exists(n) == (found is not None), n
+
+    def test_existence_builds_no_graph_from_four_on(self, monkeypatch):
+        def no_graph(n):
+            raise AssertionError(f"loop_graph({n}) built")
+
+        monkeypatch.setattr(loops, "loop_graph", no_graph)
+        assert all(loop_exists(n) for n in (4, 5, 6, 110, 10**6))
+
+    def test_failed_validation_is_never_an_answer(self, monkeypatch):
+        monkeypatch.setattr(loops, "is_infinite_loop", lambda e, n: LoopVerdict.not_loop(0, 1, Rational(1, n)))
+        with pytest.raises(RuntimeError, match="failed validation"):
+            loop_exists(7)
 
     def test_cycle_search_certificate(self):
         for n in range(2, 81):
