@@ -131,21 +131,20 @@ def cmd_cf(args, cfg: Config, out) -> int:
 
 def cmd_semiconv(args, cfg: Config, out) -> int:
     e = expansions_of(parse_value(args.value))[0]
-    if args.k is not None and args.m is not None:
+    if (args.k is None) != (args.m is None):
+        raise ValueError("--k and --m must be given together")
+    if args.k is not None:
         value = contfrac.semiconvergent(e, args.k, args.m)
         print(f"k={args.k} m={args.m} value={value}", file=out)
         return 0
     last = e.last_index if e.is_finite else (args.depth or cfg.depth or 8)
-    for k in range(last):
-        pivot = contfrac.convergent(e, k)
-        for m in range(e.entry(k + 1) + 1):
-            value = contfrac.semiconvergent(e, k, m)
-            if m >= 1:
-                # consecutive fan vertices differ by the pivot
-                step = rationals.farey_difference(
-                    value, contfrac.semiconvergent(e, k, m - 1)
-                )
-                assert step == pivot
+    for k, a, p_prev, q_prev, p, q in itertools.islice(contfrac.fans(e.digits()), 1, last + 1):
+        pivot = Rational(p, q)
+        for m in range(a + 1):
+            value = Rational(m * p + p_prev, m * q + q_prev)
+            # consecutive fan vertices differ by the pivot
+            assert m == 0 or rationals.farey_difference(value, previous) == pivot
+            previous = value
             print(f"k={k} m={m} value={value} pivot={pivot}", file=out)
     return 0
 

@@ -13,10 +13,11 @@ infinity) is active; height and loop decisions honour it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .rationals import INFINITY, Rational
 from .surds import QuadSurd, is_reduced
@@ -89,8 +90,11 @@ class CFExpansion:
             return self.period[(j - len(self.body)) % len(self.period)]
         raise IndexError(f"finite expansion has no entry a_{i}")
 
-    def entries(self, count: int) -> list[int]:
-        return [self.entry(i) for i in range(count)]
+    def digits(self) -> Iterator[int]:
+        """Partial quotients a_0, a_1, ...; endless for a periodic expansion."""
+        if self.period is None:
+            return iter((self.a0, *self.body))
+        return itertools.chain((self.a0,), self.body, itertools.cycle(self.period))
 
     def __str__(self):
         return format_cf(self)
@@ -216,19 +220,37 @@ def twin_of(e: CFExpansion) -> CFExpansion:
 # convergents and semi-convergents
 
 
+def fans(digits: Iterable[int]) -> Iterator[tuple[int, Optional[int], int, int, int, int]]:
+    """The convergent recurrence: (k, a_{k+1}, p_{k-1}, q_{k-1}, p_k, q_k) for k = -1, 0, 1, ...
+
+    Seeded with (p_{-2}, q_{-2}) = (0, 1) and (p_{-1}, q_{-1}) = (1, 0).  Fan k
+    holds the semi-convergents (m*p_k + p_{k-1}) / (m*q_k + q_{k-1}) for
+    0 <= m <= a_{k+1}; fan -1 is the leading-term fan m/1.  After the last
+    digit of a finite expansion one more fan comes with a_{k+1} = None: the
+    final fan, unbounded under the oo-tail convention.
+    """
+    p_prev, q_prev, p, q = 0, 1, 1, 0
+    k = -1
+    for a in digits:
+        yield k, a, p_prev, q_prev, p, q
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+        k += 1
+    yield k, None, p_prev, q_prev, p, q
+
+
+def _fan(e: CFExpansion, k: int) -> tuple[int, Optional[int], int, int, int, int]:
+    """Fan k >= -1 of e; IndexError past the final fan of a finite expansion."""
+    for fan in itertools.islice(fans(e.digits()), k + 1, None):
+        return fan
+    raise IndexError(f"finite expansion has no entry a_{e.last_index + 1}")
+
+
 def convergent_pair(e: CFExpansion, k: int) -> tuple[int, int]:
     """(p_k, q_k) by the seeded recurrence; k >= -1."""
     if k < -1:
         raise IndexError("convergent index must be >= -1")
-    p_prev, q_prev = 1, 0
-    if k == -1:
-        return p_prev, q_prev
-    p, q = e.a0, 1
-    for i in range(1, k + 1):
-        a = e.entry(i)
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
-    return p, q
+    return _fan(e, k)[4:]
 
 
 def convergent(e: CFExpansion, k: int) -> Rational:
@@ -243,18 +265,11 @@ def convergents(e: CFExpansion, upto: Optional[int] = None) -> list[Rational]:
         if not e.is_finite:
             raise ValueError("an infinite expansion needs an explicit bound")
         upto = e.last_index
-    out = [INFINITY]
-    if upto < 0:
-        return out
-    p_prev, q_prev = 1, 0
-    p, q = e.a0, 1
-    out.append(Rational(p, q))
-    for i in range(1, upto + 1):
-        a = e.entry(i)
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
-        out.append(Rational(p, q))
-    return out
+    upto = max(upto, -1)
+    if e.is_finite and upto > e.last_index:
+        raise IndexError(f"finite expansion has no entry a_{e.last_index + 1}")
+    tail = itertools.islice(fans(e.digits()), 1, upto + 2)
+    return [INFINITY] + [Rational(p, q) for _, _, _, _, p, q in tail]
 
 
 def cf_eval(e: CFExpansion, depth: Optional[int] = None) -> Rational:
@@ -284,15 +299,12 @@ def semiconvergent(e: CFExpansion, k: int, m: int) -> Rational:
         raise ValueError("m must be >= 0")
     if e.is_finite and k > e.last_index:
         raise IndexError(f"expansion has no fan at k={k}")
-    if e.is_finite and k == e.last_index:
+    _, bound, p_prev, q_prev, p, q = _fan(e, k)
+    if bound is None:
         if not e.inf_tail:
             raise IndexError("final fan requires the oo-tail convention")
-    else:
-        bound = e.entry(k + 1)
-        if m > bound:
-            raise ValueError(f"m={m} outside fan bound a_{k + 1}={bound}")
-    p_prev, q_prev = convergent_pair(e, k - 1)
-    p, q = convergent_pair(e, k)
+    elif m > bound:
+        raise ValueError(f"m={m} outside fan bound a_{k + 1}={bound}")
     return Rational(m * p + p_prev, m * q + q_prev)
 
 
@@ -326,12 +338,10 @@ def cf_value(e: CFExpansion) -> Value:
 
 
 def _surd_of_periodic(e: CFExpansion) -> QuadSurd:
-    # y = [p1; p2, ..., pk, y] = (a*y + b)/(c*y + d), the matrix product of
-    # [[p_i, 1], [1, 0]] taken left to right
-    a, b = 1, 0
-    c, d = 0, 1
-    for entry in e.period:
-        a, b, c, d = a * entry + b, a, c * entry + d, c
+    # y = [p1; p2, ..., pk, y] = (a*y + b)/(c*y + d) with a/c and b/d the
+    # last two convergents of [p1; p2, ..., pk], read off its final fan
+    for _, _, b, d, a, c in fans(e.period):
+        pass
     # y is the positive root of c*y^2 + (d - a)*y - b = 0.  The entries grow
     # like a power of the fundamental unit, so the common factor g is taken
     # out first; the root is then (P + sqrt(D))/Q with P = (a - d)/g,

@@ -9,6 +9,7 @@ not reported: a finite scan cannot certify an infimum from below.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -22,9 +23,9 @@ from .contfrac import (
     convergent_pair,
     convergents,
     euclid_entries,
+    fans,
     height,
     multiply_cf,
-    semiconvergent,
     twin_of,
 )
 from .cutting import crossed_edges, fan_chain, loop_verdict_geometric
@@ -358,14 +359,15 @@ def plant_pro2_case(rng: random.Random, n: int) -> tuple[CFExpansion, int]:
     denominators, then at least two more partial quotients keep the planted
     fan interior.
     """
+    if n < 2:
+        raise ValueError("modulus must be >= 2")
     while True:
         k = rng.randint(1, 3)
         prefix = [rng.randint(0, 3)] + [rng.randint(1, 6) for _ in range(k)]
-        q_prev, q = 0, 1
-        for a in prefix[1:]:
-            q_prev, q = q, a * q + q_prev
-        # after the prefix, q = q_k and q_prev = q_{k-1}; solve for the next
-        # entry so that the following denominator is divisible by n
+        # the final fan of the prefix has q = q_k and q_prev = q_{k-1}; solve
+        # for the next entry so that the following denominator is divisible by n
+        for _, _, _, q_prev, _, q in fans(prefix):
+            pass
         if math.gcd(q, n) != 1:
             continue
         residue = (-q_prev * pow(q, -1, n)) % n
@@ -495,16 +497,10 @@ def _semiconvergent_pool(e: CFExpansion, den_cap: int) -> set[Rational]:
     at most den_cap, tails included."""
     pool: set[Rational] = set()
     for cand in (e, twin_of(e)):
-        last = cand.last_index
-        for k in range(last):
-            for m in range(cand.entry(k + 1) + 1):
-                pool.add(semiconvergent(cand, k, m))
-        p_prev, q_prev = convergent_pair(cand, last - 1)
-        p, q = convergent_pair(cand, last)
-        m = 1
-        while m * q + q_prev <= den_cap:
-            pool.add(Rational(m * p + p_prev, m * q + q_prev))
-            m += 1
+        for _, a, p_prev, q_prev, p, q in itertools.islice(fans(cand.digits()), 1, None):
+            # the final fan runs from m = 1 while m*q + q_prev <= den_cap
+            run = range(a + 1) if a is not None else range(1, (den_cap - q_prev) // q + 1)
+            pool.update(Rational(m * p + p_prev, m * q + q_prev) for m in run)
     return pool
 
 
@@ -519,21 +515,18 @@ def run_dual_pushforward_scan(count: int, seed: int, n_max: int = 10, keep_recor
         e = random_finite_cf(rng, min_len=3, max_len=7, max_entry=8, a0_max=1)
         n = rng.randint(2, n_max)
         cases = []
-        for k in range(e.last_index):
-            _, q_k = convergent_pair(e, k)
-            for m in range(e.entry(k + 1) + 1):
-                sc = semiconvergent(e, k, m)
+        for k, a, p_prev, q_prev, p, q in itertools.islice(fans(e.digits()), 1, e.last_index + 1):
+            for m in range(a + 1):
+                sc = Rational(m * p + p_prev, m * q + q_prev)
                 if sc.den == 0:
                     continue  # the seed vertex q_{-1} = 0 is not a finite point
                 for n1 in range(1, n + 1):
-                    if n % n1 == 0 and q_k % n1 == 0 and sc.den % (n // n1) == 0:
-                        cases.append((k, m, n1))
+                    if n % n1 == 0 and q % n1 == 0 and sc.den % (n // n1) == 0:
+                        cases.append((k, m, n1, Rational(p, q), sc))
         if not cases:
             continue
-        k, m, n1 = cases[rng.randrange(len(cases))]
+        k, m, n1, conv, semi = cases[rng.randrange(len(cases))]
         found += 1
-        conv = Rational(*convergent_pair(e, k))
-        semi = semiconvergent(e, k, m)
         img_a = conv.scaled(n)
         img_b = semi.scaled(n)
         scaled = multiply_cf(CFExpansion(e.a0, e.body, None, False), n)

@@ -20,7 +20,7 @@ import math
 import sys
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
-from .contfrac import CFExpansion, semiconvergent, twin_entries
+from .contfrac import CFExpansion, fans, semiconvergent, twin_entries
 from .rationals import Rational
 from .surds import QuadSurd, is_reduced
 
@@ -173,21 +173,15 @@ def _finite_witness(entries: list[int], inf_tail: bool, n: int):
 
     Returns (k, m, p, q) or None.  Fan k draws denominators m*q_k + q_{k-1}
     for 0 <= m <= a_{k+1}; the oo-tail contributes the unbounded final fan.
-    The seed denominator q_{-1} = 0 (fan 0, m = 0) is excluded.
+    The seed denominator q_{-1} = 0 (fan 0, m = 0) is excluded, and so is the
+    leading-term fan, whose denominators are all 1.
     """
-    p_prev, q_prev = 1, 0
-    p, q = entries[0], 1
-    for idx in range(1, len(entries)):
-        a = entries[idx]
-        k = idx - 1
-        m = _fan_hit(q_prev, q, n, a, 1 if k == 0 else 0)
-        if m is not None:
-            return k, m, m * p + p_prev, m * q + q_prev
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
-    if inf_tail:
-        k = len(entries) - 1
-        m = _fan_hit(q_prev, q, n, None, 1)
+    steps = fans(entries)
+    next(steps)
+    for k, a, p_prev, q_prev, p, q in steps:
+        if a is None and not inf_tail:
+            return None
+        m = _fan_hit(q_prev, q, n, a, 1 if k == 0 or a is None else 0)
         if m is not None:
             return k, m, m * p + p_prev, m * q + q_prev
     return None
@@ -197,19 +191,18 @@ def _check_finite(e: CFExpansion, n: int) -> LoopVerdict:
     entries = [e.a0, *e.body]
     if entries == [0]:
         raise ValueError("loop decisions require a positive value")
-    candidates = [entries]
-    if e.inf_tail:
-        # the verdict is about the rational value, so examine both of its
-        # expansions with their tail progressions, Euclid's form first
-        candidates.append(twin_entries(entries))
-        if len(entries) >= 2 and entries[-1] == 1:
-            candidates.reverse()
-    for cand in candidates:
-        hit = _finite_witness(cand, e.inf_tail, n)
-        if hit is not None:
-            k, m, p, q = hit
-            return LoopVerdict.not_loop(k, m, Rational(p, q))
-    return LoopVerdict.loop()
+    # the verdict is about the rational value, so under the tail convention
+    # both of its expansions are examined with their tail progressions,
+    # Euclid's form (not ending in 1) first
+    if e.inf_tail and len(entries) >= 2 and entries[-1] == 1:
+        entries = twin_entries(entries)
+    hit = _finite_witness(entries, e.inf_tail, n)
+    if hit is None and e.inf_tail:
+        hit = _finite_witness(twin_entries(entries), True, n)
+    if hit is None:
+        return LoopVerdict.loop()
+    k, m, p, q = hit
+    return LoopVerdict.not_loop(k, m, Rational(p, q))
 
 
 def _scan_cycle(
@@ -461,28 +454,22 @@ def _raw_walk(e: CFExpansion) -> Iterator[tuple[int, int, tuple[int, int], tuple
 
     Yields (k, m, lo, hi) after every step, where the step created the
     semi-convergent {k, m} as the new interval endpoint; the leading-term fan
-    is tagged k = -1.  Endpoints are (num, den) pairs.  The oo-tail of a
-    finite expansion is one endless final run; without it the walk ends on
-    the value.
+    is tagged k = -1.  Endpoints are (num, den) pairs: through fan k the walk
+    keeps the pivot p_k/q_k and moves the other endpoint, the lower one for
+    odd k.  The oo-tail of a finite expansion is one endless final run;
+    without it the walk ends on the value.
     """
-    lo, hi = (0, 1), (1, 0)
-    i = 0
-    while True:
-        try:
-            run = range(1, e.entry(i) + 1)
-        except IndexError:
+    for k, a, p_prev, q_prev, p, q in fans(e.digits()):
+        if a is None:
             if not e.inf_tail:
                 return
             run = itertools.count(1)
-        left = i % 2 == 0
+        else:
+            run = range(1, a + 1)
+        pivot = p, q
         for m in run:
-            mid = (lo[0] + hi[0], lo[1] + hi[1])
-            if left:
-                lo = mid
-            else:
-                hi = mid
-            yield i - 1, m, lo, hi
-        i += 1
+            mid = m * p + p_prev, m * q + q_prev
+            yield (k, m, mid, pivot) if k % 2 else (k, m, pivot, mid)
 
 
 def sb_walk(e: CFExpansion, n: int, depth: int) -> list[tuple[str, int]]:

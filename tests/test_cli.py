@@ -157,6 +157,23 @@ class TestCommands:
         assert run.returncode == 0
         assert run.stdout.splitlines() == [f"n={n} loop_exists=1" for n in range(1000000, 1000003)]
 
+    def test_semiconv_reads_each_fan_once_in_a_fresh_process(self):
+        # a fresh process, so that a table rebuilt from scratch at every
+        # vertex (O(k^2) convergent steps) is killed at the timeout
+        value = "[0; " + ", ".join(["1"] * 3000 + ["2"]) + "]"
+        start = time.perf_counter()
+        run = subprocess.run(
+            [sys.executable, "-m", "fareyloops.cli", "semiconv", value],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        )
+        assert time.perf_counter() - start < 2
+        assert run.returncode == 0
+        lines = run.stdout.splitlines()
+        assert len(lines) == 2 * 3000 + 3
+        assert lines[0] == "k=0 m=0 value=1/0 pivot=0/1"
+        assert lines[-1].startswith("k=3000 m=2 value=")
+
     def test_gamma_path_vertices_mod_two(self):
         code, out = run_cli("gamma-path", "--mod", "2", "--max-iter", "10")
         assert out.splitlines() == [
@@ -364,6 +381,23 @@ class TestInputErrors:
         code, out = run_cli("cutseq", "3/7", "--mod", "1")
         assert (code, out) == (2, "")
         assert capsys.readouterr().err == "error: modulus must be >= 2, got 1\n"
+
+    @pytest.mark.parametrize("flag", [("--k", "1"), ("--m", "1"), ("--k", "-1")])
+    def test_semiconv_needs_both_k_and_m(self, flag, capsys):
+        code, out = run_cli("semiconv", "3/7", *flag)
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: --k and --m must be given together\n"
+
+    @pytest.mark.parametrize("n_range", ["-3..-2", "0..2", "1..1"])
+    def test_pro2_rejects_moduli_below_two(self, n_range):
+        # a fresh process, so that planting against n < 0, which never ends,
+        # is killed at the timeout instead of running on in the test process
+        run = subprocess.run(
+            [sys.executable, "-m", "fareyloops.cli", "verify", "pro2", f"--n-range={n_range}", "--count", "2"],
+            capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (2, "", "error: modulus must be >= 2\n")
 
     @pytest.mark.parametrize("argv", [
         ("loop-exists", "--n-range", "5..3"),

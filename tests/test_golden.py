@@ -9,7 +9,9 @@ recorded before the graph cycle searches and the mediant walks were each
 merged into one.  The `loopcheck periodic` and `loopcheck rational
 geometric` digests were recorded before the periodic, surd and stream
 deciders were merged into one state-cycle scan and the finite and periodic
-edge scans of the geometric route into one.  A mismatch means some printed
+edge scans of the geometric route into one.  The `semiconv` digest was
+recorded before every convergent, semi-convergent and mediant step was read
+off the single recurrence `contfrac.fans`.  A mismatch means some printed
 verdict, witness, expansion or record changed.
 """
 
@@ -91,6 +93,12 @@ CASES = {
     ],
     "cutseq tail": [("cutseq", v, "--mod", str(n)) for v in _TAIL_VALUES for n in (3, 4, 5)]
     + [("cutseq", v, "--mod", "7", "--depth", "30") for v in _TAIL_VALUES],
+    "semiconv": [("semiconv", v) for v in ("3/7", "13/21", "[0; 2, 2, 1, oo]", "[1; 2, (3)]")]
+    + [
+        ("semiconv", "sqrt(2)", "--depth", "6"),
+        ("semiconv", "3/7", "--k", "2", "--m", "5"),
+        ("semiconv", "[1; 2, (3)]", "--k", "4", "--m", "2"),
+    ],
     "loop-exists": [("loop-exists", "--n-range", "2..60")],
     "loop-example": [("loop-example", "--mod", str(n), "--scale-check", "3") for n in range(4, 41)],
     "gamma-path": [
@@ -111,6 +119,7 @@ GOLDEN = {
     "loopcheck periodic": "6698382466cfac9f618d1bd5e656224808741237aa312ed8bbc2baaafb766164",
     "loopcheck rational geometric": "b552a14e57c85203d2623596873df24ae5f37854c7a21e8c9b4d9fdec832aa0d",
     "mp-bound": "653b9160d8437e91d44b609e3c5683319b2cedfdb53f40413db6add8b619c68a",
+    "semiconv": "01a8eadd99a429575aaaa07fe02396292337c8dcefb06514156b1d37c9bc037c",
     "spectrum": "98280d9912c067d4dad313f9cdc847c987c225f01cbe3a43077049414b33330d",
     "verify count-height": "6a0f72aeb5dbf2987fed62d8cf4be4bc271c5311221d44ac626b53633b29b897",
     "verify defs-equivalence": "787626e6ed83056f5ad6da491466ba33844095e39df7deb180e2e2e041872c15",

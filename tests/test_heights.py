@@ -386,6 +386,12 @@ class TestPro2:
         rep = run_pro2_scan(range(2, 8), 120, seed=3)
         assert rep.passed and rep.skipped == 0
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_planting_needs_a_modulus_of_two_or_more(self, n):
+        # n < 0 is left to the CLI test, which runs it under a timeout
+        with pytest.raises(ValueError, match="modulus must be >= 2"):
+            plant_pro2_case(random.Random(0), n)
+
 
 class TestCountHeight:
     def test_bound_arithmetic(self):
