@@ -137,7 +137,10 @@ def cmd_semiconv(args, cfg: Config, out) -> int:
         value = contfrac.semiconvergent(e, args.k, args.m)
         print(f"k={args.k} m={args.m} value={value}", file=out)
         return 0
-    last = e.last_index if e.is_finite else (args.depth or cfg.depth or 8)
+    depth = args.depth or cfg.depth
+    if e.is_finite and e.last_index == 0:
+        raise ValueError(f"{args.value} has no interior fan to list; name a vertex with --k and --m")
+    last = min(e.last_index, depth or e.last_index) if e.is_finite else (depth or 8)
     for k, a, p_prev, q_prev, p, q in itertools.islice(contfrac.fans(e.digits()), 1, last + 1):
         pivot = Rational(p, q)
         for m in range(a + 1):
@@ -238,8 +241,11 @@ def cmd_cutseq(args, cfg: Config, out) -> int:
     walk = loops.sb_walk(e, args.mod, depth or 12) if args.mod else None
     # the edges too, so that a value with no ray (0) prints nothing
     edges = cutting.crossed_edges(e, depth if e.is_finite else (depth or 12))
-    word_depth = None if e.is_finite else (depth or 12)
-    print(f"word: {cutting.eta_inverse(e, word_depth)}", file=out)
+    word_depth = e.last_index if e.is_finite else (depth or 12)
+    word = cutting.eta_inverse(e, word_depth)
+    # the word reads back the partial quotients it was built from
+    assert list(cutting.eta(word).digits()) == list(itertools.islice(e.digits(), word_depth + 1))
+    print(f"word: {word}", file=out)
     for edge in edges:
         assert edge.is_base or cutting.crosses_edge(value, edge)
         print(str(edge), file=out)

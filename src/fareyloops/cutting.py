@@ -158,8 +158,8 @@ def loop_verdict_geometric(e: CFExpansion, n: int, depth: Optional[int] = None) 
     vertices and the base edge itself are exempt by definition.  The
     terminal fans of a rational come from the walk's last interval: its last
     step lands on the value, and the endpoint it kept and the one it
-    replaced are the value's two Farey parents, which seed the oo-tail
-    progressions of its two expansions.
+    replaced are the value's two Farey parents, one of which seeds the oo-tail
+    progression of Euclid's expansion, the only one that can hold a witness.
     """
     if n < 2:
         raise ValueError("modulus must be >= 2")
@@ -186,14 +186,10 @@ def loop_verdict_geometric(e: CFExpansion, n: int, depth: Optional[int] = None) 
     if q % n == 0:
         return LoopVerdict.not_loop(k, m, Rational(p, q))
     if e.inf_tail:
-        replaced = (p - kept[0], q - kept[1])
-        # the fan of Euclid's expansion (not ending in 1) comes first
-        if e.body[-1] == 1:
-            fans = ((k, replaced), (k + 1, kept))
-        else:
-            fans = ((k + 1, kept), (k + 2, replaced))
-        for label, (p_prev, q_prev) in fans:
-            m = _fan_hit(q_prev, q, n, None, 1)
-            if m is not None:
-                return LoopVerdict.not_loop(label, m, Rational(m * p + p_prev, m * q + q_prev))
+        # only Euclid's tail can hit (see `loops._check_finite`); a final 1
+        # marks the twin, and Euclid's other parent is then the replaced one
+        label, (p_prev, q_prev) = (k, (p - kept[0], q - kept[1])) if e.body[-1] == 1 else (k + 1, kept)
+        m = _fan_hit(q_prev, q, n, None, 1)
+        if m is not None:
+            return LoopVerdict.not_loop(label, m, Rational(m * p + p_prev, m * q + q_prev))
     return LoopVerdict.loop()

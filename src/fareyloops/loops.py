@@ -2,9 +2,9 @@
 
 A positive real is an infinite loop mod n when no semi-convergent denominator
 (the seed q_{-1} = 0 excepted) is divisible by n; for rationals the oo-tail
-convention supplies the two final arithmetic progressions of denominators.
-The decision is exact for finite and periodic expansions; truncated digit
-streams can only ever refute, never confirm.
+convention adds the final progression of Euclid's expansion.  One fan scan,
+`_scan_cycle`, decides every kind of input: exactly for finite and periodic
+expansions, while truncated digit streams can only refute, never confirm.
 
 Loops exist mod every n >= 4, as the validated family of `loop_example`
 shows; mod 2 and 3 their absence is proved on a finite state graph: a walk
@@ -20,7 +20,7 @@ import math
 import sys
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
-from .contfrac import CFExpansion, fans, semiconvergent, twin_entries
+from .contfrac import CFExpansion, fans, semiconvergent, twin_of
 from .rationals import Rational
 from .surds import QuadSurd, is_reduced
 
@@ -60,8 +60,8 @@ class LoopVerdict:
     modulus divides.  It is built on the first read of `.witness`: p and q
     have O(k) digits, so building them costs O(k^2) bit work that a caller
     reading only `.kind` never needs.  The state-cycle scan hands over the
-    periodic expansion or the digits a_0, ..., a_{k+1} it read; the other
-    routes pass a ready Rational.  Equality also compares the witnesses, so
+    finite or periodic expansion or the digits a_0, ..., a_{k+1} it read; the
+    edge route passes a ready Rational.  Equality also compares the witnesses, so
     equal verdicts always name the same p/q.
     """
 
@@ -168,47 +168,30 @@ def _fan_hit(u: int, v: int, n: int, bound: Optional[int], min_m: int) -> Option
     return m0
 
 
-def _finite_witness(entries: list[int], inf_tail: bool, n: int):
-    """First divisible semi-convergent denominator of one finite expansion.
-
-    Returns (k, m, p, q) or None.  Fan k draws denominators m*q_k + q_{k-1}
-    for 0 <= m <= a_{k+1}; the oo-tail contributes the unbounded final fan.
-    The seed denominator q_{-1} = 0 (fan 0, m = 0) is excluded, and so is the
-    leading-term fan, whose denominators are all 1.
-    """
-    steps = fans(entries)
-    next(steps)
-    for k, a, p_prev, q_prev, p, q in steps:
-        if a is None and not inf_tail:
-            return None
-        m = _fan_hit(q_prev, q, n, a, 1 if k == 0 or a is None else 0)
-        if m is not None:
-            return k, m, m * p + p_prev, m * q + q_prev
-    return None
-
-
 def _check_finite(e: CFExpansion, n: int) -> LoopVerdict:
-    entries = [e.a0, *e.body]
-    if entries == [0]:
+    """The fan scan on a finite expansion, its oo-tail fed as a fan over n.
+
+    The m with u + m*v = 0 (mod n) form one class mod n/gcd(v, n), so the
+    least one past min_m is at most n; steps that run out have scanned every
+    fan: LOOP.  Under the tail convention Euclid's form [a_0; ..., a_L] (not
+    ending in 1) decides the value alone.  Through its fan L the twin
+    [a_0; ..., a_L - 1, 1] draws only Euclid's denominators, and its tail
+    m*q_L + (q_L - q_{L-1}) is 0 mod n only if q_L (coprime to q_{L-1}) is a
+    unit mod n, and then so is Euclid's tail m'*q_L + q_{L-1} for some m'.
+    """
+    if e.a0 == 0 and not e.body:
         raise ValueError("loop decisions require a positive value")
-    # the verdict is about the rational value, so under the tail convention
-    # both of its expansions are examined with their tail progressions,
-    # Euclid's form (not ending in 1) first
-    if e.inf_tail and len(entries) >= 2 and entries[-1] == 1:
-        entries = twin_entries(entries)
-    hit = _finite_witness(entries, e.inf_tail, n)
-    if hit is None and e.inf_tail:
-        hit = _finite_witness(twin_entries(entries), True, n)
-    if hit is None:
-        return LoopVerdict.loop()
-    k, m, p, q = hit
-    return LoopVerdict.not_loop(k, m, Rational(p, q))
+    if e.inf_tail and e.body and e.body[-1] == 1:
+        e = twin_of(e)
+    steps = zip(e.body + ((n,) if e.inf_tail else ()), itertools.repeat(False))
+    verdict = _scan_cycle(steps, n, e)
+    return LoopVerdict.loop() if verdict.kind == UNKNOWN else verdict
 
 
 def _scan_cycle(
     steps: Iterable[tuple[int, bool]], n: int, prefix: Union[CFExpansion, list[int]]
 ) -> LoopVerdict:
-    """The state-cycle scan behind the periodic, surd and stream decisions.
+    """The state-cycle scan behind every loop decision.
 
     Step k gives a_{k+1}, which closes fan k at (u, v) = (q_{k-1}, q_k) mod n,
     and whether fan k starts a period.  The pair at the first period start is
@@ -282,11 +265,11 @@ def is_infinite_loop(
 ) -> LoopVerdict:
     """Decide whether the value of e is an infinite loop mod n.
 
-    Exact for finite expansions (both twin expansions and their oo-tails are
-    consulted when the tail convention is active), for periodic expansions
-    and for QuadSurd values.  A bare iterable of partial quotients is treated
-    as a truncated digit stream and checked up to depth_limit (default
-    10000, at least 1), returning UNKNOWN when no witness surfaces.
+    Exact for finite expansions (under the tail convention through Euclid's
+    expansion and its oo-tail, which cover the twin's), for periodic
+    expansions and for QuadSurd values.  A bare iterable of partial quotients
+    is treated as a truncated digit stream and checked up to depth_limit
+    (default 10000, at least 1), returning UNKNOWN when no witness surfaces.
     """
     if n < 2:
         raise ValueError("modulus must be >= 2")

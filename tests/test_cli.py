@@ -89,6 +89,8 @@ class TestCommands:
     def test_loopcheck_half_mod_four(self):
         code, out = run_cli("loopcheck", "1/2", "--mod", "4")
         assert code == 0 and out.strip() == "LOOP"
+        # an integer's only fan is its oo-tail m/1, whose first hit is m = n
+        assert run_cli("loopcheck", "7", "--mod", "6") == (0, "NOTLOOP k=0 m=6 q=6\n")
 
     def test_loopcheck_half_mod_five(self):
         code, out = run_cli("loopcheck", "1/2", "--mod", "5", "--geometric")
@@ -173,6 +175,15 @@ class TestCommands:
         assert len(lines) == 2 * 3000 + 3
         assert lines[0] == "k=0 m=0 value=1/0 pivot=0/1"
         assert lines[-1].startswith("k=3000 m=2 value=")
+
+    def test_semiconv_depth_caps_a_finite_table(self, tmp_path):
+        full = run_cli("semiconv", "3/7")[1].splitlines()
+        assert [line.split()[0] for line in full] == ["k=0"] * 3 + ["k=1"] * 4
+        for depth, count in ((1, 3), (2, 7), (3, 7)):
+            assert run_cli("semiconv", "3/7", "--depth", str(depth))[1].splitlines() == full[:count]
+        cfg = tmp_path / "depth.cfg"
+        cfg.write_text("depth = 1\n")
+        assert run_cli("--config", str(cfg), "semiconv", "3/7")[1].splitlines() == full[:3]
 
     def test_gamma_path_vertices_mod_two(self):
         code, out = run_cli("gamma-path", "--mod", "2", "--max-iter", "10")
@@ -388,6 +399,14 @@ class TestInputErrors:
         assert (code, out) == (2, "")
         assert capsys.readouterr().err == "error: --k and --m must be given together\n"
 
+    @pytest.mark.parametrize("value", ["5", "0", "[3]"])
+    def test_semiconv_of_an_integer_points_to_k_and_m(self, value, capsys):
+        code, out = run_cli("semiconv", value)
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            f"error: {value} has no interior fan to list; name a vertex with --k and --m\n"
+        )
+
     @pytest.mark.parametrize("n_range", ["-3..-2", "0..2", "1..1"])
     def test_pro2_rejects_moduli_below_two(self, n_range):
         # a fresh process, so that planting against n < 0, which never ends,
@@ -544,7 +563,7 @@ class TestSharedParser:
 # modules of the package and the public functions no subcommand calls
 LAYERS = ("rationals", "surds", "contfrac", "loops", "cutting", "gamma_paths", "heights",
           "sampling", "cli")
-NOT_ON_CLI = {"cutting.eta", "rationals.is_dual_neighbor"}
+NOT_ON_CLI = {"rationals.is_dual_neighbor"}
 
 
 def executed_code(argvs):

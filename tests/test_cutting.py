@@ -13,6 +13,7 @@ from fareyloops.contfrac import (
     cf_value,
     convergent_pair,
     convergents,
+    fans,
     multiply_cf,
     semiconvergent,
     twin_of,
@@ -31,7 +32,6 @@ from fareyloops.loops import (
     NOTLOOP,
     LoopVerdict,
     _fan_hit,
-    _finite_witness,
     _raw_walk,
     is_infinite_loop,
 )
@@ -255,10 +255,22 @@ def _reference_geometric(e: CFExpansion, n: int) -> LoopVerdict:
     return LoopVerdict.loop()
 
 
+def _reference_witness(entries: list[int], n: int):
+    """First divisible semi-convergent denominator (k, m, p, q) of one finite
+    expansion with the oo-tail, read off `fans`; None if there is none."""
+    steps = fans(entries)
+    next(steps)
+    for k, a, p_prev, q_prev, p, q in steps:
+        m = _fan_hit(q_prev, q, n, a, 1 if k == 0 or a is None else 0)
+        if m is not None:
+            return k, m, m * p + p_prev, m * q + q_prev
+    return None
+
+
 def _reference_finite(e: CFExpansion, n: int) -> LoopVerdict:
     """The denominator route on a finite expansion with the oo-tail."""
     for cand in cf_from_rational(cf_eval(e)):
-        hit = _finite_witness([cand.a0, *cand.body], True, n)
+        hit = _reference_witness([cand.a0, *cand.body], n)
         if hit is not None:
             k, m, p, q = hit
             return LoopVerdict.not_loop(k, m, Rational(p, q))

@@ -4,7 +4,9 @@ Each route that now reads its convergents, semi-convergents or mediant steps
 off `fans` is compared with an in-test copy of the hand-written recurrence it
 used before, on seeded finite expansions (leading term 0..3, both twins, with
 and without the oo-tail) and on seeded periodic ones.  Errors are compared by
-type and message.
+type and message.  The finite loop decision, which now runs the state-cycle
+scan and no longer reads `fans`, is compared with an in-test copy of the
+fan-based route it replaced, twin rescan included.
 """
 
 import itertools
@@ -18,10 +20,11 @@ from fareyloops.contfrac import (
     convergents,
     fans,
     semiconvergent,
+    twin_entries,
     twin_of,
 )
 from fareyloops.heights import _semiconvergent_pool
-from fareyloops.loops import _fan_hit, _finite_witness, _raw_walk
+from fareyloops.loops import LoopVerdict, _fan_hit, _raw_walk, is_infinite_loop
 from fareyloops.rationals import INFINITY, Rational
 from fareyloops.sampling import random_periodic_cf
 from fareyloops.surds import QuadSurd
@@ -83,22 +86,32 @@ def old_semiconvergent(e, k, m):
 
 
 def old_finite_witness(entries, inf_tail, n):
-    p_prev, q_prev = 1, 0
-    p, q = entries[0], 1
-    for idx in range(1, len(entries)):
-        a = entries[idx]
-        k = idx - 1
-        m = _fan_hit(q_prev, q, n, a, 1 if k == 0 else 0)
-        if m is not None:
-            return k, m, m * p + p_prev, m * q + q_prev
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
-    if inf_tail:
-        k = len(entries) - 1
-        m = _fan_hit(q_prev, q, n, None, 1)
+    steps = fans(entries)
+    next(steps)
+    for k, a, p_prev, q_prev, p, q in steps:
+        if a is None and not inf_tail:
+            return None
+        m = _fan_hit(q_prev, q, n, a, 1 if k == 0 or a is None else 0)
         if m is not None:
             return k, m, m * p + p_prev, m * q + q_prev
     return None
+
+
+def old_check_finite(e, n):
+    """The finite loop decision on `fans`: Euclid's form, then the twin rescan."""
+    entries = [e.a0, *e.body]
+    if entries == [0]:
+        raise ValueError("loop decisions require a positive value")
+    if e.inf_tail and len(entries) >= 2 and entries[-1] == 1:
+        entries = twin_entries(entries)
+    hit = old_finite_witness(entries, e.inf_tail, n)
+    if hit is None and e.inf_tail:
+        twin_hit = old_finite_witness(twin_entries(entries), True, n)
+        assert twin_hit is None, ("the twin hit where Euclid's form missed", e, n)
+    if hit is None:
+        return LoopVerdict.loop()
+    k, m, p, q = hit
+    return LoopVerdict.not_loop(k, m, Rational(p, q))
 
 
 def old_raw_walk(e):
@@ -240,13 +253,20 @@ class TestAgainstReplacedLoops:
                 for m in range(-1, e.entry(k + 1) + 2):
                     assert outcome(semiconvergent, e, k, m) == outcome(old_semiconvergent, e, k, m), (e, k, m)
 
-    def test_finite_witness(self):
+    def test_finite_decision(self):
+        # FINITE holds both twins with and without the oo-tail; [0] raises on both routes
+        notloops = loops = 0
         for e in FINITE:
-            entries = [e.a0, *e.body]
-            for inf_tail in (False, True):
-                for n in range(2, 13):
-                    got = _finite_witness(entries, inf_tail, n)
-                    assert got == old_finite_witness(entries, inf_tail, n), (entries, inf_tail, n)
+            for n in (*range(2, 13), 30, 210, 1001):
+                ours, old = outcome(is_infinite_loop, e, n), outcome(old_check_finite, e, n)
+                if isinstance(old, tuple):
+                    assert ours == old, (e, n)
+                    continue
+                key = (ours.kind, ours.witness_k, ours.witness_m, ours.witness, ours.record())
+                assert key == (old.kind, old.witness_k, old.witness_m, old.witness, old.record()), (e, n)
+                notloops += not ours.is_loop
+                loops += ours.is_loop
+        assert notloops > 1000 and loops > 1000
 
     def test_raw_walk_first_200_steps(self):
         for e in FINITE + PERIODIC:

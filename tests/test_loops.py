@@ -98,6 +98,11 @@ class TestVerdictRecord:
         assert q % 19683 == 0 and _decimal_digits(q) == 5629
 
 
+def _rational_expansions() -> list[tuple[CFExpansion, CFExpansion]]:
+    """(Euclid's form, twin) with the oo-tail for every reduced p/q < 3, q < 40."""
+    return [cf_from_rational(Rational(p, q)) for q in range(2, 40) for p in range(1, 3 * q) if math.gcd(p, q) == 1]
+
+
 def _seeded_population(seed: int, count: int) -> list[CFExpansion]:
     rng = random.Random(seed)
     return [random_periodic_cf(rng) for _ in range(count)]
@@ -145,6 +150,36 @@ class TestLazyWitness:
                     assert v.witness == eager
                 assert surd == exact == stream
         assert notloops > 300
+
+    def test_rational_kind_builds_no_rational(self, monkeypatch):
+        cases = [e for pair in _rational_expansions() for e in pair]
+        built = []
+        init = Rational.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Rational, "__init__", counted)
+        notloops = 0
+        for e in cases:
+            for n in (2, 3, 5, 6, 12):
+                notloops += is_infinite_loop(e, n).kind == NOTLOOP
+        assert notloops > 1000
+        assert built == []
+
+    def test_rational_witness_is_euclids_semiconvergent(self):
+        notloops = 0
+        for euclid, twin in _rational_expansions():
+            for n in (2, 3, 4, 5, 7, 12, 30):
+                v = is_infinite_loop(twin, n)
+                assert v == is_infinite_loop(euclid, n)
+                if v.kind != NOTLOOP:
+                    continue
+                notloops += 1
+                assert v.witness == semiconvergent(euclid, v.witness_k, v.witness_m)
+                assert v.witness.den % n == 0
+        assert notloops > 1000
 
     def test_equal_verdicts_name_the_same_witness(self):
         # the golden ratio and its conjugate share denominators, so their
