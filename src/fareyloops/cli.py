@@ -190,24 +190,17 @@ def cmd_loop_example(args, cfg: Config, out) -> int:
     return 0
 
 
-def _format_vertex_round(i: int, verts) -> str:
-    return f"V_{i} = {{" + ",".join(str(v) for v in verts) + "}"
-
-
-def _format_denom_round(i: int, seq) -> str:
-    return f"D_{i} = {{" + ",".join(str(d) for d in seq) + "}"
-
-
 def cmd_gamma_path(args, cfg: Config, out) -> int:
     n = args.mod
     if args.denoms:
         run = gamma_paths.d_algorithm(n, args.max_iter)
-        for i, seq in enumerate(run.rounds):
-            print(_format_denom_round(i, seq), file=out)
+        names = [str(d) for d in range(n)]
+        label, rows = "D", (map(names.__getitem__, seq) for seq in run.rounds)
     else:
         run = gamma_paths.v_algorithm(n, args.max_iter)
-        for i, verts in enumerate(run.rounds):
-            print(_format_vertex_round(i, verts), file=out)
+        label, rows = "V", (map(str, verts) for verts in run.rounds)
+    for i, row in enumerate(rows):
+        print(f"{label}_{i} = {{" + ",".join(row) + "}", file=out)
     if run.terminated:
         print(f"terminated after {run.rounds_run} rounds", file=out)
     else:

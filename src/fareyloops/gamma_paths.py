@@ -3,10 +3,11 @@
 Two mirror algorithms: the vertex form inserts Farey mediants between
 consecutive vertices that are not level-n neighbours; the denominator form
 runs the same recursion on denominators reduced mod n, where a consecutive
-pair is resolved exactly when one member vanishes.  Sequence lengths grow
-geometrically, so whether the process terminates within a given number of
-rounds is decided on the finite set of unresolved residue pairs, and the
-actual rounds are materialised only up to a size guard.
+pair is resolved exactly when one member vanishes.  Whether the process
+terminates within a given number of rounds is read off ``nonterminating(n)``
+where that holds; otherwise it is decided on the finite set of unresolved
+residue pairs.  Sequence lengths grow geometrically, so the actual rounds are
+materialised only up to a size guard.
 """
 
 from __future__ import annotations
@@ -37,25 +38,50 @@ class MediantRun:
         return self.rounds[-1]
 
 
-def _unresolved_rounds(n: int, max_iter: int) -> Optional[int]:
-    """Round at which no unresolved residue pair remains, or None within max_iter.
+def _children(u: int, v: int, n: int) -> tuple[tuple[int, int], ...]:
+    """Unresolved pairs an unresolved denominator pair (u, v) mod n spawns.
 
-    Tracks the set of unresolved consecutive denominator pairs mod n; a pair
-    (u, v) with u + v = 0 mod n resolves both its children, any other pair
-    spawns (u, u+v) and (u+v, v).
+    The inserted u + v splits (u, v) into (u, u+v) and (u+v, v); when u + v
+    vanishes mod n both halves are resolved and nothing is spawned.
     """
-    pairs = {(1 % n, 1 % n)}
+    w = (u + v) % n
+    return ((u, w), (w, v)) if w else ()
+
+
+def _unresolved_rounds(n: int, max_iter: int) -> Optional[int]:
+    """Round at which no unresolved residue pair remains, or None within max_iter."""
+    pairs = {(1, 1)}
     for i in range(1, max_iter + 1):
-        nxt = set()
-        for u, v in pairs:
-            w = (u + v) % n
-            if w:
-                nxt.add((u, w))
-                nxt.add((w, v))
-        if not nxt:
+        pairs = {child for u, v in pairs for child in _children(u, v, n)}
+        if not pairs:
             return i
-        pairs = nxt
     return None
+
+
+def _verdict(n: int, max_iter: int) -> tuple[bool, int]:
+    """(terminated, rounds_run) of the insertion process at level n.
+
+    Round 1 holds the pair (1, 2), so when ``nonterminating(n)`` shows that
+    pair regenerating, every round keeps an unresolved pair and the run
+    cannot end; only otherwise are the unresolved pairs tracked.
+    """
+    if n < 2:
+        raise ValueError("modulus must be >= 2")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    stop = None if nonterminating(n) else _unresolved_rounds(n, max_iter)
+    return stop is not None, stop or max_iter
+
+
+def _rounds(seq: list, step, rounds_run: int, materialize_limit: int) -> tuple:
+    """Rounds seq, step(seq), ... up to rounds_run, stopping at the size guard."""
+    rounds = [tuple(seq)]
+    for _ in range(rounds_run):
+        if 2 * len(seq) > materialize_limit:
+            break
+        seq = step(seq)
+        rounds.append(tuple(seq))
+    return tuple(rounds)
 
 
 def v_algorithm(
@@ -66,30 +92,21 @@ def v_algorithm(
     Each round inserts the mediant between every consecutive pair that is not
     a level-n neighbour; the run terminates when all pairs are neighbours.
     """
-    if n < 2:
-        raise ValueError("modulus must be >= 2")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    stop = _unresolved_rounds(n, max_iter)
-    terminated = stop is not None
-    rounds_run = stop if terminated else max_iter
+    terminated, rounds_run = _verdict(n, max_iter)
 
-    verts = [Rational(0, 1), Rational(1, 1)]
-    rounds = [tuple(verts)]
-    for _ in range(rounds_run):
-        if 2 * len(verts) > materialize_limit:
-            break
+    def step(verts):
         nxt = [verts[0]]
         for a, b in zip(verts, verts[1:]):
             if not is_gamma0_neighbor(a, b, n):
                 nxt.append(farey_mediant(a, b))
             nxt.append(b)
-        verts = nxt
-        rounds.append(tuple(verts))
+        return nxt
+
+    rounds = _rounds([Rational(0, 1), Rational(1, 1)], step, rounds_run, materialize_limit)
     if terminated and len(rounds) == rounds_run + 1:
         final = rounds[-1]
         assert all(is_gamma0_neighbor(a, b, n) for a, b in zip(final, final[1:]))
-    return MediantRun(terminated, rounds_run, tuple(rounds))
+    return MediantRun(terminated, rounds_run, rounds)
 
 
 def d_algorithm(
@@ -99,30 +116,22 @@ def d_algorithm(
 
     A consecutive pair is resolved iff exactly one member is 0; unresolved
     pairs receive their sum mod n.  Two adjacent zeros cannot occur because
-    consecutive denominators are coprime; asserted each round.
+    consecutive denominators are coprime; asserted each round.  So a pair is
+    unresolved iff both members are nonzero.
     """
-    if n < 2:
-        raise ValueError("modulus must be >= 2")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    stop = _unresolved_rounds(n, max_iter)
-    terminated = stop is not None
-    rounds_run = stop if terminated else max_iter
+    terminated, rounds_run = _verdict(n, max_iter)
+    residue = list(range(n)) * 2  # residue[u + v] is (u + v) mod n
 
-    seq = [1 % n, 1 % n]
-    rounds = [tuple(seq)]
-    for _ in range(rounds_run):
-        if 2 * len(seq) > materialize_limit:
-            break
+    def step(seq):
         nxt = [seq[0]]
         for u, v in zip(seq, seq[1:]):
-            assert not (u == 0 and v == 0), "adjacent zero denominators"
-            if not ((u == 0) != (v == 0)):
-                nxt.append((u + v) % n)
+            assert u or v, "adjacent zero denominators"
+            if u and v:
+                nxt.append(residue[u + v])
             nxt.append(v)
-        seq = nxt
-        rounds.append(tuple(seq))
-    return MediantRun(terminated, rounds_run, tuple(rounds))
+        return nxt
+
+    return MediantRun(terminated, rounds_run, _rounds([1, 1], step, rounds_run, materialize_limit))
 
 
 def nonterminating(n: int) -> bool:
@@ -138,20 +147,13 @@ def nonterminating(n: int) -> bool:
     target = (1 % n, 2 % n)
     if target[0] == 0 or target[1] == 0:
         return False
-
-    def children(u: int, v: int):
-        w = (u + v) % n
-        if w:
-            yield (u, w)
-            yield (w, v)
-
-    frontier = list(children(*target))
+    frontier = list(_children(*target, n))
     seen = set(frontier)
     while frontier:
         pair = frontier.pop()
         if pair == target:
             return True
-        for child in children(*pair):
+        for child in _children(*pair, n):
             if child not in seen:
                 seen.add(child)
                 frontier.append(child)

@@ -32,8 +32,8 @@ class Rational:
             if g > 1:
                 num //= g
                 den //= g
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set_num(self, num)
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Rational is immutable")
@@ -109,6 +109,10 @@ class Rational:
         return f"{self.num}/{self.den}"
 
 
+# the slot descriptors' own setters skip the __setattr__ guard
+_set_num = Rational.num.__set__
+_set_den = Rational.den.__set__
+
 INFINITY = Rational(1, 0)
 ZERO = Rational(0, 1)
 ONE = Rational(1, 1)
@@ -147,7 +151,7 @@ def farey_mediant(a: Rational, b: Rational) -> Rational:
     For Farey neighbours the result is automatically in lowest terms and is a
     neighbour of both inputs.
     """
-    if a == b:
+    if a.num == b.num and a.den == b.den:
         raise ValueError("mediant of a point with itself is undefined")
     return Rational(a.num + b.num, a.den + b.den)
 
@@ -174,11 +178,9 @@ def is_gamma0_neighbor(a: Rational, b: Rational, n: int) -> bool:
     """
     if n < 1:
         raise ValueError("modulus must be >= 1")
-    if not is_farey_neighbor(a, b):
+    if n > 1 and (a.den % n == 0) == (b.den % n == 0):
         return False
-    if n == 1:
-        return True
-    return (a.den % n == 0) != (b.den % n == 0)
+    return is_farey_neighbor(a, b)
 
 
 def is_dual_neighbor(a: Rational, b: Rational, n: int) -> bool:

@@ -77,6 +77,9 @@ class TestMediantDifference:
             farey_mediant(R(1, 2), R(1, 2))
         with pytest.raises(ValueError):
             farey_mediant(INFINITY, INFINITY)
+        # equal values in unreduced spelling are still the same point
+        with pytest.raises(ValueError):
+            farey_mediant(R(2, 4), R(1, 2))
 
     def test_difference_examples(self):
         assert farey_difference(R(1, 2), R(1)) == R(0)
@@ -177,6 +180,21 @@ def test_mediant_commutes_and_sits_between(p, q, r, s):
     assert m == farey_mediant(b, a)
     lo, hi = (a, b) if a < b else (b, a)
     assert lo < m < hi
+
+
+@given(
+    st.integers(min_value=-40, max_value=40),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=-40, max_value=40),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=1, max_value=12),
+)
+def test_gamma0_is_a_farey_edge_with_one_denominator_divisible(p, q, r, s, n):
+    if (p, q) == (0, 0) or (r, s) == (0, 0):
+        return
+    a, b = Rational(p, q), Rational(r, s)
+    one_divisible = (a.den % n == 0) != (b.den % n == 0)
+    assert is_gamma0_neighbor(a, b, n) == (is_farey_neighbor(a, b) and (n == 1 or one_divisible))
 
 
 @given(
