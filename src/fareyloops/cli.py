@@ -225,7 +225,7 @@ def cmd_cutseq(args, cfg: Config, out) -> int:
         if not value.is_positive():
             raise ValueError("expansion requires a positive value")
         depth = depth or 12
-        digits = [a for _, _, a in itertools.islice(value.states(), depth + 1)]
+        digits = [a for a, _ in itertools.islice(value.steps(), depth + 1)]
         e = CFExpansion(digits[0], tuple(digits[1:]), (1,))
     else:
         e = expansions_of(value)[0]

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
 
 from .rationals import INFINITY, Rational
-from .surds import QuadSurd, is_reduced
+from .surds import QuadSurd
 
 Value = Union[Rational, QuadSurd]
 
@@ -141,6 +141,8 @@ def parse_cf(text: str) -> CFExpansion:
         for tok in tokens:
             if not tok:
                 raise ValueError(f"empty token in {text!r}")
+            if period is not None or inf_tail:
+                raise ValueError(f"entries after tail in {text!r}")
             if tok == "oo":
                 inf_tail = True
             elif tok.startswith("("):
@@ -148,8 +150,6 @@ def parse_cf(text: str) -> CFExpansion:
                     raise ValueError(f"unbalanced period in {text!r}")
                 period = tuple(int(t.strip()) for t in tok[1:-1].split(","))
             else:
-                if period is not None or inf_tail:
-                    raise ValueError(f"entries after tail in {text!r}")
                 body.append(int(tok))
     return CFExpansion(a0, tuple(body), period, inf_tail)
 
@@ -362,29 +362,20 @@ def _surd_of_periodic(e: CFExpansion) -> QuadSurd:
 def cf_of_surd(s: QuadSurd) -> CFExpansion:
     """Eventually periodic expansion of a positive quadratic irrational.
 
-    Runs the integral recurrence of ``QuadSurd.states``; the first reduced
-    state (``surds.is_reduced``) opens the period, its return closes it, and
-    the constructor normalises to the canonical minimal form.
+    Reads ``QuadSurd.steps`` up to its second period flag: the first flag
+    opens the period, the second closes it, and the constructor normalises
+    to the canonical minimal form.
     """
     if not s.is_positive():
         raise ValueError("expansion requires a positive value")
-    r = math.isqrt(s.D)
-    states = s.states()
-    P, Q, a = next(states)
-    entries = [a]
-    while not is_reduced(P, Q, r):
-        P, Q, a = next(states)
+    entries: list[int] = []
+    start = 0  # a_0 never opens the period
+    for a, starts_period in s.steps():
+        if starts_period:
+            if start:
+                break
+            start = len(entries)
         entries.append(a)
-    start = len(entries) - 1
-    for P1, Q1, a in states:
-        if P1 == P and Q1 == Q:
-            break
-        entries.append(a)
-    if start == 0:
-        # a0 is formally part of the cycle; keep it as the leading term and
-        # let the canonicaliser minimise the preperiod of the rest
-        period = tuple(entries[1:]) + (entries[0],)
-        return CFExpansion(entries[0], (), period)
     return CFExpansion(entries[0], tuple(entries[1:start]), tuple(entries[start:]))
 
 

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .contfrac import CFExpansion
+from .contfrac import CFExpansion, twin_of
 from .loops import LoopVerdict, _fan_hit, _raw_walk, _require_unit_interval, is_infinite_loop
 from .rationals import INFINITY, FareyEdge, Rational
 from .surds import QuadSurd
@@ -157,13 +157,16 @@ def loop_verdict_geometric(e: CFExpansion, n: int, depth: Optional[int] = None) 
     decision when `depth` edges show no witness).  Edges through integer
     vertices and the base edge itself are exempt by definition.  The
     terminal fans of a rational come from the walk's last interval: its last
-    step lands on the value, and the endpoint it kept and the one it
-    replaced are the value's two Farey parents, one of which seeds the oo-tail
-    progression of Euclid's expansion, the only one that can hold a witness.
+    step lands on the value, and the endpoint it kept seeds the oo-tail
+    progression.  Only Euclid's tail can hold a witness (see
+    `loops._check_finite`), so a twin carrying the oo-tail is walked in
+    Euclid's form, the route `is_infinite_loop` takes.
     """
     if n < 2:
         raise ValueError("modulus must be >= 2")
     _require_unit_interval(e)
+    if e.inf_tail and e.body[-1] == 1:
+        e = twin_of(e)
     if e.is_finite:
         # the last step lands on the value; its edges are not crossed
         scan = sum(e.body) - 1
@@ -186,10 +189,7 @@ def loop_verdict_geometric(e: CFExpansion, n: int, depth: Optional[int] = None) 
     if q % n == 0:
         return LoopVerdict.not_loop(k, m, Rational(p, q))
     if e.inf_tail:
-        # only Euclid's tail can hit (see `loops._check_finite`); a final 1
-        # marks the twin, and Euclid's other parent is then the replaced one
-        label, (p_prev, q_prev) = (k, (p - kept[0], q - kept[1])) if e.body[-1] == 1 else (k + 1, kept)
-        m = _fan_hit(q_prev, q, n, None, 1)
+        m = _fan_hit(kept[1], q, n, None, 1)
         if m is not None:
-            return LoopVerdict.not_loop(label, m, Rational(m * p + p_prev, m * q + q_prev))
+            return LoopVerdict.not_loop(k + 1, m, Rational(m * p + kept[0], m * q + kept[1]))
     return LoopVerdict.loop()

@@ -32,7 +32,7 @@ from .cutting import crossed_edges, fan_chain, loop_verdict_geometric
 from .loops import NOTLOOP, is_infinite_loop, loop_example
 from .rationals import Rational
 from .sampling import random_finite_cf, random_periodic_cf, random_unit_rational
-from .surds import QuadSurd, is_reduced
+from .surds import QuadSurd
 
 
 def is_prime(n: int) -> bool:
@@ -56,12 +56,10 @@ def floor_2sqrt(n: int) -> int:
 def surd_height(s: QuadSurd, cap: Optional[int] = None) -> int:
     """Largest partial quotient (leading term excluded) of a quadratic irrational.
 
-    Equal to ``height(cf_of_surd(s))``, read in one pass over the expansion
-    states in O(1) memory.  The period opens at the first reduced state
-    (``surds.is_reduced``) and closes on the return to it, the same closure
-    as ``cf_of_surd``.  The max runs over a_1 up to and including the digit
-    of that returning state, which for a purely periodic value is where a_0
-    comes back.
+    Equal to ``height(cf_of_surd(s))``, read in one pass over
+    ``QuadSurd.steps`` in O(1) memory: the max runs over a_1 up to and
+    including the digit at the second period flag, where the first period
+    digit comes back.
 
     With a ``cap`` the scan stops at the first partial quotient >= cap and
     returns cap, so the result is min(height, cap): a result below the cap
@@ -69,24 +67,17 @@ def surd_height(s: QuadSurd, cap: Optional[int] = None) -> int:
     """
     if not s.is_positive():
         raise ValueError("expansion requires a positive value")
-    r = math.isqrt(s.D)
-    states = s.states()
-    P, Q, _ = next(states)
     best = 0
-    while not is_reduced(P, Q, r):
-        P, Q, a = next(states)
+    opened = False
+    for a, starts_period in itertools.islice(s.steps(), 1, None):
         if a > best:
             best = a
             if cap is not None and best >= cap:
                 return cap
-    P0, Q0 = P, Q
-    for P, Q, a in states:
-        if a > best:
-            best = a
-            if cap is not None and best >= cap:
-                return cap
-        if P == P0 and Q == Q0:
-            return best
+        if starts_period:
+            if opened:
+                return best
+            opened = True
 
 
 @dataclass(frozen=True)

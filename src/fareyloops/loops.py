@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .contfrac import CFExpansion, fans, semiconvergent, twin_of
 from .rationals import Rational
-from .surds import QuadSurd, is_reduced
+from .surds import QuadSurd
 
 DEFAULT_STREAM_DEPTH = 10_000
 
@@ -224,19 +224,14 @@ def _scan_cycle(
 
 
 def _surd_steps(s: QuadSurd, digits: list[int]) -> Iterator[tuple[int, bool]]:
-    """Steps of a surd; a_0, a_1, ... go to digits.  A period starts at the first
-    reduced state after the start state (``surds.is_reduced``) and its returns."""
+    """The steps of ``QuadSurd.steps`` after a_0, with its period flags; a_0, a_1, ... go to digits."""
     if not s.is_positive():
         raise ValueError("loop decisions require a positive value")
-    r = math.isqrt(s.D)
-    states = s.states()
-    digits.append(next(states)[2])
-    start = None
-    for P, Q, a in states:
+    steps = s.steps()
+    digits.append(next(steps)[0])
+    for a, starts_period in steps:
         digits.append(a)
-        if start is None and is_reduced(P, Q, r):
-            start = P, Q
-        yield a, start == (P, Q)
+        yield a, starts_period
 
 
 def _stream_steps(
@@ -350,6 +345,8 @@ def loop_exists(n: int) -> bool:
     as single-letter cycles and are covered by the same pruning rule.  So an
     exhausted search proves absence.
     """
+    if n < 2:
+        raise ValueError("modulus must be >= 2")
     if n >= 4:
         loop_example(n)  # raises RuntimeError if the validation fails
         return True

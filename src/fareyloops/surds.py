@@ -91,23 +91,29 @@ class QuadSurd:
     def floor(self) -> int:
         return _floor(self.P, self.Q, math.isqrt(self.D))
 
-    def states(self) -> Iterator[tuple[int, int, int]]:
-        """The integral expansion recurrence, one (P, Q, a) per step.
+    def steps(self) -> Iterator[tuple[int, bool]]:
+        """The integral expansion recurrence, one (a_k, starts_period) per step.
 
-        Each state is a complete quotient (P + sqrt(D))/Q with partial
-        quotient a = floor of it; the next state is P' = a*Q - P,
-        Q' = (D - P'^2)/Q.  The stream never ends: a caller stops it.  The
-        period opens at the first state that ``is_reduced`` and closes when
-        that state comes back.
+        The complete quotient x_k = (P + sqrt(D))/Q has partial quotient
+        a_k = floor(x_k); the next one is P' = a_k*Q - P, Q' = (D - P'^2)/Q.
+        The stream never ends: a caller stops it.  The period opens at the
+        first x_k with k >= 1 that ``is_reduced``; that step and every return
+        of that x_k are flagged, no others, so a period runs from one flag
+        to the next.  x_0 is never flagged: a reduced x_0 makes x_1 reduced
+        too, so its period opens at k = 1 with a_0 as its last entry.
         """
         P, Q, D = self.P, self.Q, self.D
         s = math.isqrt(D)
         a = self.floor()
+        P0 = None
+        yield a, False
         while True:
-            yield P, Q, a
             P = a * Q - P
             Q = (D - P * P) // Q
             a = _floor(P, Q, s)
+            if P0 is None and is_reduced(P, Q, s):
+                P0, Q0 = P, Q
+            yield a, P == P0 and Q == Q0
 
     def _cmp_rational(self, num: int, den: int) -> int:
         """Sign of self - num/den for den > 0."""

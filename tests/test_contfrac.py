@@ -338,7 +338,7 @@ class TestTextFormat:
         assert parse_cf("[2]") == CFExpansion(2, ())
 
     def test_parse_rejects_garbage(self):
-        for bad in ["0; 2", "[1; 2, (3]", "[1; oo, 2]", "[1; 2,, 3]"]:
+        for bad in ["0; 2", "[1; 2, (3]", "[1; oo, 2]", "[1; 2,, 3]", "[0; (1), (2)]", "[0; 2, oo, oo]", "[0; (1), oo]"]:
             with pytest.raises(ValueError):
                 parse_cf(bad)
 

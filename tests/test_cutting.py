@@ -234,7 +234,8 @@ class TestGeometricVerdict:
 
 def _reference_geometric(e: CFExpansion, n: int) -> LoopVerdict:
     """The edge route on a finite expansion in (0, 1), its oo-tail fans taken
-    from both expansions of cf_eval(e)."""
+    from both expansions of cf_eval(e) and a value hit under the tail
+    labelled on Euclid's fans."""
     value = cf_eval(e)
     walk = _raw_walk(e)
     for k, m, lo, hi in itertools.islice(walk, sum(e.body) - 1):
@@ -242,6 +243,10 @@ def _reference_geometric(e: CFExpansion, n: int) -> LoopVerdict:
         if div_lo != div_hi:
             return LoopVerdict.not_loop(k, m, Rational(*(lo if div_lo else hi)))
     if value.den % n == 0:
+        if e.inf_tail:
+            # under the tail the value closes the final fan of Euclid's form
+            euclid = cf_from_rational(value)[0]
+            return LoopVerdict.not_loop(euclid.last_index - 1, euclid.body[-1], value)
         k, m, _, _ = next(walk)
         return LoopVerdict.not_loop(k, m, value)
     if e.inf_tail:
@@ -306,6 +311,13 @@ class TestEuclidReference:
         for e in _unit_twins(40):
             for n in range(2, 13):
                 assert loop_verdict_geometric(e, n) == _reference_geometric(e, n), (e, n)
+
+    def test_geometric_equals_denominator_route(self):
+        # Euclid's form and the twin, each with and without the oo-tail
+        for e in _unit_twins(40):
+            for x in (e, CFExpansion(e.a0, e.body)):
+                for n in range(2, 13):
+                    assert loop_verdict_geometric(x, n) == is_infinite_loop(x, n), (x, n)
 
     def test_finite_decider(self):
         integers = [CFExpansion(a0, (), None, True) for a0 in range(1, 30)]

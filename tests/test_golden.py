@@ -11,8 +11,12 @@ geometric` digests were recorded before the periodic, surd and stream
 deciders were merged into one state-cycle scan and the finite and periodic
 edge scans of the geometric route into one.  The `semiconv` digest was
 recorded before every convergent, semi-convergent and mediant step was read
-off the single recurrence `contfrac.fans`.  A mismatch means some printed
-verdict, witness, expansion or record changed.
+off the single recurrence `contfrac.fans`.  The `loopcheck rational
+geometric` digest was re-recorded when the edge route began to walk a twin
+carrying the oo-tail in Euclid's form: one line moved, the `geometric:`
+line of `[0; 2, 2, 1, oo]` mod 7, from k=2 m=1 to k=1 m=3, the label the
+denominator route prints.  A mismatch means some printed verdict, witness,
+expansion or record changed.
 """
 
 import hashlib
@@ -117,7 +121,7 @@ GOLDEN = {
     "loop-exists": "d0aa1fb02dcd7283f3e7f40faab9a43c3da9892fbbfde1c88d0f43b1f7816438",
     "loopcheck": "50ded5ae5d2c9657ae2c70bf4e8342af93629a9a64aee14aaba6a65957265241",
     "loopcheck periodic": "6698382466cfac9f618d1bd5e656224808741237aa312ed8bbc2baaafb766164",
-    "loopcheck rational geometric": "b552a14e57c85203d2623596873df24ae5f37854c7a21e8c9b4d9fdec832aa0d",
+    "loopcheck rational geometric": "7cc6e8fcda0caff405c13b6883f0e16ed6447ec7e7482dbb2ed13961ab381637",
     "mp-bound": "653b9160d8437e91d44b609e3c5683319b2cedfdb53f40413db6add8b619c68a",
     "semiconv": "01a8eadd99a429575aaaa07fe02396292337c8dcefb06514156b1d37c9bc037c",
     "spectrum": "98280d9912c067d4dad313f9cdc847c987c225f01cbe3a43077049414b33330d",

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -198,10 +199,30 @@ def random_surds(seed, count):
     return out
 
 
+def expansion_states(s):
+    """(P, Q, a) for every complete quotient (P + sqrt(D))/Q of s, by an
+    integral recurrence of its own, so that the oracles below share no code
+    with ``QuadSurd.steps``."""
+    P, Q, D = s.P, s.Q, s.D
+    r = math.isqrt(D)
+    while True:
+        a = (P + r + (Q < 0)) // Q  # sqrt(D) is irrational, so floor = ceil - 1
+        yield P, Q, a
+        P = a * Q - P
+        Q = (D - P * P) // Q
+
+
+def split_population():
+    """2,000 seeded surds and the values of 300 seeded periodic expansions."""
+    rng = random.Random(42)
+    periodic = [cf_value(random_periodic_cf(rng, max_entry=40)) for _ in range(300)]
+    return random_surds(43, 2000) + periodic
+
+
 def seen_set_height(s):
     """The uncapped height with a set of every (P, Q) seen, as it was
     computed before the reduced-state closure."""
-    states = s.states()
+    states = expansion_states(s)
     P, Q, _ = next(states)
     seen = {(P, Q)}
     best = 0
@@ -218,7 +239,7 @@ def seen_dict_split(s):
     ``cf_of_surd``."""
     entries = []
     seen = {}
-    for P, Q, a in s.states():
+    for P, Q, a in expansion_states(s):
         if (P, Q) in seen:
             break
         seen[(P, Q)] = len(entries)
@@ -290,12 +311,19 @@ class TestCappedHeight:
             return CFExpansion(*args)
 
         monkeypatch.setattr(contfrac, "CFExpansion", record)
-        rng = random.Random(42)
-        periodic = [cf_value(random_periodic_cf(rng, max_entry=40)) for _ in range(300)]
-        for s in random_surds(43, 2000) + periodic:
+        for s in split_population():
             handed.clear()
             cf_of_surd(s)
             assert handed == [seen_dict_split(s)], s
+
+    def test_steps_flag_each_period_start(self):
+        # the period opens at k0 = max(start, 1) = 1 + len(body), since a
+        # reduced start state gives an empty body
+        for s in split_population():
+            _, body, period = seen_dict_split(s)
+            k0, L = 1 + len(body), len(period)
+            flags = [flag for _, flag in itertools.islice(s.steps(), k0 + 3 * L + 1)]
+            assert [k for k, flag in enumerate(flags) if flag] == [k0 + j * L for j in range(4)], s
 
     def test_long_period_in_constant_memory(self):
         import tracemalloc

@@ -288,11 +288,24 @@ class TestPeriodicDecisions:
                 assert stream.kind == UNKNOWN
 
 
-UNPATCHED_STATES = QuadSurd.states
+UNPATCHED_STEPS = QuadSurd.steps
 DIFFERENTIAL_MODULI = [*range(2, 61), 360, 1001, 2310, 4096, 3**8, 5**5, 10007]
 # [0; 6, (9, 5, 1)] mod 3^9: the point [u : v] at the period start comes
 # back after 486 periods, the pair (u, v) itself only after 27 times as many
 LOOP_CASE = CFExpansion(0, (6,), (9, 5, 1))
+
+
+def expansion_states(s):
+    """(P, Q, a) for every complete quotient (P + sqrt(D))/Q of s, by an
+    integral recurrence of its own, so that the reference scan below shares
+    no code with ``QuadSurd.steps``."""
+    P, Q, D = s.P, s.Q, s.D
+    r = math.isqrt(D)
+    while True:
+        a = (P + r + (Q < 0)) // Q  # sqrt(D) is irrational, so floor = ceil - 1
+        yield P, Q, a
+        P = a * Q - P
+        Q = (D - P * P) // Q
 
 
 def seen_set_verdict(x, n):
@@ -306,7 +319,7 @@ def seen_set_verdict(x, n):
             zip(x.body, itertools.repeat(None)), itertools.cycle(zip(x.period, itertools.count()))
         )
     else:
-        states = UNPATCHED_STATES(x)
+        states = expansion_states(x)
         next(states)
         steps = ((a, (P, Q)) for P, Q, a in states)
     u, v = 0, 1
@@ -324,23 +337,23 @@ def seen_set_verdict(x, n):
 
 @pytest.fixture
 def state_budget(monkeypatch):
-    """Caps the expansion states a surd hands out at `.limit` and counts them
-    in `.read`, so that a scan that fails to close ends as UNKNOWN instead of
-    hanging."""
+    """Caps the steps a surd hands out, one per complete quotient, at `.limit`
+    and counts them in `.read`, so that a scan that fails to close ends as
+    UNKNOWN instead of hanging."""
     budget = types.SimpleNamespace(limit=0, read=0)
 
-    def states(s):
-        for state in itertools.islice(UNPATCHED_STATES(s), budget.limit):
+    def steps(s):
+        for step in itertools.islice(UNPATCHED_STEPS(s), budget.limit):
             budget.read += 1
-            yield state
+            yield step
 
-    monkeypatch.setattr(QuadSurd, "states", states)
+    monkeypatch.setattr(QuadSurd, "steps", steps)
     return budget
 
 
 def assert_agrees_with_seen_set(x, n, budget):
     *expected, steps = seen_set_verdict(x, n)
-    # the start state, then one state per step up to and including the last
+    # the step of a_0, then one step per fan up to and including the last
     budget.limit = steps + 2
     v = is_infinite_loop(x, n)
     assert [v.kind, v.witness_k, v.witness_m] == expected, (x, n)
@@ -383,7 +396,7 @@ class TestProjectiveClosure:
             if (u * v0 - v * u0) % n == 0:
                 break
         assert returns == 486
-        # the start state, the steps of fans 0 and 1, then 486 periods of 3
+        # the step of a_0, the steps of fans 0 and 1, then 486 periods of 3
         state_budget.limit = 1 + 2 + 3 * returns
         assert is_infinite_loop(cf_value(LOOP_CASE), n).kind == LOOP
         assert state_budget.read == state_budget.limit
@@ -484,8 +497,9 @@ class TestGraph:
         assert not loop_exists(3)
         assert loop_exists(4)
         assert loop_exists(5)
-        with pytest.raises(ValueError):
-            loop_exists(1)
+        for n in (1, 0, -4):
+            with pytest.raises(ValueError, match="modulus must be >= 2"):
+                loop_exists(n)
 
     def test_existence_range(self):
         assert [n for n in range(2, 1001) if not loop_exists(n)] == [2, 3]
