@@ -161,14 +161,7 @@ def cmd_loopcheck(args, cfg: Config, out) -> int:
     verdict = loops.is_infinite_loop(decided, args.mod, depth)
     print(verdict.record(), file=out)
     if args.geometric:
-        e = expansions_of(value)[0]
-        # denominators do not depend on a0: the edge route decides the value
-        # shifted into [0, 1), and its witness is shifted back by a0
-        geo = cutting.loop_verdict_geometric(contfrac.shift_cf(e, -e.a0), args.mod, depth)
-        if e.a0 and geo.kind == loops.NOTLOOP:
-            w = geo.witness
-            shifted = Rational(w.num + e.a0 * w.den, w.den)
-            geo = loops.LoopVerdict.not_loop(geo.witness_k, geo.witness_m, shifted)
+        geo = cutting.loop_verdict_geometric(expansions_of(value)[0], args.mod, depth)
         print(f"geometric: {geo.record()}", file=out)
     return 0
 
@@ -219,14 +212,13 @@ def cmd_cutseq(args, cfg: Config, out) -> int:
         # the output reads only a_0..a_depth: the word has depth runs after
         # a_0, and the walk's depth steps and the edges' depth - 1 use no
         # more, since every a_i after a_0 is at least 1.  So a surd is
-        # expanded that far and no further, whatever its period; the period
-        # (1) stands in for the digits never read, and the crossing check
-        # below runs against the surd itself
+        # expanded that far and no further, whatever its period, and the
+        # crossing check below runs against the surd itself
         if not value.is_positive():
             raise ValueError("expansion requires a positive value")
         depth = depth or 12
         digits = [a for a, _ in itertools.islice(value.steps(), depth + 1)]
-        e = CFExpansion(digits[0], tuple(digits[1:]), (1,))
+        e = CFExpansion(digits[0], tuple(digits[1:]))
     else:
         e = expansions_of(value)[0]
         value = contfrac.cf_value(e)

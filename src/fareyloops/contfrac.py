@@ -114,12 +114,19 @@ def format_cf(e: CFExpansion) -> str:
 
 def parse_cf(text: str) -> CFExpansion:
     """Inverse of format_cf; round-trips exactly."""
+
+    def entry(tok: str) -> int:
+        try:
+            return int(tok)
+        except ValueError:
+            raise ValueError(f"bad entry {tok.strip()!r} in {text!r}") from None
+
     s = text.strip()
     if not (s.startswith("[") and s.endswith("]")):
         raise ValueError(f"not an expansion: {text!r}")
     s = s[1:-1].strip()
     head, _, rest = s.partition(";")
-    a0 = int(head.strip())
+    a0 = entry(head)
     body: list[int] = []
     period: Optional[tuple[int, ...]] = None
     inf_tail = False
@@ -148,9 +155,9 @@ def parse_cf(text: str) -> CFExpansion:
             elif tok.startswith("("):
                 if not tok.endswith(")"):
                     raise ValueError(f"unbalanced period in {text!r}")
-                period = tuple(int(t.strip()) for t in tok[1:-1].split(","))
+                period = tuple(map(entry, tok[1:-1].split(",")))
             else:
-                body.append(int(tok))
+                body.append(entry(tok))
     return CFExpansion(a0, tuple(body), period, inf_tail)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .contfrac import CFExpansion, twin_of
-from .loops import LoopVerdict, _fan_hit, _raw_walk, _require_unit_interval, is_infinite_loop
+from .loops import LoopVerdict, _fan_hit, _raw_walk, is_infinite_loop
 from .rationals import INFINITY, FareyEdge, Rational
 from .surds import QuadSurd
 
@@ -152,31 +152,28 @@ def fan_chain(edges: list[FareyEdge]) -> list[tuple[Rational, int]]:
 def loop_verdict_geometric(e: CFExpansion, n: int, depth: Optional[int] = None) -> LoopVerdict:
     """Loop decision by scanning the crossed edges for level-n edges.
 
-    Exact for finite input (complete edge list, endpoint and terminal-fan
-    handling) and for periodic input (the scan is closed by the state-cycle
-    decision when `depth` edges show no witness).  Edges through integer
-    vertices and the base edge itself are exempt by definition.  The
-    terminal fans of a rational come from the walk's last interval: its last
-    step lands on the value, and the endpoint it kept seeds the oo-tail
-    progression.  Only Euclid's tail can hold a witness (see
-    `loops._check_finite`), so a twin carrying the oo-tail is walked in
-    Euclid's form, the route `is_infinite_loop` takes.
+    Takes any positive value.  The base edge and the a_0 leading-term edges
+    (m/1, oo) pass through oo and are exempt.  Exact for finite input and for
+    periodic input, whose scan the state-cycle decision closes when `depth`
+    steps show no witness.  A rational's terminal fans come from the walk's
+    last step, which lands on the value: the endpoint it kept seeds the oo-tail
+    (for an integer a_0 it is 1/0, and the tail is (m*a_0 + 1)/m).  Only
+    Euclid's tail can hold a witness (see `loops._check_finite`), so a twin
+    carrying the oo-tail is walked in Euclid's form, as `is_infinite_loop` does.
     """
     if n < 2:
         raise ValueError("modulus must be >= 2")
-    _require_unit_interval(e)
-    if e.inf_tail and e.body[-1] == 1:
+    if e.is_finite and e.a0 == 0 and not e.body:
+        raise ValueError("loop decisions require a positive value")
+    if e.inf_tail and e.body and e.body[-1] == 1:
         e = twin_of(e)
-    if e.is_finite:
-        # the last step lands on the value; its edges are not crossed
-        scan = sum(e.body) - 1
-    else:
-        scan = depth if depth is not None else 1000
+    # a rational's last step lands on the value; its edges are not crossed
+    scan = e.a0 + sum(e.body) - 1 if e.is_finite else (1000 if depth is None else depth)
     walk = _raw_walk(e)
     for k, m, lo, hi in itertools.islice(walk, scan):
         div_lo = lo[1] % n == 0
         div_hi = hi[1] % n == 0
-        if div_lo != div_hi:
+        if div_lo != div_hi and k >= 0:
             return LoopVerdict.not_loop(k, m, Rational(*(lo if div_lo else hi)))
     if not e.is_finite:
         # no witness among the scanned edges: close the scan exactly through

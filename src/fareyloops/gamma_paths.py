@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .loops import _children
 from .rationals import Rational, farey_mediant, is_gamma0_neighbor
 
 DEFAULT_MATERIALIZE_LIMIT = 1 << 17  # vertices per round
@@ -36,16 +37,6 @@ class MediantRun:
     @property
     def final(self):
         return self.rounds[-1]
-
-
-def _children(u: int, v: int, n: int) -> tuple[tuple[int, int], ...]:
-    """Unresolved pairs an unresolved denominator pair (u, v) mod n spawns.
-
-    The inserted u + v splits (u, v) into (u, u+v) and (u+v, v); when u + v
-    vanishes mod n both halves are resolved and nothing is spawned.
-    """
-    w = (u + v) % n
-    return ((u, w), (w, v)) if w else ()
 
 
 def _unresolved_rounds(n: int, max_iter: int) -> Optional[int]:

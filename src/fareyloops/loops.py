@@ -298,17 +298,16 @@ def loop_scaling_check(e: CFExpansion, n: int, k: int) -> bool:
 # the pruned denominator-pair graph
 
 
-# what ModState(u, v) calls, without the Python frame of the generated __new__
-_new_tuple = tuple.__new__
+def _children(u: int, v: int, n: int) -> tuple[tuple[int, int], ...]:
+    """The residue-pair transition: the inserted u + v splits (u, v) mod n into
+    (u, u+v) and (u+v, v), and nothing when u + v vanishes (both are resolved)."""
+    w = (u + v) % n
+    return ((u, w), (w, v)) if w else ()
 
 
 def successors(state: ModState, n: int) -> tuple[tuple[str, ModState], ...]:
     """Unpruned moves; the created denominator u+v must not vanish mod n."""
-    u, v = state
-    w = (u + v) % n
-    if w == 0:
-        return ()
-    return (("L", _new_tuple(ModState, (w, v))), ("R", _new_tuple(ModState, (u, w))))
+    return tuple(zip("LR", map(ModState._make, reversed(_children(*state, n)))))
 
 
 def loop_graph(n: int) -> dict[ModState, tuple[tuple[str, ModState], ...]]:
@@ -419,14 +418,6 @@ def loop_example(n: int) -> CFExpansion:
 
 # ---------------------------------------------------------------------------
 # mediant-tree walk
-
-
-def _require_unit_interval(e: CFExpansion) -> None:
-    """Reject an expansion whose value is not strictly inside (0, 1)."""
-    if e.a0 != 0:
-        raise ValueError("reduce to (0, 1) by an integer shift first")
-    if e.is_finite and e.body in ((), (1,)):
-        raise ValueError("an integer value lies on a vertex, not strictly inside (0, 1)")
 
 
 def _raw_walk(e: CFExpansion) -> Iterator[tuple[int, int, tuple[int, int], tuple[int, int]]]:

@@ -105,11 +105,17 @@ class TestCommands:
             verdict, geometric = out.splitlines()
             assert code == 0 and geometric == f"geometric: {verdict}"
 
-    @pytest.mark.parametrize("value", ["3", "[2; 1, oo]"])
-    def test_loopcheck_geometric_on_an_integer(self, value, capsys):
-        code, out = run_cli("loopcheck", value, "--mod", "7", "--geometric")
-        assert code == 2 and out.startswith("NOTLOOP")
-        assert "lies on a vertex" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "value, mod",
+        [pytest.param("3", 7, id="3"), pytest.param("[2; 1, oo]", 7, id="[2; 1, oo]"), ("7", 6)],
+    )
+    def test_loopcheck_geometric_on_an_integer(self, value, mod):
+        # past the exempt edges (m/1, oo) the only fan is the oo-tail
+        # (m*a_0 + 1)/m, whose first hit is m = n
+        code, out = run_cli("loopcheck", value, "--mod", str(mod), "--geometric")
+        verdict, geometric = out.splitlines()
+        assert code == 0 and verdict == f"NOTLOOP k=0 m={mod} q={mod}"
+        assert geometric == f"geometric: {verdict}"
 
     def test_loopcheck_witness_past_the_int_str_limit(self, int_str_limit):
         # q has 5629 digits, more than Python prints by default

@@ -338,9 +338,22 @@ class TestTextFormat:
         assert parse_cf("[2]") == CFExpansion(2, ())
 
     def test_parse_rejects_garbage(self):
-        for bad in ["0; 2", "[1; 2, (3]", "[1; oo, 2]", "[1; 2,, 3]", "[0; (1), (2)]", "[0; 2, oo, oo]", "[0; (1), oo]"]:
-            with pytest.raises(ValueError):
+        for bad in [
+            "0; 2",
+            "[1; 2, (3]",
+            "[1; oo, 2]",
+            "[1; 2,, 3]",
+            "[0; (1), (2)]",
+            "[0; 2, oo, oo]",
+            "[0; (1), oo]",
+            "[0; ()]",
+            "[; 1]",
+            "[0; (1,,2)]",
+            "[1; 2]]",
+        ]:
+            with pytest.raises(ValueError) as info:
                 parse_cf(bad)
+            assert repr(bad) in str(info.value)
 
     @given(
         st.integers(min_value=0, max_value=9),

@@ -221,9 +221,27 @@ class TestGeometricVerdict:
             n = rng.randint(2, 10)
             assert loop_verdict_geometric(e, n, depth=30).kind == is_infinite_loop(e, n).kind
 
-    def test_requires_unit_interval(self):
-        with pytest.raises(ValueError):
-            loop_verdict_geometric(CFExpansion(1, (2,)), 4)
+    def test_equals_denominator_route_on_every_positive_value(self):
+        # the leading-term edges (m/1, oo) pass through oo and are exempt,
+        # so a_0 > 0 changes neither the fan nor the witness's denominator
+        rng = random.Random(28)
+        periodic = []
+        for _ in range(40):
+            e = random_periodic_cf(rng, a0_max=3)
+            periodic += [e, CFExpansion(e.a0, (), e.period)]
+        for e in periodic:
+            for n in [*range(2, 31), 360, 1001, 2310]:
+                assert loop_verdict_geometric(e, n) == is_infinite_loop(e, n), (e, n)
+        for q in range(1, 31):
+            for p in range(1, 4 * q):
+                if math.gcd(p, q) != 1:
+                    continue
+                for form in cf_from_rational(Rational(p, q)):
+                    for e in (form, CFExpansion(form.a0, form.body)):
+                        for n in range(2, 13):
+                            assert loop_verdict_geometric(e, n) == is_infinite_loop(e, n), (e, n)
+        with pytest.raises(ValueError, match="positive value"):
+            loop_verdict_geometric(CFExpansion(0, (), None, True), 5)
 
 
 # ---------------------------------------------------------------------------
