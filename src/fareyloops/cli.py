@@ -154,14 +154,13 @@ def cmd_semiconv(args, cfg: Config, out) -> int:
 
 def cmd_loopcheck(args, cfg: Config, out) -> int:
     value = parse_value(args.value)
-    depth = args.depth or cfg.depth
     # a surd is decided off its own expansion recurrence, which stops at the
     # first witness instead of expanding the whole period up front
     decided = value if isinstance(value, QuadSurd) else expansions_of(value)[0]
-    verdict = loops.is_infinite_loop(decided, args.mod, depth)
+    verdict = loops.is_infinite_loop(decided, args.mod)
     print(verdict.record(), file=out)
     if args.geometric:
-        geo = cutting.loop_verdict_geometric(expansions_of(value)[0], args.mod, depth)
+        geo = cutting.loop_verdict_geometric(expansions_of(value)[0], args.mod)
         print(f"geometric: {geo.record()}", file=out)
     return 0
 
@@ -355,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("loopcheck", help="infinite-loop verdict mod n")
     p.add_argument("value")
     p.add_argument("--mod", type=int, required=True)
-    p.add_argument("--depth", type=_positive_int)
+    p.add_argument("--depth", type=_positive_int, help="accepted; changes no verdict")
     p.add_argument("--geometric", action="store_true")
 
     p = sub.add_parser("loop-exists", help="existence of loops per modulus")

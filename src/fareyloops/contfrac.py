@@ -158,7 +158,10 @@ def parse_cf(text: str) -> CFExpansion:
                 period = tuple(map(entry, tok[1:-1].split(",")))
             else:
                 body.append(entry(tok))
-    return CFExpansion(a0, tuple(body), period, inf_tail)
+    try:
+        return CFExpansion(a0, tuple(body), period, inf_tail)
+    except ValueError as exc:
+        raise ValueError(f"{exc} in {text!r}") from None
 
 
 # ---------------------------------------------------------------------------

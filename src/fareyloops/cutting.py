@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .contfrac import CFExpansion, twin_of
-from .loops import LoopVerdict, _fan_hit, _raw_walk, is_infinite_loop
+from .loops import LoopVerdict, _children, _fan_hit, _raw_walk
 from .rationals import INFINITY, FareyEdge, Rational
 from .surds import QuadSurd
 
@@ -149,17 +149,26 @@ def fan_chain(edges: list[FareyEdge]) -> list[tuple[Rational, int]]:
 # geometric loop verdict
 
 
-def loop_verdict_geometric(e: CFExpansion, n: int, depth: Optional[int] = None) -> LoopVerdict:
-    """Loop decision by scanning the crossed edges for level-n edges.
+def loop_verdict_geometric(e: CFExpansion, n: int) -> LoopVerdict:
+    """Loop decision by walking the crossed edges to the first level-n edge.
 
-    Takes any positive value.  The base edge and the a_0 leading-term edges
-    (m/1, oo) pass through oo and are exempt.  Exact for finite input and for
-    periodic input, whose scan the state-cycle decision closes when `depth`
-    steps show no witness.  A rational's terminal fans come from the walk's
-    last step, which lands on the value: the endpoint it kept seeds the oo-tail
-    (for an integer a_0 it is 1/0, and the tail is (m*a_0 + 1)/m).  Only
-    Euclid's tail can hold a witness (see `loops._check_finite`), so a twin
-    carrying the oo-tail is walked in Euclid's form, as `is_infinite_loop` does.
+    Takes any positive value and reads only the endpoint denominators (lo, hi)
+    mod n.  Each step is the transition `_children`: child 0 (lo kept) in even
+    fans, child 1 in odd ones.  Its empty result, a created denominator 0 mod
+    n, marks the first level-n edge: a kept endpoint was checked when it was
+    created, and only oo, which is exempt, has denominator 0.  The a_0
+    leading-term edges (m/1, oo) keep the base edge's (1, 0).  A fan's created
+    denominators repeat with a period dividing n, so a run a > n walks
+    n + (a - n) % n steps to the same first zero and the same end state.
+
+    Periodic input saves (k mod 2, lo, hi) at its first period start and is
+    LOOP at a later start of that parity with lo*hi0 = hi*lo0 (mod n): the
+    steps are invertible linear maps, the zero test is unchanged by a unit
+    multiple, and primitive pairs (Farey neighbours have coprime denominators)
+    with that equality are unit multiples mod each prime power, which the CRT
+    joins; so the walk from there repeats a zero-free one.  A rational's last
+    step creates the value, which with the kept endpoint seeds the oo-tail; a
+    twin with that tail is walked in Euclid's form (see `loops._check_finite`).
     """
     if n < 2:
         raise ValueError("modulus must be >= 2")
@@ -167,26 +176,18 @@ def loop_verdict_geometric(e: CFExpansion, n: int, depth: Optional[int] = None) 
         raise ValueError("loop decisions require a positive value")
     if e.inf_tail and e.body and e.body[-1] == 1:
         e = twin_of(e)
-    # a rational's last step lands on the value; its edges are not crossed
-    scan = e.a0 + sum(e.body) - 1 if e.is_finite else (1000 if depth is None else depth)
-    walk = _raw_walk(e)
-    for k, m, lo, hi in itertools.islice(walk, scan):
-        div_lo = lo[1] % n == 0
-        div_hi = hi[1] % n == 0
-        if div_lo != div_hi and k >= 0:
-            return LoopVerdict.not_loop(k, m, Rational(*(lo if div_lo else hi)))
-    if not e.is_finite:
-        # no witness among the scanned edges: close the scan exactly through
-        # the state-cycle decision on the same expansion
-        return is_infinite_loop(e, n)
-    # termination vertex: the ray ends on the edges incident to the value;
-    # odd fans move the lower endpoint
-    k, m, lo, hi = next(walk)
-    (p, q), kept = (lo, hi) if k % 2 else (hi, lo)
-    if q % n == 0:
-        return LoopVerdict.not_loop(k, m, Rational(p, q))
-    if e.inf_tail:
-        m = _fan_hit(kept[1], q, n, None, 1)
-        if m is not None:
-            return LoopVerdict.not_loop(k + 1, m, Rational(m * p + kept[0], m * q + kept[1]))
+    edge, saved, k = (1 % n, 0), None, -1
+    for k, a in enumerate(itertools.islice(e.digits(), 1, None)):
+        if k >= len(e.body) and (k - len(e.body)) % len(e.period) == 0:  # a period start
+            if saved is None:
+                saved = k % 2, *edge
+            elif saved[0] == k % 2 and (edge[0] * saved[2] - edge[1] * saved[1]) % n == 0:
+                return LoopVerdict.loop()
+        for m in range(1, (a if a <= n else n + (a - n) % n) + 1):
+            if not (children := _children(*edge, n)):
+                return LoopVerdict._not_loop_at(k, m, e)
+            edge = children[k % 2]
+    value, kept = edge if k % 2 else edge[::-1]  # odd fans move the lower endpoint
+    if e.inf_tail and (m := _fan_hit(kept, value, n, None, 1)) is not None:
+        return LoopVerdict._not_loop_at(k + 1, m, e)
     return LoopVerdict.loop()

@@ -61,8 +61,8 @@ class LoopVerdict:
     have O(k) digits, so building them costs O(k^2) bit work that a caller
     reading only `.kind` never needs.  The state-cycle scan hands over the
     finite or periodic expansion or the digits a_0, ..., a_{k+1} it read; the
-    edge route passes a ready Rational.  Equality also compares the witnesses, so
-    equal verdicts always name the same p/q.
+    edge route hands over the expansion it walked.  Equality also compares the
+    witnesses, so equal verdicts always name the same p/q.
     """
 
     __slots__ = ("kind", "witness_k", "witness_m", "depth", "_witness", "_source")

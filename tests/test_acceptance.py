@@ -9,6 +9,7 @@ seeded and reproducible.
 """
 
 import io
+import random
 import re
 import time
 
@@ -19,7 +20,7 @@ from fareyloops.contfrac import (
     cf_value,
     convergent_pair,
 )
-from fareyloops.cutting import crossed_edges, fan_chain
+from fareyloops.cutting import crossed_edges, fan_chain, loop_verdict_geometric
 from fareyloops.gamma_paths import nonterminating, v_algorithm
 from fareyloops.heights import (
     run_count_scan,
@@ -31,7 +32,7 @@ from fareyloops.heights import (
 )
 from fareyloops.loops import LOOP, NOTLOOP, is_infinite_loop, loop_example, loop_exists
 from fareyloops.rationals import INFINITY, Rational
-from fareyloops.sampling import random_finite_cf
+from fareyloops.sampling import random_finite_cf, random_periodic_cf
 
 SEED = 20240801
 
@@ -111,9 +112,29 @@ def test_criterion_3_definitions_equivalence():
     assert report.violations == 0
     fractions = sum(1 for q in range(2, 151) for p in range(1, q) if gcd(p, q) == 1)
     assert report.total == fractions * 11
+    # full verdicts (kind, k, m, witness) on periodic input, which the edge
+    # route closes on its own state, and on twin-form rationals
+    rng = random.Random(SEED)
+    cases = 0
+    for _ in range(150):
+        e = random_periodic_cf(rng, max_period=5, max_entry=60, a0_max=4)
+        for n in (4, 6, 8, 9, 10, 12, 15, 16, 18, 20, 24, 30, 36, 60, 100, 360, 1001, 2310):
+            assert loop_verdict_geometric(e, n) == is_infinite_loop(e, n), (e, n)
+            cases += 1
+    for q in range(2, 61):
+        for p in range(1, 2 * q):
+            if gcd(p, q) == 1:
+                twin = cf_from_rational(Rational(p, q))[1]
+                for e in (twin, CFExpansion(twin.a0, twin.body)):
+                    for n in range(2, 13):
+                        assert loop_verdict_geometric(e, n) == is_infinite_loop(e, n), (e, n)
+                        cases += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
-    print(f"ACCEPTANCE 3 definitions-equivalence: PASS ({report.total} cases, {elapsed:.2f}s)")
+    print(
+        f"ACCEPTANCE 3 definitions-equivalence: PASS ({report.total} cases, "
+        f"{cases} full verdicts, {elapsed:.2f}s)"
+    )
 
 
 def test_criterion_4_noloop_bound_brute_force():

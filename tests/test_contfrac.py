@@ -350,6 +350,10 @@ class TestTextFormat:
             "[; 1]",
             "[0; (1,,2)]",
             "[1; 2]]",
+            "[0; 0]",
+            "[-1; 2]",
+            "[0; (0)]",
+            "[0; 2, (0, 1)]",
         ]:
             with pytest.raises(ValueError) as info:
                 parse_cf(bad)

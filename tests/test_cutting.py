@@ -219,7 +219,45 @@ class TestGeometricVerdict:
         for _ in range(100):
             e = random_periodic_cf(rng, a0_max=0)
             n = rng.randint(2, 10)
-            assert loop_verdict_geometric(e, n, depth=30).kind == is_infinite_loop(e, n).kind
+            assert loop_verdict_geometric(e, n).kind == is_infinite_loop(e, n).kind
+
+    def test_huge_quotients_answer_at_once(self):
+        # the a_0 leading-term edges cost O(1) and a run longer than n walks
+        # fewer than 2n steps, so neither quotient is walked edge by edge
+        big = 10**12
+        v = loop_verdict_geometric(CFExpansion(big, (), None, True), 7)
+        assert v == is_infinite_loop(CFExpansion(big, (), None, True), 7)
+        assert v.record() == "NOTLOOP k=0 m=7 q=7"
+        for e in (CFExpansion(big, (2, 3), (5, 7)), CFExpansion(big + 1, (1, big), None, True)):
+            for n in (4, 7, 360):
+                assert loop_verdict_geometric(e, n) == is_infinite_loop(e, n), (e, n)
+        e = CFExpansion(0, (2, big))
+        assert loop_verdict_geometric(e, 4) == is_infinite_loop(e, 4) == LoopVerdict.loop()
+
+    def test_witness_is_the_created_endpoint(self):
+        # the witness p/q comes from `semiconvergent`, as the denominator
+        # route's does; check it against the endpoint that the exact mediant
+        # walk creates at (k, m).  A twin carrying the oo-tail is walked in
+        # Euclid's form, so only forms that are walked as given are drawn.
+        rng = random.Random(29)
+        cases = [random_periodic_cf(rng, max_period=4, max_entry=12, a0_max=3) for _ in range(60)]
+        for q in range(2, 41):
+            for p in range(1, 2 * q):
+                if math.gcd(p, q) == 1:
+                    euclid, twin = cf_from_rational(Rational(p, q))
+                    cases += [euclid, CFExpansion(euclid.a0, euclid.body), CFExpansion(twin.a0, twin.body)]
+        checked = 0
+        for e in cases:
+            for n in (2, 3, 4, 6, 7, 10, 12, 30, 97):
+                v = loop_verdict_geometric(e, n)
+                if v.kind != NOTLOOP:
+                    continue
+                label = v.witness_k, v.witness_m
+                *_, (k, m, lo, hi) = itertools.takewhile(lambda step: step[:2] <= label, _raw_walk(e))
+                created = Rational(*(lo if k % 2 else hi))  # odd fans move the lower endpoint
+                assert (k, m) == label and v.witness == created and created.den % n == 0, (e, n)
+                checked += 1
+        assert checked > 1000
 
     def test_equals_denominator_route_on_every_positive_value(self):
         # the leading-term edges (m/1, oo) pass through oo and are exempt,
