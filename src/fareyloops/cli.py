@@ -154,13 +154,13 @@ def cmd_semiconv(args, cfg: Config, out) -> int:
 
 def cmd_loopcheck(args, cfg: Config, out) -> int:
     value = parse_value(args.value)
-    # a surd is decided off its own expansion recurrence, which stops at the
-    # first witness instead of expanding the whole period up front
+    # both routes decide a surd off its own expansion recurrence, which stops
+    # at the first witness instead of expanding the whole period up front
     decided = value if isinstance(value, QuadSurd) else expansions_of(value)[0]
     verdict = loops.is_infinite_loop(decided, args.mod)
     print(verdict.record(), file=out)
     if args.geometric:
-        geo = cutting.loop_verdict_geometric(expansions_of(value)[0], args.mod)
+        geo = cutting.loop_verdict_geometric(decided, args.mod)
         print(f"geometric: {geo.record()}", file=out)
     return 0
 

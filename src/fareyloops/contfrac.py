@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
 
-from .rationals import INFINITY, Rational
+from .rationals import INFINITY, Immutable, Rational
 from .surds import QuadSurd
 
 Value = Union[Rational, QuadSurd]
@@ -27,40 +26,45 @@ Value = Union[Rational, QuadSurd]
 
 def _minimal_period(period: tuple[int, ...]) -> tuple[int, ...]:
     k = len(period)
-    for d in range(1, k + 1):
-        if k % d == 0 and period == period[:d] * (k // d):
+    for d in range(1, k // 2 + 1):
+        if k % d == 0 and period[d:] == period[:-d]:  # a shift by d fixes it
             return period[:d]
     return period
 
 
-@dataclass(frozen=True)
-class CFExpansion:
-    a0: int
-    body: tuple[int, ...] = ()
-    period: Optional[tuple[int, ...]] = None
-    inf_tail: bool = False
+class CFExpansion(Immutable):
+    __slots__ = ("a0", "body", "period", "inf_tail")
 
-    def __post_init__(self):
-        object.__setattr__(self, "body", tuple(self.body))
-        if self.a0 < 0:
+    def __init__(
+        self,
+        a0: int,
+        body: Iterable[int] = (),
+        period: Optional[Iterable[int]] = None,
+        inf_tail: bool = False,
+    ):
+        body = tuple(body)
+        if a0 < 0:
             raise ValueError("leading term must be nonnegative")
-        if any(a < 1 for a in self.body):
+        if body and min(body) < 1:
             raise ValueError("partial quotients after a0 must be >= 1")
-        if self.period is not None:
-            if self.inf_tail:
+        if period is not None:
+            if inf_tail:
                 raise ValueError("a periodic expansion cannot carry an oo-tail")
-            period = tuple(self.period)
+            period = tuple(period)
             if not period:
                 raise ValueError("period must be nonempty")
-            if any(a < 1 for a in period):
+            if min(period) < 1:
                 raise ValueError("period entries must be >= 1")
             period = _minimal_period(period)
-            body = list(self.body)
-            while body and body[-1] == period[-1]:
-                body.pop()
-                period = (period[-1],) + period[:-1]
-            object.__setattr__(self, "body", tuple(body))
-            object.__setattr__(self, "period", period)
+            end = len(body)
+            while end and body[end - 1] == period[-1]:
+                end -= 1
+                period = period[-1:] + period[:-1]
+            body = body[:end]
+        _set_a0(self, a0)
+        _set_body(self, body)
+        _set_period(self, period)
+        _set_inf_tail(self, inf_tail)
 
     @property
     def is_periodic(self) -> bool:
@@ -98,6 +102,9 @@ class CFExpansion:
 
     def __str__(self):
         return format_cf(self)
+
+
+_set_a0, _set_body, _set_period, _set_inf_tail = CFExpansion._setters()
 
 
 def format_cf(e: CFExpansion) -> str:

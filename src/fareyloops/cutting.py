@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .contfrac import CFExpansion, twin_of
-from .loops import LoopVerdict, _children, _fan_hit, _raw_walk
+from .loops import LoopVerdict, _children, _fan_hit, _raw_walk, _surd_steps
 from .rationals import INFINITY, FareyEdge, Rational
 from .surds import QuadSurd
 
@@ -149,7 +149,7 @@ def fan_chain(edges: list[FareyEdge]) -> list[tuple[Rational, int]]:
 # geometric loop verdict
 
 
-def loop_verdict_geometric(e: CFExpansion, n: int) -> LoopVerdict:
+def loop_verdict_geometric(e: Union[CFExpansion, QuadSurd], n: int) -> LoopVerdict:
     """Loop decision by walking the crossed edges to the first level-n edge.
 
     Takes any positive value and reads only the endpoint denominators (lo, hi)
@@ -169,9 +169,13 @@ def loop_verdict_geometric(e: CFExpansion, n: int) -> LoopVerdict:
     joins; so the walk from there repeats a zero-free one.  A rational's last
     step creates the value, which with the kept endpoint seeds the oo-tail; a
     twin with that tail is walked in Euclid's form (see `loops._check_finite`).
+    A QuadSurd is walked on the lazy (a, starts_period) steps of
+    `QuadSurd.steps`, so its period is never expanded up front.
     """
     if n < 2:
         raise ValueError("modulus must be >= 2")
+    if isinstance(e, QuadSurd):
+        return _walk_surd(e, n)
     if e.is_finite and e.a0 == 0 and not e.body:
         raise ValueError("loop decisions require a positive value")
     if e.inf_tail and e.body and e.body[-1] == 1:
@@ -191,3 +195,21 @@ def loop_verdict_geometric(e: CFExpansion, n: int) -> LoopVerdict:
     if e.inf_tail and (m := _fan_hit(kept, value, n, None, 1)) is not None:
         return LoopVerdict._not_loop_at(k + 1, m, e)
     return LoopVerdict.loop()
+
+
+def _walk_surd(s: QuadSurd, n: int) -> LoopVerdict:
+    """`loop_verdict_geometric` on a surd: the closure is tested at the flagged
+    period starts, and a NOTLOOP witness is read off the digits walked.  The
+    walk ends: two periods map the saved state invertibly on a finite set."""
+    digits: list[int] = []
+    edge, saved = (1 % n, 0), None
+    for k, (a, starts_period) in enumerate(_surd_steps(s, digits)):
+        if starts_period:
+            if saved is None:
+                saved = k % 2, *edge
+            elif saved[0] == k % 2 and (edge[0] * saved[2] - edge[1] * saved[1]) % n == 0:
+                return LoopVerdict.loop()
+        for m in range(1, (a if a <= n else n + (a - n) % n) + 1):
+            if not (children := _children(*edge, n)):
+                return LoopVerdict._not_loop_at(k, m, digits)
+            edge = children[k % 2]

@@ -30,7 +30,7 @@ from .contfrac import (
 )
 from .cutting import crossed_edges, fan_chain, loop_verdict_geometric
 from .loops import NOTLOOP, is_infinite_loop, loop_example
-from .rationals import Rational
+from .rationals import Immutable, Rational
 from .sampling import random_finite_cf, random_periodic_cf, random_unit_rational
 from .surds import QuadSurd
 
@@ -138,13 +138,22 @@ def mp_bounds(e: CFExpansion, p: int, L: int) -> tuple[Rational, Rational]:
 # check records and reports
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    check: str
-    params: tuple[tuple[str, object], ...]
-    applicable: bool
-    passed: bool
-    witness: str = "-"
+class CheckRecord(Immutable):
+    __slots__ = ("check", "params", "applicable", "passed", "witness")
+
+    def __init__(
+        self,
+        check: str,
+        params: tuple[tuple[str, object], ...],
+        applicable: bool,
+        passed: bool,
+        witness: str = "-",
+    ):
+        _set_check(self, check)
+        _set_params(self, params)
+        _set_applicable(self, applicable)
+        _set_passed(self, passed)
+        _set_witness(self, witness)
 
     def line(self) -> str:
         kv = " ".join(f"{k}={v}" for k, v in self.params)
@@ -152,6 +161,9 @@ class CheckRecord:
         if not self.applicable:
             return f"check={self.check} {kv} pass={flag} skipped=1 witness={self.witness}"
         return f"check={self.check} {kv} pass={flag} witness={self.witness}"
+
+
+_set_check, _set_params, _set_applicable, _set_passed, _set_witness = CheckRecord._setters()
 
 
 @dataclass

@@ -21,7 +21,7 @@ import sys
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .contfrac import CFExpansion, fans, semiconvergent, twin_of
-from .rationals import Rational
+from .rationals import Immutable, Rational
 from .surds import QuadSurd
 
 DEFAULT_STREAM_DEPTH = 10_000
@@ -53,7 +53,7 @@ def _den_field(q: int) -> str:
     return f"q={q}"
 
 
-class LoopVerdict:
+class LoopVerdict(Immutable):
     """Outcome of one loop decision: LOOP, NOTLOOP at fan (k, m), or UNKNOWN.
 
     A NOTLOOP's witness is the semi-convergent {k, m}, whose denominator the
@@ -75,16 +75,12 @@ class LoopVerdict:
         witness: Optional[Rational] = None,
         depth: Optional[int] = None,
     ):
-        set_ = object.__setattr__
-        set_(self, "kind", kind)
-        set_(self, "witness_k", witness_k)
-        set_(self, "witness_m", witness_m)
-        set_(self, "depth", depth)
-        set_(self, "_witness", witness)
-        set_(self, "_source", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LoopVerdict is immutable")
+        _set_kind(self, kind)
+        _set_witness_k(self, witness_k)
+        _set_witness_m(self, witness_m)
+        _set_depth(self, depth)
+        _set_witness(self, witness)
+        _set_source(self, None)
 
     @classmethod
     def loop(cls) -> "LoopVerdict":
@@ -98,7 +94,7 @@ class LoopVerdict:
     def _not_loop_at(cls, k: int, m: int, source: Union[CFExpansion, list[int]]) -> "LoopVerdict":
         """NOTLOOP whose witness is read off `source` when first asked for."""
         verdict = cls(NOTLOOP, witness_k=k, witness_m=m)
-        object.__setattr__(verdict, "_source", source)
+        _set_source(verdict, source)
         return verdict
 
     @classmethod
@@ -111,8 +107,8 @@ class LoopVerdict:
         if source is not None:
             if isinstance(source, list):
                 source = CFExpansion(source[0], tuple(source[1 : self.witness_k + 2]))
-            object.__setattr__(self, "_witness", semiconvergent(source, self.witness_k, self.witness_m))
-            object.__setattr__(self, "_source", None)
+            _set_witness(self, semiconvergent(source, self.witness_k, self.witness_m))
+            _set_source(self, None)
         return self._witness
 
     @property
@@ -130,6 +126,9 @@ class LoopVerdict:
     def __hash__(self):
         return hash(self._fields())
 
+    def __reduce__(self):
+        return LoopVerdict, (self.kind, self.witness_k, self.witness_m, self.witness, self.depth)
+
     def __repr__(self):
         return (
             f"LoopVerdict(kind={self.kind!r}, witness_k={self.witness_k!r}, "
@@ -143,6 +142,9 @@ class LoopVerdict:
         if self.kind == NOTLOOP:
             return f"NOTLOOP k={self.witness_k} m={self.witness_m} {_den_field(self.witness.den)}"
         return f"UNKNOWN depth={self.depth}"
+
+
+_set_kind, _set_witness_k, _set_witness_m, _set_depth, _set_witness, _set_source = LoopVerdict._setters()
 
 
 class ModState(NamedTuple):

@@ -8,14 +8,56 @@ rational.  Everything here is immutable and pure.
 from __future__ import annotations
 
 import math
+import operator
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 _HASH_MODULUS = sys.hash_info.modulus
 
 
-class Rational:
+class Immutable:
+    """Base of the slotted value types.
+
+    A subclass names its fields in ``__slots__`` and writes each once, in
+    ``__init__``, through the slot descriptor's own ``__set__`` (``_setters``),
+    which skips the raising ``__setattr__`` and costs less than
+    ``object.__setattr__``.  Equality (same class only), hash and repr run
+    over the field tuple, as a frozen dataclass's do; pickle and copy rebuild
+    a value by passing its field tuple to ``__init__``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._astuple = staticmethod(operator.attrgetter(*cls.__slots__))
+
+    @classmethod
+    def _setters(cls) -> tuple:
+        return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __setattr__(self, *name_value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple(self) == other._astuple(other)
+
+    def __hash__(self):
+        return hash(self._astuple(self))
+
+    def __reduce__(self):
+        return type(self), self._astuple(self)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._astuple(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Rational(Immutable):
     """Reduced fraction; ``Rational(1, 0)`` is the point at infinity."""
 
     __slots__ = ("num", "den")
@@ -34,9 +76,6 @@ class Rational:
                 den //= g
         _set_num(self, num)
         _set_den(self, den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Rational is immutable")
 
     @property
     def is_infinite(self) -> bool:
@@ -109,29 +148,25 @@ class Rational:
         return f"{self.num}/{self.den}"
 
 
-# the slot descriptors' own setters skip the __setattr__ guard
-_set_num = Rational.num.__set__
-_set_den = Rational.den.__set__
+_set_num, _set_den = Rational._setters()
 
 INFINITY = Rational(1, 0)
 ZERO = Rational(0, 1)
 ONE = Rational(1, 1)
 
 
-@dataclass(frozen=True)
-class FareyEdge:
+class FareyEdge(Immutable):
     """Unordered pair of distinct boundary points, stored with a < b."""
 
-    a: Rational
-    b: Rational
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if self.a == self.b:
+    def __init__(self, a: Rational, b: Rational):
+        if a == b:
             raise ValueError("edge endpoints must differ")
-        if self.b < self.a:
-            a, b = self.a, self.b
-            object.__setattr__(self, "a", b)
-            object.__setattr__(self, "b", a)
+        if b < a:
+            a, b = b, a
+        _set_a(self, a)
+        _set_b(self, b)
 
     @property
     def is_base(self) -> bool:
@@ -143,6 +178,9 @@ class FareyEdge:
 
     def __str__(self):
         return f"{self.a} -- {self.b}"
+
+
+_set_a, _set_b = FareyEdge._setters()
 
 
 def farey_mediant(a: Rational, b: Rational) -> Rational:

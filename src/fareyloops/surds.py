@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Iterator
 
-from .rationals import Rational
+from .rationals import Immutable, Rational
 
 
 def is_square(n: int) -> bool:
@@ -40,7 +40,7 @@ def is_reduced(P: int, Q: int, r: int) -> bool:
     return P <= r and r - P < Q <= r + P
 
 
-class QuadSurd:
+class QuadSurd(Immutable):
     """Value (P + sqrt(D))/Q with D > 0 non-square and Q | D - P^2."""
 
     __slots__ = ("P", "Q", "D")
@@ -53,12 +53,9 @@ class QuadSurd:
         if (D - P * P) % Q != 0:
             s = abs(Q)
             P, Q, D = P * s, Q * s, D * s * s
-        object.__setattr__(self, "P", P)
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "D", D)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadSurd is immutable")
+        _set_P(self, P)
+        _set_Q(self, Q)
+        _set_D(self, D)
 
     # The pair (rational part, signed radical part) determines the value, so
     # equality and hashing avoid any integer factorisation.
@@ -158,3 +155,6 @@ class QuadSurd:
 
     def __str__(self):
         return f"({self.P}+sqrt({self.D}))/{self.Q}"
+
+
+_set_P, _set_Q, _set_D = QuadSurd._setters()

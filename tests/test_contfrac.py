@@ -44,12 +44,18 @@ class TestExpansionType:
 
     def test_period_minimised(self):
         assert CFExpansion(1, (), (2, 3, 2, 3)) == CFExpansion(1, (), (2, 3))
+        assert CFExpansion(1, (), (3, 4) * 3).period == (3, 4)
+        assert CFExpansion(1, (), (1, 2, 1)).period == (1, 2, 1)
 
     def test_preperiod_minimised(self):
         # [1; 2, (1, 2)] = [1; (2, 1)]
         e = CFExpansion(1, (2,), (1, 2))
         assert e.body == ()
         assert e.period == (2, 1)
+        # a long absorbed preperiod, and one absorbed across a rotated period
+        assert CFExpansion(0, (7,) * 50, (7, 7)) == CFExpansion(0, (), (7,))
+        e = CFExpansion(0, (5, 3, 4), (3, 4, 3, 4))
+        assert (e.body, e.period) == ((5,), (3, 4))
 
     def test_leading_term_never_absorbed(self):
         e = CFExpansion(1, (), (1,))

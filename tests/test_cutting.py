@@ -10,6 +10,7 @@ from fareyloops.contfrac import (
     CFExpansion,
     cf_eval,
     cf_from_rational,
+    cf_of_surd,
     cf_value,
     convergent_pair,
     convergents,
@@ -34,6 +35,7 @@ from fareyloops.loops import (
     _fan_hit,
     _raw_walk,
     is_infinite_loop,
+    loop_example,
 )
 from fareyloops.rationals import INFINITY, FareyEdge, Rational
 from fareyloops.sampling import random_finite_cf, random_periodic_cf
@@ -233,6 +235,11 @@ class TestGeometricVerdict:
                 assert loop_verdict_geometric(e, n) == is_infinite_loop(e, n), (e, n)
         e = CFExpansion(0, (2, big))
         assert loop_verdict_geometric(e, 4) == is_infinite_loop(e, 4) == LoopVerdict.loop()
+        # a surd is walked on its lazy steps: the long period of sqrt(10^29 + 3)
+        # is never expanded, as a_1 already holds the witness
+        s = QuadSurd(0, 1, 10**29 + 3)
+        assert loop_verdict_geometric(s, 7) == is_infinite_loop(s, 7)
+        assert loop_verdict_geometric(s, 7).record() == "NOTLOOP k=1 m=6 q=7"
 
     def test_witness_is_the_created_endpoint(self):
         # the witness p/q comes from `semiconvergent`, as the denominator
@@ -278,8 +285,22 @@ class TestGeometricVerdict:
                     for e in (form, CFExpansion(form.a0, form.body)):
                         for n in range(2, 13):
                             assert loop_verdict_geometric(e, n) == is_infinite_loop(e, n), (e, n)
+        # seeded (P+sqrt(D))/Q, after the loop family's values, which are LOOP mod n
+        surds = [cf_value(loop_example(n)) for n in range(5, 13)]
+        while len(surds) < 48:
+            D = rng.randint(2, 400)
+            if math.isqrt(D) ** 2 != D:
+                s = QuadSurd(rng.randint(-30, 30), rng.choice((-1, 1)) * rng.randint(1, 12), D)
+                surds.append(s.shifted(rng.randint(0, 3) - s.floor()))
+        # a surd is walked on its lazy steps, and agrees with its expansion too
+        for s in surds:
+            for n in [*range(2, 31), 360, 1001, 2310]:
+                v = loop_verdict_geometric(s, n)
+                assert v == is_infinite_loop(s, n) == loop_verdict_geometric(cf_of_surd(s), n), (s, n)
         with pytest.raises(ValueError, match="positive value"):
             loop_verdict_geometric(CFExpansion(0, (), None, True), 5)
+        with pytest.raises(ValueError, match="positive value"):
+            loop_verdict_geometric(QuadSurd(-2, 1, 2), 5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,139 @@
+"""The slotted value types: immutable, compared and hashed over their field
+tuple (same class only), and printed as they always were."""
+
+import copy
+import pickle
+import re
+
+import pytest
+
+from fareyloops.contfrac import CFExpansion
+from fareyloops.heights import CheckRecord
+from fareyloops.loops import LoopVerdict
+from fareyloops.rationals import INFINITY, ONE, ZERO, FareyEdge, Rational
+from fareyloops.surds import QuadSurd
+
+
+def _fields(x) -> tuple:
+    return tuple(getattr(x, name) for name in type(x).__slots__)
+
+
+def _verdict_key(v: LoopVerdict) -> tuple:
+    return (*v._fields(), v.witness)
+
+
+# (value, an equal value built another way, an unequal value of the same
+# type, equality key, hash key, and the repr the value has always had)
+CASES = [
+    pytest.param(
+        CFExpansion(0, [1, 2, 3, 3], [3]),
+        CFExpansion(0, (1, 2), (3, 3)),
+        CFExpansion(0, (1, 2), (4,)),
+        _fields,
+        _fields,
+        "CFExpansion(a0=0, body=(1, 2), period=(3,), inf_tail=False)",
+        id="CFExpansion-periodic",
+    ),
+    pytest.param(
+        CFExpansion(2, (5, 1), None, True),
+        CFExpansion(a0=2, body=[5, 1], inf_tail=True),
+        CFExpansion(2, (5, 1)),
+        _fields,
+        _fields,
+        "CFExpansion(a0=2, body=(5, 1), period=None, inf_tail=True)",
+        id="CFExpansion-finite",
+    ),
+    pytest.param(
+        QuadSurd(1, 2, 5),
+        QuadSurd(2, 4, 20),
+        QuadSurd(1, 3, 5),
+        QuadSurd._key,
+        QuadSurd._key,
+        "QuadSurd(1, 2, 5)",
+        id="QuadSurd",
+    ),
+    pytest.param(
+        LoopVerdict._not_loop_at(1, 2, CFExpansion(0, (2, 3))),
+        LoopVerdict.not_loop(1, 2, Rational(2, 5)),
+        LoopVerdict.not_loop(1, 2, Rational(3, 7)),
+        _verdict_key,
+        LoopVerdict._fields,
+        "LoopVerdict(kind='NOTLOOP', witness_k=1, witness_m=2, witness=Rational(2, 5), depth=None)",
+        id="LoopVerdict",
+    ),
+    pytest.param(
+        CheckRecord("noloop", (("n", 5), ("e", "[0; 2, (1)]")), True, False, "q=5"),
+        CheckRecord(
+            check="noloop", params=(("n", 5), ("e", "[0; 2, (1)]")), applicable=True, passed=False, witness="q=5"
+        ),
+        CheckRecord("noloop", (("n", 5), ("e", "[0; 2, (1)]")), True, False),
+        _fields,
+        _fields,
+        "CheckRecord(check='noloop', params=(('n', 5), ('e', '[0; 2, (1)]')), "
+        "applicable=True, passed=False, witness='q=5')",
+        id="CheckRecord",
+    ),
+    pytest.param(
+        FareyEdge(INFINITY, ZERO),
+        FareyEdge(ZERO, INFINITY),
+        FareyEdge(ZERO, ONE),
+        _fields,
+        _fields,
+        "FareyEdge(a=Rational(0, 1), b=Rational(1, 0))",
+        id="FareyEdge",
+    ),
+]
+
+
+@pytest.mark.parametrize("value, twin, other, eq_key, hash_key, text", CASES)
+class TestValueTypeContract:
+    def test_fields_cannot_be_assigned_or_deleted(self, value, twin, other, eq_key, hash_key, text):
+        for name in (*type(value).__slots__, "extra"):
+            with pytest.raises(AttributeError, match="is immutable"):
+                setattr(value, name, None)
+        with pytest.raises(AttributeError, match="is immutable"):
+            delattr(value, type(value).__slots__[0])
+        assert value == twin and eq_key(value) == eq_key(twin)
+
+    def test_equality_and_hash_follow_the_field_tuple(self, value, twin, other, eq_key, hash_key, text):
+        for x in (value, twin, other):
+            assert hash(x) == hash(hash_key(x))
+            for y in (value, twin, other):
+                assert (x == y) == (eq_key(x) == eq_key(y))
+                assert (x != y) == (eq_key(x) != eq_key(y))
+        assert value != other
+        assert len({value, twin, other}) == 2
+        assert {value: 1}[twin] == 1
+
+    def test_other_types_are_never_equal(self, value, twin, other, eq_key, hash_key, text):
+        for foreign in (eq_key(value), hash_key(value), _fields(value), object(), None, str(value)):
+            assert not value == foreign
+            assert value != foreign
+
+    def test_repr_is_unchanged(self, value, twin, other, eq_key, hash_key, text):
+        assert repr(value) == text
+
+    def test_pickle_and_copy_rebuild_the_value(self, value, twin, other, eq_key, hash_key, text):
+        for rebuild in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
+            x = rebuild(value)
+            assert type(x) is type(value) and x == value and repr(x) == text
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((-1,), "leading term must be nonnegative"),
+        ((-1, (0,), ()), "leading term must be nonnegative"),
+        ((0, (1, 0)), "partial quotients after a0 must be >= 1"),
+        ((0, (0,), ()), "partial quotients after a0 must be >= 1"),
+        ((0, (), (1,), True), "a periodic expansion cannot carry an oo-tail"),
+        ((0, (), (), True), "a periodic expansion cannot carry an oo-tail"),
+        ((0, (), ()), "period must be nonempty"),
+        ((0, (2,), (2, 0)), "period entries must be >= 1"),
+        ((0, (2,), (-1,)), "period entries must be >= 1"),
+    ],
+)
+def test_cfexpansion_errors_are_unchanged(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CFExpansion(*args)
+
