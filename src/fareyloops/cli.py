@@ -154,8 +154,9 @@ def cmd_semiconv(args, cfg: Config, out) -> int:
 
 def cmd_loopcheck(args, cfg: Config, out) -> int:
     value = parse_value(args.value)
-    # both routes decide a surd off its own expansion recurrence, which stops
-    # at the first witness instead of expanding the whole period up front
+    # both routes read one step stream; a surd's comes lazily off its own
+    # expansion recurrence, which stops at the first witness instead of
+    # expanding the whole period up front
     decided = value if isinstance(value, QuadSurd) else expansions_of(value)[0]
     verdict = loops.is_infinite_loop(decided, args.mod)
     print(verdict.record(), file=out)

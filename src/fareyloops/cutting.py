@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
-from .contfrac import CFExpansion, twin_of
-from .loops import LoopVerdict, _children, _fan_hit, _raw_walk, _surd_steps
+from .contfrac import CFExpansion
+from .loops import LoopVerdict, _children, _fan_hit, _raw_walk, _steps
 from .rationals import INFINITY, FareyEdge, Rational
 from .surds import QuadSurd
 
@@ -149,7 +149,7 @@ def fan_chain(edges: list[FareyEdge]) -> list[tuple[Rational, int]]:
 # geometric loop verdict
 
 
-def loop_verdict_geometric(e: Union[CFExpansion, QuadSurd], n: int) -> LoopVerdict:
+def loop_verdict_geometric(e: Union[CFExpansion, QuadSurd, Iterable[int]], n: int) -> LoopVerdict:
     """Loop decision by walking the crossed edges to the first level-n edge.
 
     Takes any positive value and reads only the endpoint denominators (lo, hi)
@@ -161,49 +161,28 @@ def loop_verdict_geometric(e: Union[CFExpansion, QuadSurd], n: int) -> LoopVerdi
     denominators repeat with a period dividing n, so a run a > n walks
     n + (a - n) % n steps to the same first zero and the same end state.
 
-    Periodic input saves (k mod 2, lo, hi) at its first period start and is
-    LOOP at a later start of that parity with lo*hi0 = hi*lo0 (mod n): the
-    steps are invertible linear maps, the zero test is unchanged by a unit
-    multiple, and primitive pairs (Farey neighbours have coprime denominators)
-    with that equality are unit multiples mod each prime power, which the CRT
-    joins; so the walk from there repeats a zero-free one.  A rational's last
-    step creates the value, which with the kept endpoint seeds the oo-tail; a
-    twin with that tail is walked in Euclid's form (see `loops._check_finite`).
-    A QuadSurd is walked on the lazy (a, starts_period) steps of
-    `QuadSurd.steps`, so its period is never expanded up front.
+    The walk reads the steps of `loops._steps`, the input the denominator
+    route reads too, and keeps its own state.  It saves (k mod 2, lo, hi) at
+    the first period start and is LOOP at a later start of that parity with
+    lo*hi0 = hi*lo0 (mod n): the steps are invertible linear maps, the zero
+    test is unchanged by a unit multiple, and primitive pairs (Farey
+    neighbours have coprime denominators) with that equality are unit
+    multiples mod each prime power, which the CRT joins; so the walk from
+    there repeats a zero-free one.  Two periods map the saved state
+    invertibly on a finite set, so periodic input ends.  A rational's last
+    step creates the value, which with the kept endpoint seeds the oo-tail.
+    A walk that runs out is LOOP on a finite expansion and, on a digit
+    stream, UNKNOWN at the depth walked.
     """
     if n < 2:
         raise ValueError("modulus must be >= 2")
-    if isinstance(e, QuadSurd):
-        return _walk_surd(e, n)
-    if e.is_finite and e.a0 == 0 and not e.body:
-        raise ValueError("loop decisions require a positive value")
-    if e.inf_tail and e.body and e.body[-1] == 1:
-        e = twin_of(e)
+    steps, source = _steps(e)
     edge, saved, k = (1 % n, 0), None, -1
-    for k, a in enumerate(itertools.islice(e.digits(), 1, None)):
-        if k >= len(e.body) and (k - len(e.body)) % len(e.period) == 0:  # a period start
-            if saved is None:
-                saved = k % 2, *edge
-            elif saved[0] == k % 2 and (edge[0] * saved[2] - edge[1] * saved[1]) % n == 0:
-                return LoopVerdict.loop()
-        for m in range(1, (a if a <= n else n + (a - n) % n) + 1):
-            if not (children := _children(*edge, n)):
-                return LoopVerdict._not_loop_at(k, m, e)
-            edge = children[k % 2]
-    value, kept = edge if k % 2 else edge[::-1]  # odd fans move the lower endpoint
-    if e.inf_tail and (m := _fan_hit(kept, value, n, None, 1)) is not None:
-        return LoopVerdict._not_loop_at(k + 1, m, e)
-    return LoopVerdict.loop()
-
-
-def _walk_surd(s: QuadSurd, n: int) -> LoopVerdict:
-    """`loop_verdict_geometric` on a surd: the closure is tested at the flagged
-    period starts, and a NOTLOOP witness is read off the digits walked.  The
-    walk ends: two periods map the saved state invertibly on a finite set."""
-    digits: list[int] = []
-    edge, saved = (1 % n, 0), None
-    for k, (a, starts_period) in enumerate(_surd_steps(s, digits)):
+    for k, (a, starts_period) in enumerate(steps):
+        if a is None:  # the oo-tail, seeded by the value fan k - 1 created
+            value, kept = edge[::-1] if k % 2 else edge  # odd fans move the lower endpoint
+            m = _fan_hit(kept, value, n, None, 1)
+            return LoopVerdict.loop() if m is None else LoopVerdict._not_loop_at(k, m, source)
         if starts_period:
             if saved is None:
                 saved = k % 2, *edge
@@ -211,5 +190,6 @@ def _walk_surd(s: QuadSurd, n: int) -> LoopVerdict:
                 return LoopVerdict.loop()
         for m in range(1, (a if a <= n else n + (a - n) % n) + 1):
             if not (children := _children(*edge, n)):
-                return LoopVerdict._not_loop_at(k, m, digits)
+                return LoopVerdict._not_loop_at(k, m, source)
             edge = children[k % 2]
+    return LoopVerdict.loop() if isinstance(source, CFExpansion) else LoopVerdict.unknown(k + 1)

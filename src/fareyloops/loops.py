@@ -2,9 +2,10 @@
 
 A positive real is an infinite loop mod n when no semi-convergent denominator
 (the seed q_{-1} = 0 excepted) is divisible by n; for rationals the oo-tail
-convention adds the final progression of Euclid's expansion.  One fan scan,
-`_scan_cycle`, decides every kind of input: exactly for finite and periodic
-expansions, while truncated digit streams can only refute, never confirm.
+convention adds the final progression of Euclid's expansion.  One step
+stream, `_steps`, feeds both routes, the fan scan `_scan_cycle` and the edge
+walk `cutting.loop_verdict_geometric`: exact for finite and periodic
+expansions and surds, while truncated digit streams can only refute.
 
 Loops exist mod every n >= 4, as the validated family of `loop_example`
 shows; mod 2 and 3 their absence is proved on a finite state graph: a walk
@@ -59,9 +60,9 @@ class LoopVerdict(Immutable):
     A NOTLOOP's witness is the semi-convergent {k, m}, whose denominator the
     modulus divides.  It is built on the first read of `.witness`: p and q
     have O(k) digits, so building them costs O(k^2) bit work that a caller
-    reading only `.kind` never needs.  The state-cycle scan hands over the
-    finite or periodic expansion or the digits a_0, ..., a_{k+1} it read; the
-    edge route hands over the expansion it walked.  Equality also compares the
+    reading only `.kind` never needs.  Both routes hand over the source of
+    `_steps`: the finite or periodic expansion read, or the digits a_0, ...,
+    a_{k+1} read off a surd or stream.  Equality also compares the
     witnesses, so equal verdicts always name the same p/q.
     """
 
@@ -170,29 +171,67 @@ def _fan_hit(u: int, v: int, n: int, bound: Optional[int], min_m: int) -> Option
     return m0
 
 
-def _check_finite(e: CFExpansion, n: int) -> LoopVerdict:
-    """The fan scan on a finite expansion, its oo-tail fed as a fan over n.
+_Steps = Iterator[tuple[Optional[int], bool]]
 
-    The m with u + m*v = 0 (mod n) form one class mod n/gcd(v, n), so the
-    least one past min_m is at most n; steps that run out have scanned every
-    fan: LOOP.  Under the tail convention Euclid's form [a_0; ..., a_L] (not
-    ending in 1) decides the value alone.  Through its fan L the twin
-    [a_0; ..., a_L - 1, 1] draws only Euclid's denominators, and its tail
-    m*q_L + (q_L - q_{L-1}) is 0 mod n only if q_L (coprime to q_{L-1}) is a
-    unit mod n, and then so is Euclid's tail m'*q_L + q_{L-1} for some m'.
+
+def _steps(
+    e: Union[CFExpansion, QuadSurd, Iterable[int]], depth_limit: int = DEFAULT_STREAM_DEPTH
+) -> tuple[_Steps, Union[CFExpansion, list[int]]]:
+    """The input of both loop routes: the steps after a_0, and the witness source.
+
+    Step k is (a_{k+1}, whether fan k starts a period).  A finite expansion
+    carrying the oo-tail ends in the step (None, False), its unbounded final
+    fan.  Under the tail convention Euclid's form [a_0; ..., a_L] (not ending
+    in 1) decides the value alone, so a twin is read in Euclid's form.
+    Through its fan L the twin [a_0; ..., a_L - 1, 1] draws only Euclid's
+    denominators, and its tail m*q_L + (q_L - q_{L-1}) is 0 mod n only if q_L
+    (coprime to q_{L-1}) is a unit mod n, and then so is Euclid's tail
+    m'*q_L + q_{L-1} for some m'.  A periodic expansion starts each period at
+    its offset 0, a surd at the flags of `QuadSurd.steps`; both starts are
+    canonical.  A digit stream gives at most depth_limit steps, none a
+    period start.  The source of a finite or periodic expansion is the
+    expansion read; a surd or stream records a_0, a_1, ... in a list as its
+    steps are read, so a witness needs only the digits walked.
     """
-    if e.a0 == 0 and not e.body:
-        raise ValueError("loop decisions require a positive value")
-    if e.inf_tail and e.body and e.body[-1] == 1:
-        e = twin_of(e)
-    steps = zip(e.body + ((n,) if e.inf_tail else ()), itertools.repeat(False))
-    verdict = _scan_cycle(steps, n, e)
-    return LoopVerdict.loop() if verdict.kind == UNKNOWN else verdict
+    if isinstance(e, CFExpansion):
+        if e.is_periodic:
+            # the preperiod is minimal, so offset 0 of the period is its canonical start
+            period = [(a, i == 0) for i, a in enumerate(e.period)]
+            return itertools.chain(zip(e.body, itertools.repeat(False)), itertools.cycle(period)), e
+        if e.a0 or e.body:
+            if e.inf_tail and e.body and e.body[-1] == 1:
+                e = twin_of(e)
+            return zip((*e.body, None) if e.inf_tail else e.body, itertools.repeat(False)), e
+    elif not isinstance(e, QuadSurd) or e.is_positive():  # a stream's terms are checked as read
+        digits: list[int] = []
+        return _recorded(e.steps() if isinstance(e, QuadSurd) else _terms(e, depth_limit), digits), digits
+    raise ValueError("loop decisions require a positive value")
 
 
-def _scan_cycle(
-    steps: Iterable[tuple[int, bool]], n: int, prefix: Union[CFExpansion, list[int]]
-) -> LoopVerdict:
+def _terms(stream: Iterable[int], depth_limit: int) -> Iterator[tuple[int, bool]]:
+    """The terms a_0, ..., a_{depth_limit} of a digit stream as steps (a_k, False), each checked."""
+    for k, a in enumerate(itertools.islice(stream, depth_limit + 1)):
+        if not isinstance(a, int):
+            raise ValueError(f"stream term a_{k} = {a!r} is not an integer")
+        if k == 0 and a < 0:
+            raise ValueError("leading term must be nonnegative")
+        if k > 0 and a < 1:
+            raise ValueError("partial quotients after a0 must be >= 1")
+        yield a, False
+
+
+def _recorded(steps: Iterator[tuple[int, bool]], digits: list[int]) -> _Steps:
+    """The steps after a_0 of steps (a_k, starts_period) from k = 0; each a_k also goes to digits."""
+    first = next(steps, None)
+    if first is None:
+        raise ValueError("empty digit stream")
+    digits.append(first[0])
+    for a, starts_period in steps:
+        digits.append(a)
+        yield a, starts_period
+
+
+def _scan_cycle(steps: _Steps, n: int, prefix: Union[CFExpansion, list[int]]) -> LoopVerdict:
     """The state-cycle scan behind every loop decision.
 
     Step k gives a_{k+1}, which closes fan k at (u, v) = (q_{k-1}, q_k) mod n,
@@ -206,6 +245,7 @@ def _scan_cycle(
        power, which the CRT joins.  So each later fan repeats a scanned one.
     4. Only fan 0 excludes m = 0, but a return to u = 0 at k > 0 has already
        stopped the scan: q_{k-1} is the last denominator of fan k - 2.
+    A step with a = None is the unbounded tail fan, which ends the steps.
     Steps that run out after k fans leave UNKNOWN; NOTLOOP builds its witness lazily from `prefix`.
     """
     u, v = 0, 1
@@ -220,39 +260,11 @@ def _scan_cycle(
         m = _fan_hit(u, v, n, a, 1 if k == 0 else 0)
         if m is not None:
             return LoopVerdict._not_loop_at(k, m, prefix)
+        if a is None:
+            break
         u, v = v, (a * v + u) % n
         k += 1
     return LoopVerdict.unknown(k)
-
-
-def _surd_steps(s: QuadSurd, digits: list[int]) -> Iterator[tuple[int, bool]]:
-    """The steps of ``QuadSurd.steps`` after a_0, with its period flags; a_0, a_1, ... go to digits."""
-    if not s.is_positive():
-        raise ValueError("loop decisions require a positive value")
-    steps = s.steps()
-    digits.append(next(steps)[0])
-    for a, starts_period in steps:
-        digits.append(a)
-        yield a, starts_period
-
-
-def _stream_steps(
-    stream: Iterable[int], depth_limit: int, digits: list[int]
-) -> Iterator[tuple[int, bool]]:
-    """At most depth_limit steps of a digit stream, none a period start; a_0, ... go to digits."""
-    it = iter(stream)
-    try:
-        a0 = next(it)
-    except StopIteration:
-        raise ValueError("empty digit stream") from None
-    if a0 < 0:
-        raise ValueError("leading term must be nonnegative")
-    digits.append(a0)
-    for a in itertools.islice(it, depth_limit):
-        if a < 1:
-            raise ValueError("partial quotients after a0 must be >= 1")
-        digits.append(a)
-        yield a, False
 
 
 def is_infinite_loop(
@@ -267,24 +279,15 @@ def is_infinite_loop(
     expansions and for QuadSurd values.  A bare iterable of partial quotients
     is treated as a truncated digit stream and checked up to depth_limit
     (default 10000, at least 1), returning UNKNOWN when no witness surfaces.
+    A finite expansion's steps that run out have scanned every fan: LOOP.
     """
     if n < 2:
         raise ValueError("modulus must be >= 2")
     if depth_limit is not None and depth_limit < 1:
         raise ValueError(f"depth_limit must be >= 1, got {depth_limit}")
-    if isinstance(e, CFExpansion):
-        if not e.is_periodic:
-            return _check_finite(e, n)
-        # the preperiod is minimal, so offset 0 of the period is its canonical start
-        period = [(a, i == 0) for i, a in enumerate(e.period)]
-        steps = itertools.chain(zip(e.body, itertools.repeat(False)), itertools.cycle(period))
-        return _scan_cycle(steps, n, e)
-    digits: list[int] = []
-    if isinstance(e, QuadSurd):
-        steps = _surd_steps(e, digits)
-    else:
-        steps = _stream_steps(e, depth_limit or DEFAULT_STREAM_DEPTH, digits)
-    return _scan_cycle(steps, n, digits)
+    steps, source = _steps(e, depth_limit or DEFAULT_STREAM_DEPTH)
+    verdict = _scan_cycle(steps, n, source)
+    return LoopVerdict.loop() if verdict.kind == UNKNOWN and isinstance(source, CFExpansion) else verdict
 
 
 def loop_scaling_check(e: CFExpansion, n: int, k: int) -> bool:

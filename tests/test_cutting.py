@@ -297,6 +297,19 @@ class TestGeometricVerdict:
             for n in [*range(2, 31), 360, 1001, 2310]:
                 v = loop_verdict_geometric(s, n)
                 assert v == is_infinite_loop(s, n) == loop_verdict_geometric(cf_of_surd(s), n), (s, n)
+        # a digit stream never closes: a walk that runs out is UNKNOWN at the
+        # depth walked, as on the denominator route, never LOOP
+        def ones():
+            yield 0
+            while True:
+                yield 1
+
+        for stream, n in [([3], 5), ([0, 2, 1, 1], 97), ([0, 2, 3, 1], 7)]:
+            assert loop_verdict_geometric(iter(stream), n) == is_infinite_loop(iter(stream), n), (stream, n)
+        assert loop_verdict_geometric(iter([0, 2, 1, 1]), 97).record() == "UNKNOWN depth=3"
+        assert loop_verdict_geometric(ones(), 10**9) == is_infinite_loop(ones(), 10**9)
+        v = loop_verdict_geometric(itertools.islice(ones(), 51), 10**9)
+        assert v == is_infinite_loop(ones(), 10**9, depth_limit=50) and v.record() == "UNKNOWN depth=50"
         with pytest.raises(ValueError, match="positive value"):
             loop_verdict_geometric(CFExpansion(0, (), None, True), 5)
         with pytest.raises(ValueError, match="positive value"):

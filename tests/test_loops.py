@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -25,6 +26,7 @@ from fareyloops.loops import (
     _decimal_digits,
     _fan_hit,
     _find_cycle,
+    _steps,
     is_infinite_loop,
     loop_example,
     loop_exists,
@@ -435,14 +437,54 @@ class TestStreams:
         assert v.kind == NOTLOOP and v.witness.den == 7
 
     @pytest.mark.parametrize("value, message", [
-        (iter([]), "empty digit stream"),
-        (iter([-1, 2, 3]), "leading term must be nonnegative"),
-        (iter([1, 2, 0, 4]), "partial quotients after a0 must be >= 1"),
+        ([], "empty digit stream"),
+        ([-1, 2, 3], "leading term must be nonnegative"),
+        ([1, 2, 0, 4], "partial quotients after a0 must be >= 1"),
         (QuadSurd(-3, 1, 2), "loop decisions require a positive value"),
+        ([0.5, 2], "stream term a_0 = 0.5 is not an integer"),
+        ([0, 2.5, 3], "stream term a_1 = 2.5 is not an integer"),
+        ([0, 2, 1e20], "stream term a_2 = 1e+20 is not an integer"),
+        ([1, Fraction(3), 4], "stream term a_1 = Fraction(3, 1) is not an integer"),
+        (["1", 2], "stream term a_0 = '1' is not an integer"),
     ])
     def test_bad_input_is_rejected(self, value, message):
-        with pytest.raises(ValueError, match=message):
-            is_infinite_loop(value, 97)
+        # both routes read one step stream, which checks each term as it is read
+        for decide in (is_infinite_loop, cutting.loop_verdict_geometric):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                decide(value, 97)
+
+
+class TestStepStream:
+    """Both routes read `_steps`; both closure proofs need a value's period
+    starts to be the same whichever form the value comes in."""
+
+    @staticmethod
+    def assert_same_steps(surd, e):
+        # the preperiod and three periods of e, flags included
+        count = len(e.body) + 3 * len(e.period)
+        steps, digits = _steps(surd)
+        expected = list(itertools.islice(_steps(e)[0], count))
+        assert list(itertools.islice(steps, count)) == expected, (surd, e)
+        assert sum(starts for _, starts in expected) == 3
+        assert digits == [e.a0, *(a for a, _ in expected)], (surd, e)
+
+    def test_surd_and_its_expansion(self):
+        rng = random.Random(21)
+        checked = 0
+        while checked < 3000:
+            D = rng.randint(2, 399)
+            if math.isqrt(D) ** 2 == D:
+                continue
+            s = QuadSurd(rng.randint(-30, 30), rng.choice((-1, 1)) * rng.randint(1, 12), D)
+            s = s.shifted(rng.randint(0, 3) - s.floor())
+            self.assert_same_steps(s, cf_of_surd(s))
+            checked += 1
+
+    def test_periodic_expansion_and_its_value(self):
+        rng = random.Random(22)
+        for _ in range(300):
+            e = random_periodic_cf(rng, max_pre=3, max_period=4, max_entry=9, a0_max=3)
+            self.assert_same_steps(cf_value(e), e)
 
 
 class TestScaling:
