@@ -9,11 +9,12 @@ geometry is computed.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .contfrac import CFExpansion
-from .loops import LoopVerdict, _children, _fan_hit, _raw_walk, _steps
+from .loops import LoopVerdict, _raw_walk, _steps
 from .rationals import INFINITY, FareyEdge, Rational
 from .surds import QuadSurd
 
@@ -149,17 +150,28 @@ def fan_chain(edges: list[FareyEdge]) -> list[tuple[Rational, int]]:
 # geometric loop verdict
 
 
+def _first_zero(x: int, h: int, n: int) -> Optional[int]:
+    """Least m >= 1 with x + m*h = 0 (mod n), or None.  A zero needs g = gcd(h, n)
+    to divide x, and then m = -(x/g) * (h/g)^-1 mod n/g, taken in 1..n/g."""
+    g = math.gcd(h, n)
+    if x % g:
+        return None
+    n //= g
+    return -(x // g) * pow(h // g, -1, n) % n or n
+
+
 def loop_verdict_geometric(e: Union[CFExpansion, QuadSurd, Iterable[int]], n: int) -> LoopVerdict:
-    """Loop decision by walking the crossed edges to the first level-n edge.
+    """Loop decision by jumping each fan of crossed edges to its first level-n edge.
 
     Takes any positive value and reads only the endpoint denominators (lo, hi)
-    mod n.  Each step is the transition `_children`: child 0 (lo kept) in even
-    fans, child 1 in odd ones.  Its empty result, a created denominator 0 mod
-    n, marks the first level-n edge: a kept endpoint was checked when it was
-    created, and only oo, which is exempt, has denominator 0.  The a_0
-    leading-term edges (m/1, oo) keep the base edge's (1, 0).  A fan's created
-    denominators repeat with a period dividing n, so a run a > n walks
-    n + (a - n) % n steps to the same first zero and the same end state.
+    mod n.  Fan k keeps one endpoint, of denominator h (lo in even fans, hi
+    in odd ones), and its edges create x + m*h for m = 1..a_{k+1}, x the
+    other endpoint's.  The first level-n edge is the least m >= 1 with
+    x + m*h = 0 (mod n), found in closed form by `_first_zero`: a kept
+    endpoint was checked when it was created, and only oo, which is exempt,
+    has denominator 0.  Without a zero the fan ends at x + a*h.  This is the
+    congruence `loops._fan_hit` solves on (q_{k-1}, q_k), solved by separate
+    code.  The a_0 leading-term edges (m/1, oo) keep the base edge's (1, 0).
 
     The walk reads the steps of `loops._steps`, the input the denominator
     route reads too, and keeps its own state.  It saves (k mod 2, lo, hi) at
@@ -170,26 +182,25 @@ def loop_verdict_geometric(e: Union[CFExpansion, QuadSurd, Iterable[int]], n: in
     multiples mod each prime power, which the CRT joins; so the walk from
     there repeats a zero-free one.  Two periods map the saved state
     invertibly on a finite set, so periodic input ends.  A rational's last
-    step creates the value, which with the kept endpoint seeds the oo-tail.
-    A walk that runs out is LOOP on a finite expansion and, on a digit
-    stream, UNKNOWN at the depth walked.
+    step creates the value, which with the kept endpoint seeds the oo-tail,
+    an unbounded fan.  A walk that runs out is LOOP on a finite expansion
+    and, on a digit stream, UNKNOWN at the depth walked.
     """
     if n < 2:
         raise ValueError("modulus must be >= 2")
     steps, source = _steps(e)
-    edge, saved, k = (1 % n, 0), None, -1
+    lo, hi, saved, k = 1 % n, 0, None, -1
     for k, (a, starts_period) in enumerate(steps):
-        if a is None:  # the oo-tail, seeded by the value fan k - 1 created
-            value, kept = edge[::-1] if k % 2 else edge  # odd fans move the lower endpoint
-            m = _fan_hit(kept, value, n, None, 1)
-            return LoopVerdict.loop() if m is None else LoopVerdict._not_loop_at(k, m, source)
+        odd = k % 2
         if starts_period:
             if saved is None:
-                saved = k % 2, *edge
-            elif saved[0] == k % 2 and (edge[0] * saved[2] - edge[1] * saved[1]) % n == 0:
+                saved = odd, lo, hi
+            elif saved[0] == odd and (lo * saved[2] - hi * saved[1]) % n == 0:
                 return LoopVerdict.loop()
-        for m in range(1, (a if a <= n else n + (a - n) % n) + 1):
-            if not (children := _children(*edge, n)):
-                return LoopVerdict._not_loop_at(k, m, source)
-            edge = children[k % 2]
+        x, h = (lo, hi) if odd else (hi, lo)  # odd fans move the lower endpoint
+        m = _first_zero(x, h, n)
+        if a is None or (m is not None and m <= a):  # a is None: the oo-tail
+            return LoopVerdict.loop() if m is None else LoopVerdict._not_loop_at(k, m, source)
+        end = (x + a * h) % n
+        lo, hi = (end, hi) if odd else (lo, end)
     return LoopVerdict.loop() if isinstance(source, CFExpansion) else LoopVerdict.unknown(k + 1)

@@ -85,7 +85,8 @@ class LoopVerdict(Immutable):
 
     @classmethod
     def loop(cls) -> "LoopVerdict":
-        return cls(LOOP)
+        """The LOOP verdict: it has no fields, so every decision shares one instance."""
+        return _LOOP
 
     @classmethod
     def not_loop(cls, k: int, m: int, value: Rational) -> "LoopVerdict":
@@ -146,6 +147,7 @@ class LoopVerdict(Immutable):
 
 
 _set_kind, _set_witness_k, _set_witness_m, _set_depth, _set_witness, _set_source = LoopVerdict._setters()
+_LOOP = LoopVerdict(LOOP)
 
 
 class ModState(NamedTuple):
@@ -246,7 +248,8 @@ def _scan_cycle(steps: _Steps, n: int, prefix: Union[CFExpansion, list[int]]) ->
     4. Only fan 0 excludes m = 0, but a return to u = 0 at k > 0 has already
        stopped the scan: q_{k-1} is the last denominator of fan k - 2.
     A step with a = None is the unbounded tail fan, which ends the steps.
-    Steps that run out after k fans leave UNKNOWN; NOTLOOP builds its witness lazily from `prefix`.
+    Steps that run out after k fans are LOOP on a finite expansion (every fan
+    scanned), else UNKNOWN at depth k; NOTLOOP builds its witness lazily from `prefix`.
     """
     u, v = 0, 1
     u0 = None
@@ -264,7 +267,7 @@ def _scan_cycle(steps: _Steps, n: int, prefix: Union[CFExpansion, list[int]]) ->
             break
         u, v = v, (a * v + u) % n
         k += 1
-    return LoopVerdict.unknown(k)
+    return LoopVerdict.loop() if isinstance(prefix, CFExpansion) else LoopVerdict.unknown(k)
 
 
 def is_infinite_loop(
@@ -279,15 +282,13 @@ def is_infinite_loop(
     expansions and for QuadSurd values.  A bare iterable of partial quotients
     is treated as a truncated digit stream and checked up to depth_limit
     (default 10000, at least 1), returning UNKNOWN when no witness surfaces.
-    A finite expansion's steps that run out have scanned every fan: LOOP.
     """
     if n < 2:
         raise ValueError("modulus must be >= 2")
     if depth_limit is not None and depth_limit < 1:
         raise ValueError(f"depth_limit must be >= 1, got {depth_limit}")
     steps, source = _steps(e, depth_limit or DEFAULT_STREAM_DEPTH)
-    verdict = _scan_cycle(steps, n, source)
-    return LoopVerdict.loop() if verdict.kind == UNKNOWN and isinstance(source, CFExpansion) else verdict
+    return _scan_cycle(steps, n, source)
 
 
 def loop_scaling_check(e: CFExpansion, n: int, k: int) -> bool:

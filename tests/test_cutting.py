@@ -21,6 +21,7 @@ from fareyloops.contfrac import (
 )
 from fareyloops.cutting import (
     CuttingWord,
+    _first_zero,
     crossed_edges,
     crosses_edge,
     eta,
@@ -32,8 +33,10 @@ from fareyloops.loops import (
     LOOP,
     NOTLOOP,
     LoopVerdict,
+    _children,
     _fan_hit,
     _raw_walk,
+    _steps,
     is_infinite_loop,
     loop_example,
 )
@@ -224,8 +227,8 @@ class TestGeometricVerdict:
             assert loop_verdict_geometric(e, n).kind == is_infinite_loop(e, n).kind
 
     def test_huge_quotients_answer_at_once(self):
-        # the a_0 leading-term edges cost O(1) and a run longer than n walks
-        # fewer than 2n steps, so neither quotient is walked edge by edge
+        # the a_0 leading-term edges cost O(1) and each later fan is one jump
+        # to its first level-n edge, so no quotient is walked edge by edge
         big = 10**12
         v = loop_verdict_geometric(CFExpansion(big, (), None, True), 7)
         assert v == is_infinite_loop(CFExpansion(big, (), None, True), 7)
@@ -235,6 +238,10 @@ class TestGeometricVerdict:
                 assert loop_verdict_geometric(e, n) == is_infinite_loop(e, n), (e, n)
         e = CFExpansion(0, (2, big))
         assert loop_verdict_geometric(e, 4) == is_infinite_loop(e, 4) == LoopVerdict.loop()
+        e = CFExpansion(0, (1, big), (big + 1, 3))
+        assert loop_verdict_geometric(e, 360) == is_infinite_loop(e, 360)
+        e = loop_example(10**6)
+        assert loop_verdict_geometric(e, 10**6) == is_infinite_loop(e, 10**6) == LoopVerdict.loop()
         # a surd is walked on its lazy steps: the long period of sqrt(10^29 + 3)
         # is never expanded, as a_1 already holds the witness
         s = QuadSurd(0, 1, 10**29 + 3)
@@ -429,3 +436,107 @@ class TestEuclidReference:
             for chain in (fan_chain, _reference_fan_chain):
                 with pytest.raises(ValueError, match="share one endpoint"):
                     chain(edges)
+
+
+# ---------------------------------------------------------------------------
+# the fan jump against the stepwise edge walker it replaced
+
+
+def _stepwise_geometric(e, n: int) -> LoopVerdict:
+    """The edge route walked one `_children` step per crossed edge (a run
+    a > n folded to n + (a - n) % n steps), the oo-tail solved by `_fan_hit`."""
+    if n < 2:
+        raise ValueError("modulus must be >= 2")
+    steps, source = _steps(e)
+    edge, saved, k = (1 % n, 0), None, -1
+    for k, (a, starts_period) in enumerate(steps):
+        if a is None:
+            value, kept = edge[::-1] if k % 2 else edge
+            m = _fan_hit(kept, value, n, None, 1)
+            return LoopVerdict.loop() if m is None else LoopVerdict._not_loop_at(k, m, source)
+        if starts_period:
+            if saved is None:
+                saved = k % 2, *edge
+            elif saved[0] == k % 2 and (edge[0] * saved[2] - edge[1] * saved[1]) % n == 0:
+                return LoopVerdict.loop()
+        for m in range(1, (a if a <= n else n + (a - n) % n) + 1):
+            if not (children := _children(*edge, n)):
+                return LoopVerdict._not_loop_at(k, m, source)
+            edge = children[k % 2]
+    return LoopVerdict.loop() if isinstance(source, CFExpansion) else LoopVerdict.unknown(k + 1)
+
+
+class TestFanJump:
+    # LoopVerdict equality compares kind, k, m, depth and the witness p/q
+    MODULI = [*range(2, 31), 360, 1001, 2310, 2187]
+
+    @staticmethod
+    def mismatches(cases) -> list:
+        return [(value, n) for value, n in cases if loop_verdict_geometric(value, n) != _stepwise_geometric(value, n)]
+
+    def test_solver_against_brute_force(self):
+        wrong = []
+        for n in range(1, 41):
+            for x in range(n):
+                for h in range(n):
+                    first = next((m for m in range(1, n + 1) if (x + m * h) % n == 0), None)
+                    if _first_zero(x, h, n) != first:
+                        wrong.append((x, h, n))
+        assert wrong == []
+        # gcd(h, n) = 2 does not divide x; h = 0 hits only when x does
+        assert _first_zero(1, 2, 4) is None and _first_zero(2, 2, 4) == 1
+        assert _first_zero(3, 0, 5) is None and _first_zero(0, 0, 5) == 1
+
+    def test_rationals(self):
+        forms = []
+        for q in range(1, 41):
+            for p in range(1, 3 * q):
+                if math.gcd(p, q) == 1:
+                    for form in cf_from_rational(Rational(p, q)):
+                        forms += [form, CFExpansion(form.a0, form.body)]
+        assert len(forms) > 5000
+        assert self.mismatches((e, n) for e in forms for n in self.MODULI) == []
+
+    def test_periodic_runs_longer_than_n(self):
+        # entries up to 3n walk runs past n, and composite n gives kept
+        # denominators that are not units
+        rng = random.Random(30)
+        cases = []
+        for _ in range(300):
+            n = rng.choice(self.MODULI)
+            cases.append((random_periodic_cf(rng, max_pre=3, max_period=4, max_entry=3 * n, a0_max=3), n))
+        assert sum(max(e.body + e.period) > n for e, n in cases) > 100
+        assert self.mismatches(cases) == []
+
+    def test_surds_and_streams(self):
+        rng = random.Random(31)
+        surds = []
+        while len(surds) < 40:
+            D = rng.randint(2, 10**6)
+            if math.isqrt(D) ** 2 != D:
+                s = QuadSurd(rng.randint(-300, 300), rng.choice((-1, 1)) * rng.randint(1, 40), D)
+                surds.append(s.shifted(rng.randint(0, 3) - s.floor()))
+        assert self.mismatches((s, n) for s in surds for n in self.MODULI) == []
+
+        def ones():
+            yield 0
+            while True:
+                yield 1
+
+        # a list is read as a digit stream, and each route reads its own copy
+        assert self.mismatches([([0, 2, 1, 1], 97), ([3], 5), ([0, 2, 3, 1], 7)]) == []
+        for stream, depth in [(ones, 10_000), (lambda: itertools.islice(ones(), 51), 50)]:
+            v = loop_verdict_geometric(stream(), 10**9)
+            assert v == _stepwise_geometric(stream(), 10**9) and v.record() == f"UNKNOWN depth={depth}"
+        for bad in ([], [-1, 2, 3], [1, 2, 0, 4], QuadSurd(-3, 1, 2), [0.5, 2], [0, 2.5, 3], [0, 2, 1e20]):
+            errors = []
+            for decide in (loop_verdict_geometric, _stepwise_geometric):
+                with pytest.raises(ValueError) as error:
+                    decide(bad, 97)
+                errors.append(str(error.value))
+            assert errors[0] == errors[1], bad
+
+    def test_loop_family(self):
+        cases = [(loop_example(n), n) for n in [*range(4, 51), 10**3, 10**4]]
+        assert self.mismatches(cases) == []
+        assert all(loop_verdict_geometric(e, n) is LoopVerdict.loop() for e, n in cases)

@@ -9,7 +9,8 @@ import pytest
 
 from fareyloops.contfrac import CFExpansion
 from fareyloops.heights import CheckRecord
-from fareyloops.loops import LoopVerdict
+from fareyloops.cutting import loop_verdict_geometric
+from fareyloops.loops import LOOP, LoopVerdict, is_infinite_loop, loop_example
 from fareyloops.rationals import INFINITY, ONE, ZERO, FareyEdge, Rational
 from fareyloops.surds import QuadSurd
 
@@ -60,6 +61,15 @@ CASES = [
         LoopVerdict._fields,
         "LoopVerdict(kind='NOTLOOP', witness_k=1, witness_m=2, witness=Rational(2, 5), depth=None)",
         id="LoopVerdict",
+    ),
+    pytest.param(
+        LoopVerdict.loop(),
+        LoopVerdict(LOOP),
+        LoopVerdict.unknown(0),
+        _verdict_key,
+        LoopVerdict._fields,
+        "LoopVerdict(kind='LOOP', witness_k=None, witness_m=None, witness=None, depth=None)",
+        id="LoopVerdict-LOOP",
     ),
     pytest.param(
         CheckRecord("noloop", (("n", 5), ("e", "[0; 2, (1)]")), True, False, "q=5"),
@@ -117,6 +127,15 @@ class TestValueTypeContract:
         for rebuild in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
             x = rebuild(value)
             assert type(x) is type(value) and x == value and repr(x) == text
+
+
+def test_loop_is_one_shared_verdict():
+    # a LOOP verdict has no fields, so both routes hand out the same instance
+    assert LoopVerdict.loop() is LoopVerdict.loop() and LoopVerdict.loop().record() == "LOOP"
+    tail = CFExpansion(0, (2,), None, True)
+    assert is_infinite_loop(tail, 4) is LoopVerdict.loop() is loop_verdict_geometric(tail, 4)
+    periodic = loop_example(7)
+    assert is_infinite_loop(periodic, 7) is LoopVerdict.loop() is loop_verdict_geometric(periodic, 7)
 
 
 @pytest.mark.parametrize(
