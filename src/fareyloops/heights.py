@@ -31,7 +31,7 @@ from .contfrac import (
 from .cutting import crossed_edges, fan_chain, loop_verdict_geometric
 from .loops import NOTLOOP, is_infinite_loop, loop_example
 from .rationals import Immutable, Rational
-from .sampling import random_finite_cf, random_periodic_cf, random_unit_rational
+from .sampling import _draw, random_finite_cf, random_periodic_cf, random_unit_rational
 from .surds import QuadSurd
 
 
@@ -364,9 +364,10 @@ def plant_pro2_case(rng: random.Random, n: int) -> tuple[CFExpansion, int]:
     """
     if n < 2:
         raise ValueError("modulus must be >= 2")
+    bits = rng.getrandbits
     while True:
-        k = rng.randint(1, 3)
-        prefix = [rng.randint(0, 3)] + [rng.randint(1, 6) for _ in range(k)]
+        k = _draw(bits, 1, 3)
+        prefix = [_draw(bits, 0, 3)] + [_draw(bits, 1, 6) for _ in range(k)]
         # the final fan of the prefix has q = q_k and q_prev = q_{k-1}; solve
         # for the next entry so that the following denominator is divisible by n
         for _, _, _, q_prev, _, q in fans(prefix):
@@ -375,10 +376,10 @@ def plant_pro2_case(rng: random.Random, n: int) -> tuple[CFExpansion, int]:
             continue
         residue = (-q_prev * pow(q, -1, n)) % n
         a_next = residue if residue >= 1 else residue + n
-        a_next += n * rng.randint(0, 2)
+        a_next += n * _draw(bits, 0, 2)
         while a_next * q + q_prev <= n:  # ensure q' = q_{k+1} / n > 1
             a_next += n
-        entries = prefix + [a_next] + [rng.randint(1, 6) for _ in range(rng.randint(2, 4))]
+        entries = prefix + [a_next] + [_draw(bits, 1, 6) for _ in range(_draw(bits, 2, 4))]
         if entries[-1] == 1:
             entries[-1] += 1
         e = CFExpansion(entries[0], tuple(entries[1:]), None, False)
@@ -513,10 +514,11 @@ def run_dual_pushforward_scan(count: int, seed: int, n_max: int = 10, keep_recor
     start = time.perf_counter()
     report = ScanReport("dual-pushforward", {"count": count, "seed": seed, "n_max": n_max})
     rng = random.Random(seed)
+    bits = rng.getrandbits
     found = 0
     while found < count:
         e = random_finite_cf(rng, min_len=3, max_len=7, max_entry=8, a0_max=1)
-        n = rng.randint(2, n_max)
+        n = _draw(bits, 2, n_max)
         cases = []
         for k, a, p_prev, q_prev, p, q in itertools.islice(fans(e.digits()), 1, e.last_index + 1):
             for m in range(a + 1):
@@ -528,7 +530,7 @@ def run_dual_pushforward_scan(count: int, seed: int, n_max: int = 10, keep_recor
                         cases.append((k, m, n1, Rational(p, q), sc))
         if not cases:
             continue
-        k, m, n1, conv, semi = cases[rng.randrange(len(cases))]
+        k, m, n1, conv, semi = cases[_draw(bits, 0, len(cases) - 1)]
         found += 1
         img_a = conv.scaled(n)
         img_b = semi.scaled(n)

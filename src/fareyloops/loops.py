@@ -95,7 +95,12 @@ class LoopVerdict(Immutable):
     @classmethod
     def _not_loop_at(cls, k: int, m: int, source: Union[CFExpansion, list[int]]) -> "LoopVerdict":
         """NOTLOOP whose witness is read off `source` when first asked for."""
-        verdict = cls(NOTLOOP, witness_k=k, witness_m=m)
+        verdict = object.__new__(cls)
+        _set_kind(verdict, NOTLOOP)
+        _set_witness_k(verdict, k)
+        _set_witness_m(verdict, m)
+        _set_depth(verdict, None)
+        _set_witness(verdict, None)
         _set_source(verdict, source)
         return verdict
 
@@ -198,7 +203,7 @@ def _steps(
     if isinstance(e, CFExpansion):
         if e.is_periodic:
             # the preperiod is minimal, so offset 0 of the period is its canonical start
-            period = [(a, i == 0) for i, a in enumerate(e.period)]
+            period = zip(e.period, (True,) + (False,) * (len(e.period) - 1))
             return itertools.chain(zip(e.body, itertools.repeat(False)), itertools.cycle(period)), e
         if e.a0 or e.body:
             if e.inf_tail and e.body and e.body[-1] == 1:

@@ -1,15 +1,35 @@
 """Seeded generators for the randomized scans.
 
 All scans draw from ``random.Random(seed)`` instances so that reports are
-reproducible bit for bit.
+reproducible bit for bit.  Every draw goes through ``_draw(bits, lo, hi)``
+with ``bits = rng.getrandbits``: it returns what ``randint(lo, hi)`` on
+``rng`` returns and leaves ``rng`` in the same state, and like ``randint``
+it raises ``ValueError`` when hi < lo.  It replays CPython's rejection loop
+(draw k = (hi - lo + 1).bit_length() bits until the result is below
+hi - lo + 1) without the ``randint``, ``randrange`` and ``_randbelow``
+frames above ``getrandbits``, which cost more than the draw itself, and it
+ties the stream to that loop rather than to ``randrange``'s argument handling.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Callable
 
 from .contfrac import CFExpansion
+
+
+def _draw(bits: Callable[[int], int], lo: int, hi: int) -> int:
+    """``randint(lo, hi)`` drawn from ``bits = rng.getrandbits``: same value, same state after."""
+    n = hi - lo + 1
+    if n < 1:
+        raise ValueError(f"empty range for a draw from {lo} to {hi}")
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return lo + r
 
 
 def random_finite_cf(
@@ -20,11 +40,11 @@ def random_finite_cf(
     a0_max: int = 3,
     inf_tail: bool = False,
 ) -> CFExpansion:
-    length = rng.randint(min_len, max_len)
-    body = [rng.randint(1, max_entry) for _ in range(length)]
+    bits = rng.getrandbits
+    body = [_draw(bits, 1, max_entry) for _ in range(_draw(bits, min_len, max_len))]
     if body[-1] == 1:
         body[-1] += 1  # canonical form does not end in 1
-    return CFExpansion(rng.randint(0, a0_max), tuple(body), None, inf_tail)
+    return CFExpansion(_draw(bits, 0, a0_max), tuple(body), None, inf_tail)
 
 
 def random_periodic_cf(
@@ -34,16 +54,14 @@ def random_periodic_cf(
     max_entry: int = 6,
     a0_max: int = 2,
 ) -> CFExpansion:
-    pre = [rng.randint(1, max_entry) for _ in range(rng.randint(0, max_pre))]
-    period = [rng.randint(1, max_entry) for _ in range(rng.randint(1, max_period))]
-    return CFExpansion(rng.randint(0, a0_max), tuple(pre), tuple(period))
+    bits = rng.getrandbits
+    pre = [_draw(bits, 1, max_entry) for _ in range(_draw(bits, 0, max_pre))]
+    period = [_draw(bits, 1, max_entry) for _ in range(_draw(bits, 1, max_period))]
+    return CFExpansion(_draw(bits, 0, a0_max), tuple(pre), tuple(period))
 
 
 def random_unit_rational(rng: random.Random, q_max: int = 500) -> Fraction:
-    """A rational strictly inside (0, 1)."""
-    while True:
-        q = rng.randint(3, q_max)
-        p = rng.randint(1, q - 1)
-        x = Fraction(p, q)
-        if 0 < x < 1:
-            return x
+    """A rational strictly inside (0, 1): q >= 3 and 1 <= p <= q - 1."""
+    bits = rng.getrandbits
+    q = _draw(bits, 3, q_max)
+    return Fraction(_draw(bits, 1, q - 1), q)

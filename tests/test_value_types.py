@@ -3,14 +3,16 @@ tuple (same class only), and printed as they always were."""
 
 import copy
 import pickle
+import random
 import re
 
 import pytest
 
-from fareyloops.contfrac import CFExpansion
+from fareyloops.contfrac import CFExpansion, semiconvergent
 from fareyloops.heights import CheckRecord
 from fareyloops.cutting import loop_verdict_geometric
-from fareyloops.loops import LOOP, LoopVerdict, is_infinite_loop, loop_example
+from fareyloops.loops import LOOP, NOTLOOP, LoopVerdict, is_infinite_loop, loop_example
+from fareyloops.sampling import random_periodic_cf
 from fareyloops.rationals import INFINITY, ONE, ZERO, FareyEdge, Rational
 from fareyloops.surds import QuadSurd
 
@@ -61,6 +63,15 @@ CASES = [
         LoopVerdict._fields,
         "LoopVerdict(kind='NOTLOOP', witness_k=1, witness_m=2, witness=Rational(2, 5), depth=None)",
         id="LoopVerdict",
+    ),
+    pytest.param(
+        LoopVerdict._not_loop_at(2, 1, [1, 2, 3, 4]),
+        LoopVerdict(NOTLOOP, witness_k=2, witness_m=1, witness=semiconvergent(CFExpansion(1, (2, 3, 4)), 2, 1)),
+        LoopVerdict._not_loop_at(2, 2, [1, 2, 3, 4]),
+        _verdict_key,
+        LoopVerdict._fields,
+        "LoopVerdict(kind='NOTLOOP', witness_k=2, witness_m=1, witness=Rational(13, 9), depth=None)",
+        id="LoopVerdict-digits",
     ),
     pytest.param(
         LoopVerdict.loop(),
@@ -156,3 +167,17 @@ def test_cfexpansion_errors_are_unchanged(args, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         CFExpansion(*args)
 
+
+
+def test_not_loop_at_fills_the_slots_init_fills():
+    # _not_loop_at sets each slot itself; what it builds must read as the keyword build does
+    rng = random.Random(23)
+    inputs = [(random_periodic_cf(rng), n) for n in range(2, 40)] + [(QuadSurd(0, 1, d), 7) for d in (2, 3, 5, 6, 7)]
+    notloops = [(e, v) for e, n in inputs for v in (is_infinite_loop(e, n),) if v.kind == NOTLOOP]
+    assert len(notloops) > 20
+    for e, v in notloops:
+        k, m, source = v.witness_k, v.witness_m, v._source
+        assert _fields(v) == (NOTLOOP, k, m, None, None, source)
+        expansion = source if isinstance(source, CFExpansion) else CFExpansion(source[0], tuple(source[1 : k + 2]))
+        built = LoopVerdict(NOTLOOP, witness_k=k, witness_m=m, witness=semiconvergent(expansion, k, m))
+        assert v == built and repr(v) == repr(built) and _fields(v) == _fields(built)
