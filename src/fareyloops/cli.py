@@ -191,18 +191,31 @@ def cmd_gamma_path(args, cfg: Config, out) -> int:
         label, rows = "D", (map(names.__getitem__, seq) for seq in run.rounds)
     else:
         run = gamma_paths.v_algorithm(n, args.max_iter)
-        label, rows = "V", (map(str, verts) for verts in run.rounds)
+        label, rows = "V", _vertex_texts(run.rounds)
     for i, row in enumerate(rows):
         print(f"{label}_{i} = {{" + ",".join(row) + "}", file=out)
     if run.terminated:
         print(f"terminated after {run.rounds_run} rounds", file=out)
     else:
-        blocked = 1 if gamma_paths.nonterminating(n) else 0
-        print(
-            f"exceeded max_iter={run.rounds_run} (nonterminating={blocked})",
-            file=out,
-        )
+        print(f"exceeded max_iter={run.rounds_run} (nonterminating={int(run.nonterminating)})", file=out)
     return 0
+
+
+def _vertex_texts(rounds):
+    """Vertex texts of each round; a vertex kept from the round before (same object) reuses its text."""
+    old, old_texts = (), []
+    for verts in rounds:
+        kept = zip(old, old_texts)
+        prev, text = next(kept, (None, None))
+        texts = []
+        for v in verts:
+            if v is prev:
+                texts.append(text)
+                prev, text = next(kept, (None, None))
+            else:
+                texts.append(str(v))
+        yield texts
+        old, old_texts = verts, texts
 
 
 def cmd_cutseq(args, cfg: Config, out) -> int:

@@ -2,17 +2,21 @@
 
 Two mirror algorithms: the vertex form inserts Farey mediants between
 consecutive vertices that are not level-n neighbours; the denominator form
-runs the same recursion on denominators reduced mod n, where a consecutive
-pair is resolved exactly when one member vanishes.  Whether the process
-terminates within a given number of rounds is read off ``nonterminating(n)``
-where that holds; otherwise it is decided on the finite set of unresolved
-residue pairs.  Sequence lengths grow geometrically, so the actual rounds are
-materialised only up to a size guard.
+runs the same recursion on denominators reduced mod n.  Both split a pair
+exactly when both its denominators are nonzero mod n: consecutive vertices
+are Farey neighbours (0/1, 1/1 are, and a mediant neighbours both parents),
+so their denominators are coprime, never both 0, and the pair is a level-n
+edge iff one is 0.  The vertex form splits on its row's denominators mod n;
+the Farey determinant is tested only on the last round of a terminated run.
+Whether the process terminates within a given number of rounds is read off
+``nonterminating(n)`` where that holds; otherwise it is decided on the finite
+set of unresolved residue pairs.  Sequence lengths grow geometrically, so the
+actual rounds are materialised only up to a size guard.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .loops import _children
@@ -27,12 +31,14 @@ class MediantRun:
 
     ``rounds`` holds the materialised iterations starting from round 0; when
     the projected sequence length passes the size guard later rounds are
-    dropped but ``terminated``/``rounds_run`` stay exact.
+    dropped but ``terminated``/``rounds_run`` stay exact.  ``nonterminating``
+    is the verdict's ``nonterminating(n)``, left out of equality.
     """
 
     terminated: bool
     rounds_run: int
     rounds: tuple
+    nonterminating: bool = field(default=False, compare=False)
 
     @property
     def final(self):
@@ -49,8 +55,8 @@ def _unresolved_rounds(n: int, max_iter: int) -> Optional[int]:
     return None
 
 
-def _verdict(n: int, max_iter: int) -> tuple[bool, int]:
-    """(terminated, rounds_run) of the insertion process at level n.
+def _verdict(n: int, max_iter: int) -> tuple[bool, int, bool]:
+    """(terminated, rounds_run, nonterminating(n)) of the insertion process at level n.
 
     Round 1 holds the pair (1, 2), so when ``nonterminating(n)`` shows that
     pair regenerating, every round keeps an unresolved pair and the run
@@ -60,8 +66,9 @@ def _verdict(n: int, max_iter: int) -> tuple[bool, int]:
         raise ValueError("modulus must be >= 2")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    stop = None if nonterminating(n) else _unresolved_rounds(n, max_iter)
-    return stop is not None, stop or max_iter
+    blocked = nonterminating(n)
+    stop = None if blocked else _unresolved_rounds(n, max_iter)
+    return stop is not None, stop or max_iter, blocked
 
 
 def _rounds(seq: list, step, rounds_run: int, materialize_limit: int) -> tuple:
@@ -83,21 +90,26 @@ def v_algorithm(
     Each round inserts the mediant between every consecutive pair that is not
     a level-n neighbour; the run terminates when all pairs are neighbours.
     """
-    terminated, rounds_run = _verdict(n, max_iter)
+    terminated, rounds_run, blocked = _verdict(n, max_iter)
+    dens = [1, 1]  # denominators mod n of the current row: its D row
 
     def step(verts):
-        nxt = [verts[0]]
-        for a, b in zip(verts, verts[1:]):
-            if not is_gamma0_neighbor(a, b, n):
+        nonlocal dens
+        nxt, nxt_dens = [verts[0]], [dens[0]]
+        for a, b, u, v in zip(verts, verts[1:], dens, dens[1:]):
+            if u and v:
                 nxt.append(farey_mediant(a, b))
+                nxt_dens.append((u + v) % n)
             nxt.append(b)
+            nxt_dens.append(v)
+        dens = nxt_dens
         return nxt
 
     rounds = _rounds([Rational(0, 1), Rational(1, 1)], step, rounds_run, materialize_limit)
     if terminated and len(rounds) == rounds_run + 1:
         final = rounds[-1]
         assert all(is_gamma0_neighbor(a, b, n) for a, b in zip(final, final[1:]))
-    return MediantRun(terminated, rounds_run, rounds)
+    return MediantRun(terminated, rounds_run, rounds, blocked)
 
 
 def d_algorithm(
@@ -110,7 +122,7 @@ def d_algorithm(
     consecutive denominators are coprime; asserted each round.  So a pair is
     unresolved iff both members are nonzero.
     """
-    terminated, rounds_run = _verdict(n, max_iter)
+    terminated, rounds_run, blocked = _verdict(n, max_iter)
     residue = list(range(n)) * 2  # residue[u + v] is (u + v) mod n
 
     def step(seq):
@@ -122,7 +134,8 @@ def d_algorithm(
             nxt.append(v)
         return nxt
 
-    return MediantRun(terminated, rounds_run, _rounds([1, 1], step, rounds_run, materialize_limit))
+    rounds = _rounds([1, 1], step, rounds_run, materialize_limit)
+    return MediantRun(terminated, rounds_run, rounds, blocked)
 
 
 def nonterminating(n: int) -> bool:

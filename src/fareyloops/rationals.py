@@ -186,12 +186,18 @@ _set_a, _set_b = FareyEdge._setters()
 def farey_mediant(a: Rational, b: Rational) -> Rational:
     """Mediant (p+r)/(q+s) of two distinct points, reduced.
 
-    For Farey neighbours the result is automatically in lowest terms and is a
-    neighbour of both inputs.
+    The one mediant constructor.  For Farey neighbours the result is already
+    in lowest terms and is a neighbour of both inputs.  Only infinity has
+    den 0, so for distinct points q+s > 0: the gcd is the only reduction.
     """
     if a.num == b.num and a.den == b.den:
         raise ValueError("mediant of a point with itself is undefined")
-    return Rational(a.num + b.num, a.den + b.den)
+    num, den = a.num + b.num, a.den + b.den
+    g = math.gcd(num, den)
+    mediant = object.__new__(Rational)
+    _set_num(mediant, num // g)
+    _set_den(mediant, den // g)
+    return mediant
 
 
 def farey_difference(a: Rational, b: Rational) -> Rational:

@@ -40,9 +40,12 @@ def random_finite_cf(
     a0_max: int = 3,
     inf_tail: bool = False,
 ) -> CFExpansion:
+    """Finite expansion with min_len..max_len entries after a_0; length 0 is the integer [a_0]."""
+    if min_len < 0:
+        raise ValueError(f"min_len must be >= 0, got {min_len}")
     bits = rng.getrandbits
     body = [_draw(bits, 1, max_entry) for _ in range(_draw(bits, min_len, max_len))]
-    if body[-1] == 1:
+    if body and body[-1] == 1:
         body[-1] += 1  # canonical form does not end in 1
     return CFExpansion(_draw(bits, 0, a0_max), tuple(body), None, inf_tail)
 

@@ -603,6 +603,7 @@ class TestCoverage:
             ("loop-exists", "--n-range", "2..5"),
             ("loop-example", "--mod", "9", "--scale-check", "3"),
             ("gamma-path", "--mod", "5", "--max-iter", "4"),
+            ("gamma-path", "--mod", "3", "--max-iter", "4"),
             ("gamma-path", "--mod", "5", "--denoms", "--max-iter", "5"),
             ("cutseq", "3/7", "--mod", "5"),
             ("spectrum", "sqrt(2)", "-p", "2", "-L", "2", "--persistence", "2"),

@@ -96,8 +96,8 @@ class TestDenominatorAlgorithm:
     @pytest.mark.parametrize("n", range(2, 31))
     def test_mirror_property(self, n):
         """Residues of the vertex rounds equal the denominator rounds."""
-        vrun = v_algorithm(n, 8)
-        drun = d_algorithm(n, 8)
+        vrun = v_algorithm(n, 12)
+        drun = d_algorithm(n, 12)
         for vrow, drow in zip(vrun.rounds, drun.rounds):
             assert tuple(v.den % n for v in vrow) == drow
 
@@ -220,7 +220,8 @@ class TestAgainstFrozenOracle:
                 assert main(["gamma-path", "--mod", str(n), "--max-iter", str(max_iter), *flags], out=buf) == 0
                 assert runs.pop() == want, (label, n, max_iter)
                 assert buf.getvalue() == _oracle_cli(want, n, label), (label, n, max_iter)
-                for limit in (4, 64):
+                # a round of length L is stepped at limit 2L and not at 2L - 1
+                for limit in (4, 64, *(2 * len(row) - d for row in want.rounds[1:4] for d in (0, 1))):
                     got = algorithm(n, max_iter, materialize_limit=limit)
                     assert got == oracle(n, max_iter, materialize_limit=limit), (label, n, max_iter, limit)
 
@@ -231,6 +232,22 @@ class TestAgainstFrozenOracle:
                 got = getattr(gamma_paths, name)(n, 50, materialize_limit=limit)
                 assert got == oracle(n, 50, materialize_limit=limit)
                 assert got.terminated and got.rounds_run == n - 1
+
+
+@pytest.mark.parametrize("flags", [(), ("--denoms",)])
+@pytest.mark.parametrize("n, max_iter", [(3, 1), (4, 2), (5, 3), (24, 5)])
+def test_unterminated_gamma_path_reads_nonterminating_once(n, max_iter, flags, monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return nonterminating(m)
+
+    monkeypatch.setattr(gamma_paths, "nonterminating", counted)
+    buf = io.StringIO()
+    assert main(["gamma-path", "--mod", str(n), "--max-iter", str(max_iter), *flags], out=buf) == 0
+    assert buf.getvalue().endswith(f"(nonterminating={1 if n >= 4 else 0})\n")
+    assert calls == [n]
 
 
 class TestTerminationShortCut:

@@ -1,3 +1,4 @@
+import itertools
 import sys
 from fractions import Fraction
 
@@ -71,6 +72,14 @@ class TestMediantDifference:
         assert farey_mediant(R(0), R(1)) == R(1, 2)
         assert farey_mediant(R(0), INFINITY) == R(1)
         assert farey_mediant(R(1, 3), R(2, 5)) == R(3, 8)
+
+    def test_mediant_is_the_reduced_sum_of_any_two_points(self):
+        # neighbours or not, signed or infinite: the canonical Rational of (p+r)/(q+s)
+        points = [INFINITY] + [R(p, q) for q in range(1, 7) for p in range(-7, 8)]
+        for a, b in itertools.permutations(points, 2):
+            if a != b:
+                m, want = farey_mediant(a, b), R(a.num + b.num, a.den + b.den)
+                assert type(m) is Rational and (m.num, m.den) == (want.num, want.den)
 
     def test_mediant_rejects_equal(self):
         with pytest.raises(ValueError):

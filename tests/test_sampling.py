@@ -190,3 +190,23 @@ def test_dual_pushforward_scan_draws_the_oracle_cases(seed, monkeypatch):
     monkeypatch.setattr(heights, "CheckRecord", record)
     run_dual_pushforward_scan(120, seed)
     assert checked == _dual_pushforward_oracle(120, seed)
+
+
+class TestFiniteLength:
+    def test_length_zero_is_the_integer_expansion(self):
+        random_finite_cf(random.Random(1), min_len=0, max_len=1)  # once raised IndexError
+        lengths = set()
+        for seed in SEEDS:
+            ours, ref = _pair(seed)
+            e = random_finite_cf(ours, min_len=0, max_len=1)
+            lengths.add(len(e.body))
+            if not e.body:
+                # the length draw, then a_0: the stream of a length-0 draw is unchanged
+                assert ref.randint(0, 1) == 0
+                assert e == CFExpansion(ref.randint(0, 3), ())
+                assert ours.getstate() == ref.getstate()
+        assert lengths == {0, 1}
+
+    def test_negative_min_len_raises(self):
+        with pytest.raises(ValueError, match="min_len"):
+            random_finite_cf(random.Random(1), min_len=-1, max_len=2)
