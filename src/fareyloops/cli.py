@@ -11,12 +11,11 @@ import argparse
 import itertools
 import re
 import sys
-from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from . import contfrac, cutting, gamma_paths, heights, loops, rationals
 from .contfrac import CFExpansion, cf_from_rational, cf_of_surd, format_cf, parse_cf
-from .rationals import Rational
+from .rationals import Immutable, Rational
 from .surds import QuadSurd
 
 _SURD_RE = re.compile(
@@ -26,23 +25,28 @@ _SQRT_RE = re.compile(r"^sqrt\(\s*(\d+)\s*\)(?:\s*/\s*(\d+))?$")
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:\s*/\s*([+-]?\d+))?$")
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(Immutable):
     """Run parameters; all limits positive, seed fixes every random scan."""
 
-    seed: int = 0
-    depth: Optional[int] = None
-    q_max: int = 150
-    count: int = 100
-    mode: str = "human"
+    __slots__ = ("seed", "depth", "q_max", "count", "mode")
 
-    def __post_init__(self):
-        if self.q_max < 1 or self.count < 1:
-            raise ValueError(f"limits must be positive: q_max={self.q_max} count={self.count}")
-        if self.depth is not None and self.depth < 1:
-            raise ValueError(f"depth must be positive, got {self.depth}")
-        if self.mode not in ("human", "record"):
+    def __init__(
+        self, seed: int = 0, depth: Optional[int] = None, q_max: int = 150, count: int = 100, mode: str = "human"
+    ):
+        if q_max < 1 or count < 1:
+            raise ValueError(f"limits must be positive: q_max={q_max} count={count}")
+        if depth is not None and depth < 1:
+            raise ValueError(f"depth must be positive, got {depth}")
+        if mode not in ("human", "record"):
             raise ValueError("mode must be human or record")
+        _set_seed(self, seed)
+        _set_depth(self, depth)
+        _set_q_max(self, q_max)
+        _set_count(self, count)
+        _set_mode(self, mode)
+
+
+_set_seed, _set_depth, _set_q_max, _set_count, _set_mode = Config._setters()
 
 
 def load_config(path: str) -> dict:
@@ -119,11 +123,11 @@ def _nonnegative_int(text: str) -> int:
 
 def cmd_cf(args, cfg: Config, out) -> int:
     value = parse_value(args.value)
-    exps = expansions_of(value)
-    if args.shift:
-        exps = [contfrac.shift_cf(e, args.shift) for e in exps]
-    if args.times > 1:
-        exps = [contfrac.multiply_cf(e, args.times) for e in exps]
+    if isinstance(value, CFExpansion):
+        exps = [contfrac.multiply_cf(contfrac.shift_cf(value, args.shift), args.times)]
+    else:
+        # n * (x + s) is formed once and then expanded, so a rational prints both twins of it
+        exps = expansions_of(value.shifted(args.shift).scaled(args.times))
     for e in exps:
         print(format_cf(e), file=out)
     return 0
@@ -416,21 +420,20 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    cfg = Config()
-    if args.config:
-        known = {"seed": int, "depth": int, "q_max": int, "count": int, "mode": str}
-        updates = {}
-        try:
+    settings = {}
+    try:
+        if args.config:
+            known = {"seed": int, "depth": int, "q_max": int, "count": int, "mode": str}
             for key, value in load_config(args.config).items():
                 if key not in known:
                     raise ValueError(f"unknown config key {key!r}")
-                updates[key] = known[key](value)
-            cfg = replace(cfg, **updates)
-        except (OSError, ValueError) as exc:
-            print(f"error: --config {args.config}: {exc}", file=sys.stderr)
-            return 2
-    if args.format is not None:
-        cfg = replace(cfg, mode=args.format)
+                settings[key] = known[key](value)
+        if args.format is not None:
+            settings["mode"] = args.format
+        cfg = Config(**settings)
+    except (OSError, ValueError) as exc:
+        print(f"error: --config {args.config}: {exc}", file=sys.stderr)
+        return 2
 
     try:
         return COMMAND_HANDLERS[args.command](args, cfg, out)

@@ -10,38 +10,40 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .contfrac import CFExpansion
 from .loops import LoopVerdict, _raw_walk, _steps
-from .rationals import INFINITY, FareyEdge, Rational
+from .rationals import INFINITY, FareyEdge, Immutable, Rational
 from .surds import QuadSurd
 
 Value = Union[Rational, QuadSurd]
 
 
-@dataclass(frozen=True)
-class CuttingWord:
+class CuttingWord(Immutable):
     """Alternating run-length word over {L, R}; a leading L-run of size 0 is absent."""
 
-    runs: tuple[tuple[str, int], ...]
+    __slots__ = ("runs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "runs", tuple((str(l), int(c)) for l, c in self.runs))
-        if not self.runs:
+    def __init__(self, runs: tuple[tuple[str, int], ...]):
+        runs = tuple((str(l), int(c)) for l, c in runs)
+        if not runs:
             raise ValueError("empty cutting word")
-        for letter, count in self.runs:
+        for letter, count in runs:
             if letter not in ("L", "R"):
                 raise ValueError(f"bad letter {letter!r}")
             if count < 1:
                 raise ValueError("run counts must be >= 1")
-        for (l1, _), (l2, _) in zip(self.runs, self.runs[1:]):
+        for (l1, _), (l2, _) in zip(runs, runs[1:]):
             if l1 == l2:
                 raise ValueError("runs must alternate strictly")
+        _set_runs(self, runs)
 
     def __str__(self):
         return " ".join(f"{l}^{c}" if c > 1 else l for l, c in self.runs)
+
+
+(_set_runs,) = CuttingWord._setters()
 
 
 def eta(w: CuttingWord) -> CFExpansion:

@@ -16,33 +16,45 @@ actual rounds are materialised only up to a size guard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .loops import _children
-from .rationals import Rational, farey_mediant, is_gamma0_neighbor
+from .rationals import Immutable, Rational, farey_mediant, is_gamma0_neighbor
 
 DEFAULT_MATERIALIZE_LIMIT = 1 << 17  # vertices per round
 
 
-@dataclass(frozen=True)
-class MediantRun:
+class MediantRun(Immutable):
     """Result of iterating the insertion process.
 
     ``rounds`` holds the materialised iterations starting from round 0; when
     the projected sequence length passes the size guard later rounds are
     dropped but ``terminated``/``rounds_run`` stay exact.  ``nonterminating``
-    is the verdict's ``nonterminating(n)``, left out of equality.
+    is the verdict's ``nonterminating(n)``, left out of equality and hash.
     """
 
-    terminated: bool
-    rounds_run: int
-    rounds: tuple
-    nonterminating: bool = field(default=False, compare=False)
+    __slots__ = ("terminated", "rounds_run", "rounds", "nonterminating")
+
+    def __init__(self, terminated: bool, rounds_run: int, rounds: tuple, nonterminating: bool = False):
+        _set_terminated(self, terminated)
+        _set_rounds_run(self, rounds_run)
+        _set_rounds(self, rounds)
+        _set_nonterminating(self, nonterminating)
 
     @property
     def final(self):
         return self.rounds[-1]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple(self)[:3] == other._astuple(other)[:3]
+
+    def __hash__(self):
+        return hash(self._astuple(self)[:3])
+
+
+_set_terminated, _set_rounds_run, _set_rounds, _set_nonterminating = MediantRun._setters()
 
 
 def _unresolved_rounds(n: int, max_iter: int) -> Optional[int]:

@@ -13,7 +13,6 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from .contfrac import (
@@ -80,11 +79,13 @@ def surd_height(s: QuadSurd, cap: Optional[int] = None) -> int:
             opened = True
 
 
-@dataclass(frozen=True)
-class HeightSpectrum:
-    alpha: CFExpansion
-    p: int
-    entries: tuple[tuple[int, Union[int, float]], ...]
+class HeightSpectrum(Immutable):
+    __slots__ = ("alpha", "p", "entries")
+
+    def __init__(self, alpha: CFExpansion, p: int, entries: tuple[tuple[int, Union[int, float]], ...]):
+        _set_alpha(self, alpha)
+        _set_p(self, p)
+        _set_entries(self, entries)
 
     def bound(self) -> Rational:
         """min over recorded levels of 1/B; an upper bound at any truncation."""
@@ -92,6 +93,9 @@ class HeightSpectrum:
         if largest == math.inf:
             return Rational(0, 1)
         return Rational(1, largest)
+
+
+_set_alpha, _set_p, _set_entries = HeightSpectrum._setters()
 
 
 def height_spectrum(e: CFExpansion, p: int, L: int) -> HeightSpectrum:
@@ -166,16 +170,19 @@ class CheckRecord(Immutable):
 _set_check, _set_params, _set_applicable, _set_passed, _set_witness = CheckRecord._setters()
 
 
-@dataclass
 class ScanReport:
-    check: str
-    params: dict
-    total: int = 0
-    violations: int = 0
-    skipped: int = 0
-    first_violation: Optional[CheckRecord] = None
-    elapsed: float = 0.0
-    records: list = field(default_factory=list)
+    def __init__(
+        self, check: str, params: dict, total: int = 0, violations: int = 0, skipped: int = 0,
+        first_violation: Optional[CheckRecord] = None, elapsed: float = 0.0, records: Optional[list] = None,
+    ):
+        self.check = check
+        self.params = params
+        self.total = total
+        self.violations = violations
+        self.skipped = skipped
+        self.first_violation = first_violation
+        self.elapsed = elapsed
+        self.records = [] if records is None else records
 
     def add(self, record: CheckRecord, keep: bool = False):
         self.total += 1

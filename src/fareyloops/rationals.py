@@ -16,21 +16,23 @@ _HASH_MODULUS = sys.hash_info.modulus
 
 
 class Immutable:
-    """Base of the slotted value types.
+    """Base of the slotted value types and records.
 
     A subclass names its fields in ``__slots__`` and writes each once, in
     ``__init__``, through the slot descriptor's own ``__set__`` (``_setters``),
     which skips the raising ``__setattr__`` and costs less than
     ``object.__setattr__``.  Equality (same class only), hash and repr run
     over the field tuple, as a frozen dataclass's do; pickle and copy rebuild
-    a value by passing its field tuple to ``__init__``.
+    a value by passing its field tuple to ``__init__``.  A one-field type's
+    tuple holds that one field.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._astuple = staticmethod(operator.attrgetter(*cls.__slots__))
+        get = operator.attrgetter(*cls.__slots__)
+        cls._astuple = staticmethod(get if len(cls.__slots__) > 1 else lambda x: (get(x),))
 
     @classmethod
     def _setters(cls) -> tuple:
@@ -85,6 +87,10 @@ class Rational(Immutable):
         if self.den == 0:
             raise ValueError("infinity has no Fraction form")
         return Fraction(self.num, self.den)
+
+    def shifted(self, k: int) -> "Rational":
+        """self + k; infinity is fixed by shifting."""
+        return Rational(self.num + k * self.den, self.den)
 
     def scaled(self, n: int) -> "Rational":
         """n * self, reduced; infinity is fixed by scaling."""

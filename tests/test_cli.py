@@ -86,6 +86,34 @@ class TestCommands:
         code, out = run_cli("cf", "(-1+sqrt(5))/2", "--shift", "2")
         assert code == 0 and out.strip() == "[2; (1)]"
 
+    def test_cf_times_on_a_rational_prints_both_twins_of_the_product(self):
+        assert run_cli("cf", "3/5", "--times", "3") == (0, "[1; 1, 4, oo]\n[1; 1, 3, 1, oo]\n")
+        assert run_cli("cf", "1/2", "--times", "2") == run_cli("cf", "1") == (0, "[1; oo]\n[0; 1, oo]\n")
+
+    @pytest.mark.parametrize(
+        "value, shift, times, product",
+        [
+            ("3/5", 0, 3, "9/5"),
+            ("3/7", 1, 2, "20/7"),
+            ("2/3", 2, 4, "32/3"),
+            ("5/2", -2, 3, "3/2"),
+            ("1", -1, 5, "0"),
+            ("sqrt(2)", 1, 2, "(2+sqrt(8))"),
+            ("(1+sqrt(5))/2", 0, 3, "(3+sqrt(45))/2"),
+            ("(-1+sqrt(3))", 1, 7, "sqrt(147)"),
+        ],
+    )
+    def test_cf_shift_then_times_prints_the_expansions_of_the_product(self, value, shift, times, product):
+        # --shift s --times n prints exactly what cf of n * (x + s) prints
+        code, out = run_cli("cf", value, "--shift", str(shift), "--times", str(times))
+        assert (code, out) == run_cli("cf", product) and code == 0
+
+    def test_cf_shift_and_times_keep_an_expansion_input_in_its_form(self):
+        # a bracket input is one expansion, oo-tail or not, so one comes back
+        assert run_cli("cf", "[0; 2]", "--shift", "1", "--times", "3") == (0, "[4; 2]\n")
+        assert run_cli("cf", "[0; 2, oo]", "--shift", "1", "--times", "3") == (0, "[4; 2, oo]\n")
+        assert run_cli("cf", "[0; (1)]", "--shift", "1", "--times", "2") == run_cli("cf", "(1+sqrt(5))")
+
     def test_loopcheck_half_mod_four(self):
         code, out = run_cli("loopcheck", "1/2", "--mod", "4")
         assert code == 0 and out.strip() == "LOOP"
@@ -624,6 +652,35 @@ class TestCoverage:
         assert NOT_ON_CLI <= set(required)
         missing = {name for name, code in required.items() if code not in executed}
         assert missing == NOT_ON_CLI, f"operations no subcommand runs: {missing - NOT_ON_CLI}"
+
+    def test_commands_leave_dataclasses_and_inspect_unimported(self):
+        # a fresh interpreter, so that the test process's own imports do not count
+        calls = [
+            ["cf", "3/5", "--times", "3"],
+            ["semiconv", "3/7"],
+            ["loopcheck", "sqrt(2)", "--mod", "5", "--geometric"],
+            ["loop-exists", "--n-range", "2..5"],
+            ["loop-example", "--mod", "9"],
+            ["gamma-path", "--mod", "5", "--max-iter", "4"],
+            ["cutseq", "3/7", "--mod", "5"],
+            ["spectrum", "sqrt(2)", "-p", "2", "-L", "2", "--persistence", "2"],
+            ["mp-bound", "sqrt(2)", "-p", "2", "-L", "1"],
+            ["--format", "record", "verify", "noloop", "--n-range", "4..5", "--count", "5"],
+        ]
+        assert {build_parser().parse_args(argv).command for argv in calls} == set(COMMAND_HANDLERS)
+        script = (
+            "import io, sys\n"
+            "import fareyloops.cli\n"
+            f"for argv in {calls!r}:\n"
+            "    assert fareyloops.cli.main(argv, out=io.StringIO()) == 0, argv\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        )
+        assert (run.returncode, run.stderr) == (0, "")
+        assert run.stdout == "[]\n"
 
     def test_parser_knows_every_command(self):
         parser = build_parser()

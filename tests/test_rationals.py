@@ -48,6 +48,12 @@ class TestRational:
         assert R(2, 3).scaled(6) == R(4)
         assert INFINITY.scaled(7) == INFINITY
 
+    def test_shifted(self):
+        assert R(1, 2).shifted(3) == R(7, 2)
+        assert R(3, 5).shifted(-1) == R(-2, 5)
+        assert R(4).shifted(0) == R(4)
+        assert INFINITY.shifted(-5) == INFINITY
+
     def test_str(self):
         assert str(R(3, 7)) == "3/7"
         assert str(INFINITY) == "1/0"

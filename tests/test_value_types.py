@@ -1,5 +1,5 @@
-"""The slotted value types: immutable, compared and hashed over their field
-tuple (same class only), and printed as they always were."""
+"""The slotted value types and records: immutable, compared and hashed over
+their field tuple (same class only), and printed as they always were."""
 
 import copy
 import pickle
@@ -8,9 +8,11 @@ import re
 
 import pytest
 
+from fareyloops.cli import Config
 from fareyloops.contfrac import CFExpansion, semiconvergent
-from fareyloops.heights import CheckRecord
-from fareyloops.cutting import loop_verdict_geometric
+from fareyloops.gamma_paths import MediantRun, v_algorithm
+from fareyloops.heights import CheckRecord, HeightSpectrum, ScanReport, height_spectrum
+from fareyloops.cutting import CuttingWord, loop_verdict_geometric
 from fareyloops.loops import LOOP, NOTLOOP, LoopVerdict, is_infinite_loop, loop_example
 from fareyloops.sampling import random_periodic_cf
 from fareyloops.rationals import INFINITY, ONE, ZERO, FareyEdge, Rational
@@ -23,6 +25,17 @@ def _fields(x) -> tuple:
 
 def _verdict_key(v: LoopVerdict) -> tuple:
     return (*v._fields(), v.witness)
+
+
+def _run_key(run: MediantRun) -> tuple:
+    return _fields(run)[:3]  # nonterminating is left out
+
+
+_HALF_ROUNDS = ((ZERO, ONE), (ZERO, Rational(1, 2), ONE))
+_SPECTRUM_TEXT = (
+    "HeightSpectrum(alpha=CFExpansion(a0=0, body=(), period=(2,), inf_tail=False), p=2, "
+    "entries=((0, 2), (1, 4), (2, 10)))"
+)
 
 
 # (value, an equal value built another way, an unequal value of the same
@@ -103,6 +116,44 @@ CASES = [
         "FareyEdge(a=Rational(0, 1), b=Rational(1, 0))",
         id="FareyEdge",
     ),
+    # the records below were frozen dataclasses; each text is the repr they printed
+    pytest.param(
+        Config(seed=3, depth=4, q_max=9, count=2, mode="record"),
+        Config(3, 4, 9, 2, "record"),
+        Config(),
+        _fields,
+        _fields,
+        "Config(seed=3, depth=4, q_max=9, count=2, mode='record')",
+        id="Config",
+    ),
+    pytest.param(
+        CuttingWord((("L", 2), ("R", 1))),
+        CuttingWord([["L", "2"], ("R", True)]),
+        CuttingWord((("R", 2),)),
+        _fields,
+        _fields,
+        "CuttingWord(runs=(('L', 2), ('R', 1)))",
+        id="CuttingWord",
+    ),
+    pytest.param(
+        v_algorithm(2, 1),
+        MediantRun(True, 1, _HALF_ROUNDS, nonterminating=True),
+        MediantRun(False, 1, _HALF_ROUNDS),
+        _run_key,
+        _run_key,
+        "MediantRun(terminated=True, rounds_run=1, rounds=((Rational(0, 1), Rational(1, 1)), "
+        "(Rational(0, 1), Rational(1, 2), Rational(1, 1))), nonterminating=False)",
+        id="MediantRun",
+    ),
+    pytest.param(
+        height_spectrum(CFExpansion(0, (), (2,)), 2, 2),
+        HeightSpectrum(CFExpansion(0, (2, 2), (2,)), 2, ((0, 2), (1, 4), (2, 10))),
+        height_spectrum(CFExpansion(0, (2,), None, True), 3, 1),
+        _fields,
+        _fields,
+        _SPECTRUM_TEXT,
+        id="HeightSpectrum",
+    ),
 ]
 
 
@@ -181,3 +232,49 @@ def test_not_loop_at_fills_the_slots_init_fills():
         expansion = source if isinstance(source, CFExpansion) else CFExpansion(source[0], tuple(source[1 : k + 2]))
         built = LoopVerdict(NOTLOOP, witness_k=k, witness_m=m, witness=semiconvergent(expansion, k, m))
         assert v == built and repr(v) == repr(built) and _fields(v) == _fields(built)
+
+
+def test_mediant_run_equality_and_hash_ignore_nonterminating():
+    run = v_algorithm(5, 2)
+    assert (run.terminated, run.nonterminating) == (False, True)
+    flipped = MediantRun(run.terminated, run.rounds_run, run.rounds)
+    assert run == flipped and hash(run) == hash(flipped) and len({run, flipped}) == 1
+    assert repr(run) == repr(flipped).replace("nonterminating=False", "nonterminating=True")
+    assert run != MediantRun(run.terminated, run.rounds_run - 1, run.rounds, True)
+    for rebuild in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
+        assert rebuild(run).nonterminating is True and rebuild(flipped).nonterminating is False
+
+
+def test_records_keep_their_checks():
+    assert CuttingWord([("R", 2.0)]).runs == (("R", 2),)
+    for runs, message in (((), "empty cutting word"), ((("X", 1),), "bad letter 'X'"),
+                          ((("R", 0),), "run counts must be >= 1"), ((("L", 1), ("L", 2)), "runs must alternate strictly")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CuttingWord(runs)
+    assert Config() == Config(0, None, 150, 100, "human")
+    for kwargs, message in (({"q_max": 0}, "limits must be positive: q_max=0 count=100"),
+                            ({"count": -1}, "limits must be positive: q_max=150 count=-1"),
+                            ({"depth": 0}, "depth must be positive, got 0"),
+                            ({"mode": "loud"}, "mode must be human or record")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Config(**kwargs)
+
+
+def test_scan_report_keeps_its_constructor_defaults_and_counters():
+    report = ScanReport("noloop", {"n": "4..5"})
+    assert (report.check, report.params, report.total, report.violations, report.skipped) == (
+        "noloop", {"n": "4..5"}, 0, 0, 0)
+    assert report.first_violation is None and report.elapsed == 0.0 and report.records == []
+    assert ScanReport("x", {}).records is not ScanReport("x", {}).records  # a fresh list each
+    good, skipped = CheckRecord("noloop", (), True, True), CheckRecord("noloop", (), False, True)
+    bad, worse = CheckRecord("noloop", (), True, False, "q=5"), CheckRecord("noloop", (), True, False, "q=7")
+    for record, keep in ((good, True), (skipped, False), (bad, True), (worse, False)):
+        report.add(record, keep)
+    assert (report.total, report.violations, report.skipped, report.passed) == (4, 2, 1, False)
+    assert report.first_violation is bad and report.records == [good, bad]
+    assert report.summary() == "check=noloop n=4..5 cases=4 skipped=1 violations=2 pass=0 elapsed=0.00s"
+    records = [good]
+    full = ScanReport(check="infl", params={}, total=3, violations=1, skipped=2, first_violation=bad,
+                      elapsed=1.5, records=records)
+    assert (full.total, full.violations, full.skipped, full.first_violation, full.elapsed) == (3, 1, 2, bad, 1.5)
+    assert full.records is records and ScanReport("infl", {}, 3, 1, 2, bad, 1.5, records).records is records
