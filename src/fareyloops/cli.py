@@ -23,6 +23,8 @@ _SURD_RE = re.compile(
 )
 _SQRT_RE = re.compile(r"^sqrt\(\s*(\d+)\s*\)(?:\s*/\s*(\d+))?$")
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:\s*/\s*([+-]?\d+))?$")
+# argparse's negative-number pattern widened by -p/q, so -3/7 is read as a value
+_NEGATIVE_VALUE_RE = re.compile(r"^-\d+(/[+-]?\d+)?$|^-\d*\.\d+$")
 
 
 class Config(Immutable):
@@ -411,6 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-max", type=_positive_int)
     p.add_argument("-L", type=_nonnegative_int, default=20)
 
+    for p in sub.choices.values():
+        p._negative_number_matcher = _NEGATIVE_VALUE_RE
     _parser = parser
     return parser
 

@@ -401,15 +401,19 @@ def cf_of_surd(s: QuadSurd) -> CFExpansion:
 
 
 def multiply_cf(e: CFExpansion, n: int) -> CFExpansion:
-    """Expansion of n * value(e), computed exactly through the value domain."""
+    """Expansion of n * value(e), computed exactly through the value domain.
+
+    A finite e gives Euclid's quotients of n*p_L/q_L, which need no reduction.
+    """
     if n < 1:
         raise ValueError("multiplier must be >= 1")
     if n == 1:
         return e
     if e.is_finite:
-        x = cf_eval(e).scaled(n)
-        canonical, _ = cf_from_rational(x)
-        return CFExpansion(canonical.a0, canonical.body, None, e.inf_tail)
+        for _, _, _, _, p, q in fans(e.digits()):
+            pass
+        entries = euclid_entries(n * p, q)
+        return CFExpansion(entries[0], tuple(entries[1:]), None, e.inf_tail)
     return cf_of_surd(_surd_of_periodic(e).scaled(n))
 
 

@@ -123,8 +123,12 @@ def crossed_edges(e: CFExpansion, depth: Optional[int] = None) -> list[FareyEdge
         if depth is None:
             raise ValueError("an infinite expansion needs a depth")
         take = depth - 1
-    for _, _, lo, hi in itertools.islice(_raw_walk(e), max(take, 0)):
-        edges.append(FareyEdge(Rational(*lo), Rational(*hi)))
+    fan = None
+    for k, _, lo, hi in itertools.islice(_raw_walk(e), max(take, 0)):
+        odd = k % 2  # fan k keeps its pivot p_k/q_k, the upper endpoint for odd k
+        if k != fan:
+            fan, pivot = k, Rational(*(hi if odd else lo))
+        edges.append(FareyEdge(Rational(*lo), pivot) if odd else FareyEdge(pivot, Rational(*hi)))
     return edges
 
 

@@ -99,17 +99,17 @@ class Rational(Immutable):
         return Rational(n * self.num, self.den)
 
     def __eq__(self, other):
-        if isinstance(other, int):
+        if other.__class__ is not Rational:
+            if not isinstance(other, int):
+                return NotImplemented
             other = Rational(other)
-        if not isinstance(other, Rational):
-            return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __lt__(self, other):
-        if isinstance(other, int):
+        if other.__class__ is not Rational:
+            if not isinstance(other, int):
+                return NotImplemented
             other = Rational(other)
-        if not isinstance(other, Rational):
-            return NotImplemented
         if self.den == 0:
             return False
         if other.den == 0:

@@ -540,6 +540,52 @@ def outcome(argv):
     return code, re.sub(r"elapsed=\S+", "elapsed=", out), err.getvalue()
 
 
+class TestNegativeValues:
+    """A value such as -3/7 is read as the positional value, not as an option."""
+
+    def test_cf_of_a_negative_rational_shifted_into_range(self):
+        assert run_cli("cf", "-3/7", "--shift", "1") == (0, "[0; 1, 1, 3, oo]\n[0; 1, 1, 2, 1, oo]\n")
+        assert run_cli("cf", "--shift", "1", "-3/7") == run_cli("cf", "--shift", "1", "--", "-3/7")
+        assert run_cli("cf", "-3", "--shift", "5") == (0, "[2; oo]\n[1; 1, oo]\n")
+        assert run_cli("cf", "-3/-7") == run_cli("cf", "3/7")
+
+    @pytest.mark.parametrize("argv", [
+        ("loopcheck", "-3/7", "--mod", "5"),
+        ("loopcheck", "-3/7", "--mod", "5", "--geometric"),
+        ("semiconv", "-3/7"),
+        ("cutseq", "-3/7", "--mod", "5"),
+        ("spectrum", "-3/7", "-p", "3", "-L", "1"),
+        ("mp-bound", "-3/7", "-p", "3", "-L", "1"),
+        ("cf", "-3/7"),
+    ])
+    def test_negative_value_reaches_the_domain_check(self, argv, capsys):
+        assert run_cli(*argv) == (2, "")
+        assert capsys.readouterr().err == "error: expansion requires x >= 0\n"
+
+    def test_negative_option_values_read_as_before(self, capsys):
+        assert run_cli("cf", "--shift", "-2", "7/3") == (0, "[0; 3, oo]\n[0; 2, 1, oo]\n")
+        assert run_cli("semiconv", "3/7", "--k", "-1", "--m", "1") == (2, "")
+        assert capsys.readouterr().err == "error: semi-convergent index must be >= 0\n"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("cf", "7/3", "--shift", "-1.5")
+        assert exc.value.code == 2
+        assert "argument --shift: invalid int value: '-1.5'" in capsys.readouterr().err
+
+    def test_every_subcommand_uses_the_widened_pattern(self):
+        # argparse's private pattern, present on every parser in 3.10 and 3.11;
+        # if a later argparse drops it, this test names the attribute to replace
+        assert hasattr(argparse.ArgumentParser(), "_negative_number_matcher")
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(sub.choices) == set(COMMAND_HANDLERS)
+        for name, parser in sub.choices.items():
+            matcher = parser._negative_number_matcher
+            for text in ("-3/7", "-3", "-3/-7", "-1.5", "-.5"):
+                assert matcher.match(text), (name, text)
+            for text in ("-3..-2", "-p", "-L", "--mod", "-3/", "-3/7/2"):
+                assert not matcher.match(text), (name, text)
+            assert not parser._has_negative_number_optionals, name
+
+
 class TestSharedParser:
     def test_calls_do_not_depend_on_earlier_calls(self, tmp_path, monkeypatch):
         cfg = tmp_path / "shared.cfg"

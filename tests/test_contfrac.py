@@ -291,6 +291,32 @@ class TestMultiplyShift:
             n = rng.randint(1, 9)
             assert cf_eval(multiply_cf(e, n)).as_fraction() == n * cf_eval(e).as_fraction()
 
+    @staticmethod
+    def _scaled_through_values(e, n):
+        # the route through the value domain: evaluate, scale, expand
+        canonical, _ = cf_from_rational(cf_eval(e).scaled(n))
+        return CFExpansion(canonical.a0, canonical.body, None, e.inf_tail)
+
+    def test_finite_matches_the_value_route(self):
+        rng = random.Random(26)
+        cases = [CFExpansion(0), CFExpansion(0, (), None, True), CFExpansion(7), CFExpansion(3, (), None, True)]
+        for _ in range(150):
+            e = random_finite_cf(rng, min_len=0, max_len=6, inf_tail=rng.random() < 0.5)
+            cases.append(e)
+            if e.body:
+                cases.append(twin_of(e))  # a form ending in 1 comes back canonical
+        for e in cases:
+            for n in range(2, 51):  # n = 1 returns e itself, twin form included
+                got = multiply_cf(e, n)
+                assert got == self._scaled_through_values(e, n), (e, n)
+                assert got.inf_tail == e.inf_tail
+
+    def test_finite_keeps_the_tail_flag_on_zero_and_integers(self):
+        assert multiply_cf(CFExpansion(0), 5) == CFExpansion(0)
+        assert multiply_cf(CFExpansion(0, (), None, True), 5) == CFExpansion(0, (), None, True)
+        assert multiply_cf(CFExpansion(4), 50) == CFExpansion(200)
+        assert multiply_cf(CFExpansion(0, (1, 1), None, True), 2) == CFExpansion(1, (), None, True)
+
     def test_periodic_value_semantics(self):
         rng = random.Random(6)
         for _ in range(100):

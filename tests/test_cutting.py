@@ -158,6 +158,49 @@ class TestCrossedEdges:
             crossed_edges(GOLDEN_CONJ)
         assert len(crossed_edges(GOLDEN_CONJ, 5)) == 5
 
+    @staticmethod
+    def _two_rationals_per_step(e, depth=None):
+        # reference: the same truncation, with both endpoints built afresh at every step
+        edges = [FareyEdge(Rational(0, 1), INFINITY)]
+        take = depth - 1 if not e.is_finite else e.a0 + sum(e.body) - 1
+        if e.is_finite and depth is not None:
+            take = min(take, depth - 1)
+        for _, _, lo, hi in itertools.islice(_raw_walk(e), max(take, 0)):
+            edges.append(FareyEdge(Rational(*lo), Rational(*hi)))
+        return edges
+
+    def test_matches_two_rationals_per_step(self):
+        rng = random.Random(2026)
+        cases = [(CFExpansion(3), None), (CFExpansion(0, (1,), None, True), None), (GOLDEN_CONJ, 1)]
+        for _ in range(80):
+            e = random_finite_cf(rng, min_len=0, inf_tail=rng.random() < 0.5)
+            if e.a0 or e.body:
+                cases += [(e, None), (e, rng.randint(1, 12))]
+                if e.body:
+                    cases.append((twin_of(e), None))
+            p = random_periodic_cf(rng)
+            cases += [(p, depth) for depth in (1, 2, 7, 40) if p.a0 or depth > 1]
+        for e, depth in cases:
+            got = crossed_edges(e, depth)
+            want = self._two_rationals_per_step(e, depth)
+            assert got == want, (e, depth)
+            assert [str(x) for x in got] == [str(x) for x in want]
+
+    def test_fan_edges_share_their_pivot_object(self):
+        e = CFExpansion(2, (3, 4, 5), (2, 1))
+        edges = crossed_edges(e, 40)
+        steps = list(itertools.islice(_raw_walk(e), 39))
+        shared = 0
+        for (k1, _, lo, hi), (k2, _, _, _), e1, e2 in zip(steps, steps[1:], edges[1:], edges[2:]):
+            if k1 != k2:
+                continue
+            pivot = Rational(*(hi if k1 % 2 else lo))
+            (p1,) = [x for x in e1.endpoints() if x == pivot]
+            (p2,) = [x for x in e2.endpoints() if x == pivot]
+            assert p1 is p2
+            shared += 1
+        assert shared == 18  # 1 + 2 + 3 + 4 in the preperiod, then 1 per fan of 2
+
     def test_integer_leading_fan(self):
         e = cf_from_rational(Rational(7, 3))[0]  # [2; 3]
         edges = crossed_edges(e)

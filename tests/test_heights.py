@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 import random
@@ -8,7 +9,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from fareyloops import contfrac, heights
-from fareyloops.cli import _PM_DEFAULT
+from fareyloops.cli import _PM_DEFAULT, main
 from fareyloops.contfrac import (
     CFExpansion,
     cf_from_rational,
@@ -32,6 +33,7 @@ from fareyloops.heights import (
     persistence_scan,
     plant_pro2_case,
     run_count_scan,
+    run_defs_equivalence_scan,
     run_dual_pushforward_scan,
     run_infl_scan,
     run_noloop_scan,
@@ -39,7 +41,7 @@ from fareyloops.heights import (
     run_thma_scan,
     surd_height,
 )
-from fareyloops.loops import NOTLOOP, is_infinite_loop, loop_example
+from fareyloops.loops import NOTLOOP, LoopVerdict, is_infinite_loop, loop_example
 from fareyloops.rationals import Rational
 from fareyloops.sampling import random_finite_cf, random_periodic_cf
 from fareyloops.surds import QuadSurd
@@ -491,6 +493,31 @@ class TestSandwichConsistency:
 
 
 class TestScansMisc:
+    def test_defs_equivalence_reports_a_disagreement(self, monkeypatch):
+        geometric = heights.loop_verdict_geometric
+
+        def flip_two_fifths_mod_3(e, n):
+            verdict = geometric(e, n)
+            if (e.a0, e.body, n) == (0, (2, 2), 3):  # 2/5
+                assert verdict.kind == NOTLOOP
+                return LoopVerdict.loop()
+            return verdict
+
+        monkeypatch.setattr(heights, "loop_verdict_geometric", flip_two_fifths_mod_3)
+        report = run_defs_equivalence_scan(12, 2, 4)
+        assert (report.total, report.violations, report.skipped, report.passed) == (135, 1, 0, False)
+        assert report.first_violation.line() == "check=defs-equivalence x=2/5 n=3 pass=0 witness=NOTLOOP!=LOOP"
+        assert report.records == []
+        assert run_defs_equivalence_scan(12, 2, 4, keep_records=True).records == [report.first_violation]
+        out = io.StringIO()
+        argv = ["--format", "record", "verify", "defs-equivalence", "--q-max", "12", "--n-range", "2..4"]
+        code = main(argv, out)
+        lines = out.getvalue().splitlines()
+        assert code == 1 and len(lines) == 2
+        assert lines[0] == "check=defs-equivalence x=2/5 n=3 pass=0 witness=NOTLOOP!=LOOP"
+        summary = "check=defs-equivalence n=2..4 q_max=12 cases=135 skipped=0 violations=1 pass=0 elapsed="
+        assert lines[1].startswith(summary)
+
     def test_thma_scan(self):
         rep = run_thma_scan(150, 40, seed=5)
         assert rep.passed

@@ -2,9 +2,11 @@
 their field tuple (same class only), and printed as they always were."""
 
 import copy
+import operator
 import pickle
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -278,3 +280,65 @@ def test_scan_report_keeps_its_constructor_defaults_and_counters():
                       elapsed=1.5, records=records)
     assert (full.total, full.violations, full.skipped, full.first_violation, full.elapsed) == (3, 1, 2, bad, 1.5)
     assert full.records is records and ScanReport("infl", {}, 3, 1, 2, bad, 1.5, records).records is records
+
+
+class _Reflecting:
+    """A foreign type that answers the reflected comparisons itself."""
+
+    def __eq__(self, other):
+        return "reflected-eq"
+
+    def __lt__(self, other):
+        return "reflected-lt"
+
+    def __gt__(self, other):
+        return "reflected-gt"
+
+
+_RATIONALS = (ZERO, Rational(1, 2), ONE, Rational(3), Rational(-2), INFINITY)
+
+
+@pytest.mark.parametrize("a", _RATIONALS, ids=str)
+@pytest.mark.parametrize("b", (0, 1, 3, -2, 7, True, False), ids=repr)
+def test_rational_compares_with_int_and_bool_as_the_integer(a, b):
+    # an int or bool b is read as b/1; infinity is above every integer
+    finite = a.den != 0
+    assert (a == b) is (finite and a.num == b and a.den == 1) is (b == a)
+    assert (a != b) is not (a == b)
+    assert (a < b) is (finite and a.num < b * a.den) is (b > a)
+    assert (a > b) is (not finite or a.num > b * a.den) is (b < a)
+    assert (a <= b) is (a == b or a < b) and (a >= b) is (a == b or a > b)
+    assert a == Rational(b) if a == b else a != Rational(b)
+
+
+@pytest.mark.parametrize("a", _RATIONALS, ids=str)
+@pytest.mark.parametrize("b", (Fraction(1, 2), Fraction(3), None, object(), 0.5, "1/2"),
+                         ids=("Fraction-1/2", "Fraction-3", "None", "object", "float-0.5", "str-1/2"))
+def test_rational_against_other_types_falls_through(a, b):
+    # NotImplemented from both sides: == falls back to identity, < raises
+    assert a.__eq__(b) is NotImplemented and a.__lt__(b) is NotImplemented
+    assert a.__gt__(b) is NotImplemented and a.__ge__(b) is NotImplemented
+    assert (a == b) is False and (b == a) is False and (a != b) is True
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            compare(a, b)
+        with pytest.raises(TypeError):
+            compare(b, a)
+
+
+@pytest.mark.parametrize("a", _RATIONALS, ids=str)
+def test_rational_hands_foreign_comparisons_to_the_other_side(a):
+    b = _Reflecting()
+    assert (a == b) == "reflected-eq" and (a != b) is False
+    assert (a < b) == "reflected-gt" and (a > b) == "reflected-lt"
+    assert (a <= b) == "reflected-eq"  # __le__ is "== or <", and the reflected == is truthy
+
+
+def test_rational_compares_with_rational_by_value():
+    ordered = [Rational(-2), ZERO, Rational(1, 3), Rational(1, 2), ONE, Rational(3), INFINITY]
+    for i, a in enumerate(ordered):
+        for j, b in enumerate(ordered):
+            assert (a == b) is (i == j) and (a < b) is (i < j) and (a > b) is (i > j)
+            assert (a <= b) is (i <= j) and (a >= b) is (i >= j)
+    assert Rational(2, 4) == Rational(1, 2) and Rational(1, 0) == INFINITY == Rational(-5, 0)
+    assert not INFINITY < INFINITY and INFINITY <= INFINITY
