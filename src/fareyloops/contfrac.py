@@ -55,12 +55,13 @@ class CFExpansion(Immutable):
                 raise ValueError("period must be nonempty")
             if min(period) < 1:
                 raise ValueError("period entries must be >= 1")
-            period = _minimal_period(period)
-            end = len(body)
-            while end and body[end - 1] == period[-1]:
-                end -= 1
-                period = period[-1:] + period[:-1]
-            body = body[:end]
+            period = _minimal_period(period) if len(period) > 1 else period
+            if body and body[-1] == period[-1]:
+                end = len(body)
+                while end and body[end - 1] == period[-1]:
+                    end -= 1
+                    period = period[-1:] + period[:-1]
+                body = body[:end]
         _set_a0(self, a0)
         _set_body(self, body)
         _set_period(self, period)
@@ -334,7 +335,7 @@ def height(e: CFExpansion) -> Union[int, float]:
     if e.inf_tail:
         return math.inf
     if e.period is not None:
-        return max(max(e.body, default=0), max(e.period))
+        return max(e.body + e.period)
     return max(e.body, default=0)
 
 

@@ -176,8 +176,8 @@ def loop_verdict_geometric(e: Union[CFExpansion, QuadSurd, Iterable[int]], n: in
     x + m*h = 0 (mod n), found in closed form by `_first_zero`: a kept
     endpoint was checked when it was created, and only oo, which is exempt,
     has denominator 0.  Without a zero the fan ends at x + a*h.  This is the
-    congruence `loops._fan_hit` solves on (q_{k-1}, q_k), solved by separate
-    code.  The a_0 leading-term edges (m/1, oo) keep the base edge's (1, 0).
+    congruence `loops._scan_cycle` solves on (q_{k-1}, q_k), solved by
+    separate code.  The a_0 leading-term edges (m/1, oo) keep the base edge's (1, 0).
 
     The walk reads the steps of `loops._steps`, the input the denominator
     route reads too, and keeps its own state.  It saves (k mod 2, lo, hi) at

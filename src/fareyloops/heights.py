@@ -68,7 +68,9 @@ def surd_height(s: QuadSurd, cap: Optional[int] = None) -> int:
         raise ValueError("expansion requires a positive value")
     best = 0
     opened = False
-    for a, starts_period in itertools.islice(s.steps(), 1, None):
+    steps = s.steps()
+    next(steps)  # a_0
+    for a, starts_period in steps:
         if a > best:
             best = a
             if cap is not None and best >= cap:
@@ -215,9 +217,9 @@ class ScanReport:
 def check_noloop_bound(e: CFExpansion, n: int) -> CheckRecord:
     """For exact non-loops mod n: max{B(a), B(n*a)} >= floor(2*sqrt(n)) - 1."""
     params = (("n", n),)
-    verdict = is_infinite_loop(e, n)
-    if verdict.kind != NOTLOOP or e.is_finite:
-        return CheckRecord("noloop", params, False, True, f"verdict={verdict.kind}")
+    kind = is_infinite_loop(e, n).kind
+    if kind != NOTLOOP or e.is_finite:
+        return CheckRecord("noloop", params, False, True, f"verdict={kind}")
     return CheckRecord("noloop", params, True, *_height_bound(e, n))
 
 
@@ -228,9 +230,9 @@ def check_infl(e: CFExpansion, p: int, m: int) -> CheckRecord:
         raise ValueError(f"{p} is not prime")
     n = p**m
     params = (("p", p), ("m", m))
-    verdict = is_infinite_loop(e, n)
-    if verdict.kind != NOTLOOP or e.is_finite:
-        return CheckRecord("infl", params, False, True, f"verdict={verdict.kind}")
+    kind = is_infinite_loop(e, n).kind
+    if kind != NOTLOOP or e.is_finite:
+        return CheckRecord("infl", params, False, True, f"verdict={kind}")
     return CheckRecord("infl", params, True, *_height_bound(e, n))
 
 

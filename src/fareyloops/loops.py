@@ -162,22 +162,6 @@ class ModState(NamedTuple):
     v: int
 
 
-def _fan_hit(u: int, v: int, n: int, bound: Optional[int], min_m: int) -> Optional[int]:
-    """Smallest m with min_m <= m (<= bound) and u + m*v divisible by n, else None."""
-    u %= n
-    v %= n
-    g = math.gcd(v, n)
-    if u % g:
-        return None
-    nn = n // g
-    m0 = (-(u // g) * pow(v // g, -1, nn)) % nn if nn > 1 else 0
-    if m0 < min_m:
-        m0 += ((min_m - m0 + nn - 1) // nn) * nn
-    if bound is not None and m0 > bound:
-        return None
-    return m0
-
-
 _Steps = Iterator[tuple[Optional[int], bool]]
 
 
@@ -252,7 +236,10 @@ def _scan_cycle(steps: _Steps, n: int, prefix: Union[CFExpansion, list[int]]) ->
        power, which the CRT joins.  So each later fan repeats a scanned one.
     4. Only fan 0 excludes m = 0, but a return to u = 0 at k > 0 has already
        stopped the scan: q_{k-1} is the last denominator of fan k - 2.
-    A step with a = None is the unbounded tail fan, which ends the steps.
+    Fan 0 is closed form: (u, v) = (0, 1) draws m = 1..a_1, so it hits at m = n
+    exactly when a_1 >= n.  Later fans solve v*m = -u (mod n) by a gcd and an
+    inverse for the least m >= 0, a hit when m <= a_{k+1}.  A step with a = None
+    is the unbounded tail fan, where any root hits, and ends the steps.
     Steps that run out after k fans are LOOP on a finite expansion (every fan
     scanned), else UNKNOWN at depth k; NOTLOOP builds its witness lazily from `prefix`.
     """
@@ -265,9 +252,13 @@ def _scan_cycle(steps: _Steps, n: int, prefix: Union[CFExpansion, list[int]]) ->
                 u0, v0 = u, v
             elif (u * v0 - v * u0) % n == 0:
                 return LoopVerdict.loop()
-        m = _fan_hit(u, v, n, a, 1 if k == 0 else 0)
-        if m is not None:
-            return LoopVerdict._not_loop_at(k, m, prefix)
+        if not k:
+            if a is None or a >= n:
+                return LoopVerdict._not_loop_at(0, n, prefix)
+        elif not u % (g := math.gcd(v, n)):
+            m = -(u // g) * pow(v // g, -1, n // g) % (n // g)
+            if a is None or m <= a:
+                return LoopVerdict._not_loop_at(k, m, prefix)
         if a is None:
             break
         u, v = v, (a * v + u) % n

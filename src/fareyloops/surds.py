@@ -41,7 +41,14 @@ def is_reduced(P: int, Q: int, r: int) -> bool:
 
 
 class QuadSurd(Immutable):
-    """Value (P + sqrt(D))/Q with D > 0 non-square and Q | D - P^2."""
+    """Value (P + sqrt(D))/Q with D > 0 non-square and Q | D - P^2.
+
+    `QuadSurd(P, Q, D)` validates: it rejects Q = 0 and a square or nonpositive
+    D, and scales up a triple whose Q does not divide D - P^2.  `shifted`,
+    `scaled` and `reciprocal` need not, as both invariants carry over: n^2*D is
+    square only if D is; Q | n^2*(D - P^2); D - (P + k*Q)^2 = D - P^2 (mod Q);
+    and Q' = (D - P^2)/Q is nonzero as D is no square, with Q*Q' = D - P^2.
+    """
 
     __slots__ = ("P", "Q", "D")
 
@@ -73,17 +80,17 @@ class QuadSurd(Immutable):
 
     def shifted(self, k: int) -> "QuadSurd":
         """self + k."""
-        return QuadSurd(self.P + k * self.Q, self.Q, self.D)
+        return _derived(self.P + k * self.Q, self.Q, self.D)
 
     def scaled(self, n: int) -> "QuadSurd":
         """n * self for n >= 1."""
         if n < 1:
             raise ValueError("scale factor must be >= 1")
-        return QuadSurd(n * self.P, self.Q, n * n * self.D)
+        return _derived(n * self.P, self.Q, n * n * self.D)
 
     def reciprocal(self) -> "QuadSurd":
         """1 / self; stays normalised because Q | D - P^2."""
-        return QuadSurd(-self.P, (self.D - self.P * self.P) // self.Q, self.D)
+        return _derived(-self.P, (self.D - self.P * self.P) // self.Q, self.D)
 
     def floor(self) -> int:
         return _floor(self.P, self.Q, math.isqrt(self.D))
@@ -158,3 +165,12 @@ class QuadSurd(Immutable):
 
 
 _set_P, _set_Q, _set_D = QuadSurd._setters()
+
+
+def _derived(P: int, Q: int, D: int) -> QuadSurd:
+    """The surd of a triple derived from a valid one, written without the checks."""
+    surd = object.__new__(QuadSurd)
+    _set_P(surd, P)
+    _set_Q(surd, Q)
+    _set_D(surd, D)
+    return surd

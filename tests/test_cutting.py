@@ -34,7 +34,6 @@ from fareyloops.loops import (
     NOTLOOP,
     LoopVerdict,
     _children,
-    _fan_hit,
     _raw_walk,
     _steps,
     is_infinite_loop,
@@ -43,6 +42,7 @@ from fareyloops.loops import (
 from fareyloops.rationals import INFINITY, FareyEdge, Rational
 from fareyloops.sampling import random_finite_cf, random_periodic_cf
 from fareyloops.surds import QuadSurd
+from reference_decider import _fan_hit
 
 GOLDEN_CONJ = CFExpansion(0, (), (1,))
 

@@ -24,10 +24,11 @@ from fareyloops.contfrac import (
     twin_of,
 )
 from fareyloops.heights import _semiconvergent_pool
-from fareyloops.loops import LoopVerdict, _fan_hit, _raw_walk, is_infinite_loop
+from fareyloops.loops import LoopVerdict, _raw_walk, is_infinite_loop
 from fareyloops.rationals import INFINITY, Rational
 from fareyloops.sampling import random_periodic_cf
 from fareyloops.surds import QuadSurd
+from reference_decider import _fan_hit
 
 # ---------------------------------------------------------------------------
 # copies of the replaced loops

@@ -24,7 +24,6 @@ from fareyloops.loops import (
     LoopVerdict,
     ModState,
     _decimal_digits,
-    _fan_hit,
     _find_cycle,
     _steps,
     is_infinite_loop,
@@ -38,6 +37,7 @@ from fareyloops.loops import (
 from fareyloops.rationals import Rational
 from fareyloops.sampling import random_finite_cf, random_periodic_cf
 from fareyloops.surds import QuadSurd
+from reference_decider import _fan_hit, _scan_cycle
 
 GOLDEN_CONJ = CFExpansion(0, (), (1,))
 HALF = cf_from_rational(Rational(1, 2))[0]
@@ -288,6 +288,112 @@ class TestPeriodicDecisions:
                 assert stream.witness == exact.witness
             else:
                 assert stream.kind == UNKNOWN
+
+
+FROZEN_SCAN_MODULI = (2, 3, 5, 7, 97, 101, 997, 4, 8, 9, 25, 27, 49, 128, 243, 625, 6, 12, 30, 36, 210)
+
+
+def assert_matches_frozen_scan(x, n: int) -> LoopVerdict:
+    """`is_infinite_loop(x, n)` equals the frozen scan of `reference_decider`
+    run on fresh steps of x, field by field, in its record and in its
+    witness; a list stands for a digit stream and is read afresh each time."""
+    fresh = (lambda: iter(x)) if isinstance(x, list) else (lambda: x)
+    got = is_infinite_loop(fresh(), n)
+    steps, source = _steps(fresh())
+    want = _scan_cycle(steps, n, source)
+    assert got._fields() == want._fields(), (x, n, got, want)
+    assert got.record() == want.record(), (x, n)
+    assert got.witness == want.witness, (x, n)
+    return got
+
+
+class TestInlineFanSolve:
+    """The scan solves fan 0 in closed form and each later fan inline; the
+    frozen scan it replaced, one `_fan_hit` per fan, is the oracle."""
+
+    @staticmethod
+    def moduli(rng: random.Random) -> list[int]:
+        return [*FROZEN_SCAN_MODULI, rng.randint(2, 1000)]
+
+    def test_periodic_with_quotients_past_the_modulus(self):
+        rng = random.Random(31)
+        fan0_hits = shared_factor_fans = 0
+        for _ in range(300):
+            e = random_periodic_cf(rng, max_pre=3, max_period=4, max_entry=300, a0_max=3)
+            for n in self.moduli(rng):
+                v = assert_matches_frozen_scan(e, n)
+                if v.kind == NOTLOOP and v.witness_k == 0:
+                    fan0_hits += 1
+                    assert v.witness_m == n and e.entry(1) >= n
+                elif math.gcd(e.entry(1), n) > 1:
+                    # fan 1 solves over (q_0, q_1) = (1, a_1): coprime, so a
+                    # shared factor of q_1 and n leaves it without a root
+                    assert v.kind == LOOP or v.witness_k >= 2
+                    shared_factor_fans += 1
+        assert fan0_hits > 100 and shared_factor_fans > 100
+
+    def test_finite_with_and_without_the_tail(self):
+        rng = random.Random(32)
+        kinds = set()
+        for i in range(1200):
+            e = random_finite_cf(rng, min_len=0, max_len=6, max_entry=300, inf_tail=i % 2 == 0)
+            if i % 3 == 0 and e.body:  # a twin: Euclid's form with its last entry split off as 1
+                e = CFExpansion(e.a0, (*e.body[:-1], e.body[-1] - 1, 1), None, e.inf_tail)
+            if not (e.a0 or e.body):
+                continue
+            for n in (*FROZEN_SCAN_MODULI[::3], rng.randint(2, 1000)):
+                kinds.add((assert_matches_frozen_scan(e, n).kind, e.inf_tail))
+        assert kinds == {(LOOP, False), (NOTLOOP, False), (LOOP, True), (NOTLOOP, True)}
+
+    @pytest.mark.parametrize("text, n, record", [
+        ("[3; oo]", 4, "NOTLOOP k=0 m=4 q=4"),
+        ("[3; oo]", 2, "NOTLOOP k=0 m=2 q=2"),
+        ("[3]", 4, "LOOP"),
+        ("[0; 1, oo]", 2, "NOTLOOP k=0 m=2 q=2"),
+        ("[0; 5]", 5, "NOTLOOP k=0 m=5 q=5"),
+        ("[0; 4]", 5, "LOOP"),
+        ("[0; 4, oo]", 5, "NOTLOOP k=1 m=1 q=5"),
+    ])
+    def test_integers_and_short_expansions(self, text, n, record):
+        assert assert_matches_frozen_scan(contfrac.parse_cf(text), n).record() == record
+
+    def test_surds(self):
+        rng = random.Random(33)
+        checked = 0
+        while checked < 150:
+            D = rng.randint(2, 10**6)
+            if math.isqrt(D) ** 2 == D:
+                continue
+            s = QuadSurd(rng.randint(-1000, 1000), rng.choice((-1, 1)) * rng.randint(1, 50), D)
+            s = s.shifted(rng.randint(0, 3) - s.floor())
+            for n in self.moduli(rng):
+                assert_matches_frozen_scan(s, n)
+            checked += 1
+
+    def test_digit_streams(self):
+        rng = random.Random(34)
+        kinds = set()
+        for _ in range(800):
+            digits = [rng.randint(0, 3)] + [rng.randint(1, 300) for _ in range(rng.randint(0, 10))]
+            for n in self.moduli(rng):
+                kinds.add(assert_matches_frozen_scan(digits, n).kind)
+        assert kinds == {NOTLOOP, UNKNOWN}
+
+    @pytest.mark.parametrize("x, n, record", [
+        (CFExpansion(0, (1, 999_997), (1, 999_996)), 10**6, "LOOP"),
+        (CFExpansion(0, (1, 999_997), (1, 999_996)), 999_999, "NOTLOOP k=2 m=1 q=999999"),
+        (CFExpansion(0, (2, 10**12)), 4, "LOOP"),
+        (CFExpansion(0, (2, 10**12), None, True), 4, "NOTLOOP k=2 m=2 q=4000000000004"),
+        (CFExpansion(10**7, (), None, True), 7, "NOTLOOP k=0 m=7 q=7"),
+        (CFExpansion(0, (10**9 + 6, 3), (10**9 + 8,)), 10**9 + 7, "NOTLOOP k=1 m=1 q=1000000007"),
+        (CFExpansion(0, (10**9 + 7, 3), (10**9 + 8,)), 10**9 + 7, "NOTLOOP k=0 m=1000000007 q=1000000007"),
+        (QuadSurd(0, 1, 10**29 + 3), 7, "NOTLOOP k=1 m=6 q=7"),
+        ([1, 10**12, 10**12, 10**12], 10**6, "NOTLOOP k=0 m=1000000 q=1000000"),
+        ([1, 999_999, 10**12], 10**6, "NOTLOOP k=1 m=1 q=1000000"),
+        ([1, 999_999], 10**6, "UNKNOWN depth=1"),
+    ])
+    def test_quotients_far_above_the_modulus(self, x, n, record):
+        assert assert_matches_frozen_scan(x, n).record() == record
 
 
 UNPATCHED_STEPS = QuadSurd.steps

@@ -1,7 +1,8 @@
 import math
+import pickle
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from fareyloops.rationals import INFINITY, Rational
@@ -111,3 +112,60 @@ def test_reduced_means_above_one_with_conjugate_in_minus_one_zero(P, Q, t):
     conjugate = QuadSurd(-P, -Q, D)  # (P - sqrt(D))/Q
     expected = s > 1 and -1 < conjugate < 0
     assert is_reduced(P, Q, math.isqrt(D)) == expected
+
+
+@st.composite
+def normalised_surds(draw):
+    """A valid (P, Q, D): Q of either sign, D = P^2 + Q*t a positive
+    non-square, so that Q divides D - P^2 and QuadSurd keeps the triple."""
+    P = draw(st.integers(min_value=-10**4, max_value=10**4))
+    Q = draw(st.integers(min_value=-500, max_value=500).filter(bool))
+    D = P * P + Q * draw(st.integers(min_value=-(10**6), max_value=10**6))
+    assume(D > 0 and not is_square(D))
+    return QuadSurd(P, Q, D)
+
+
+class TestDerivedSurds:
+    """`shifted`, `scaled` and `reciprocal` build their result without the
+    constructor's checks; the validating constructor, given the same triple,
+    must produce a value that no reader can tell apart."""
+
+    @staticmethod
+    def assert_as_validated(derived, P, Q, D):
+        validated = QuadSurd(P, Q, D)
+        assert type(derived) is QuadSurd
+        assert (derived.P, derived.Q, derived.D) == (validated.P, validated.Q, validated.D) == (P, Q, D)
+        assert derived == validated and hash(derived) == hash(validated)
+        assert repr(derived) == repr(validated) and str(derived) == str(validated)
+        assert pickle.dumps(derived) == pickle.dumps(validated)
+        assert pickle.loads(pickle.dumps(derived)) == validated
+
+    @given(normalised_surds(), st.integers(min_value=-(10**6), max_value=10**6))
+    def test_shifted(self, s, k):
+        self.assert_as_validated(s.shifted(k), s.P + k * s.Q, s.Q, s.D)
+
+    @given(normalised_surds(), st.integers(min_value=1, max_value=10**6))
+    def test_scaled(self, s, n):
+        self.assert_as_validated(s.scaled(n), n * s.P, s.Q, n * n * s.D)
+
+    @given(normalised_surds())
+    def test_reciprocal(self, s):
+        self.assert_as_validated(s.reciprocal(), -s.P, (s.D - s.P * s.P) // s.Q, s.D)
+
+    @given(normalised_surds(), st.integers(min_value=-(10**6), max_value=0))
+    def test_scale_factor_below_one_is_rejected(self, s, n):
+        with pytest.raises(ValueError, match="scale factor must be >= 1"):
+            s.scaled(n)
+
+    @pytest.mark.parametrize("P, Q, D, error", [
+        (1, 0, 5, ZeroDivisionError),
+        (0, 0, 9, ZeroDivisionError),
+        (0, 1, 9, ValueError),
+        (3, -2, 10**12, ValueError),
+        (1, 2, 0, ValueError),
+        (1, 1, -7, ValueError),
+        (0, -3, -2, ValueError),
+    ])
+    def test_constructor_still_validates(self, P, Q, D, error):
+        with pytest.raises(error):
+            QuadSurd(P, Q, D)
