@@ -249,10 +249,8 @@ def cmd_cutseq(args, cfg: Config, out) -> int:
     word = cutting.eta_inverse(e, word_depth)
     # the word reads back the partial quotients it was built from
     assert list(cutting.eta(word).digits()) == list(itertools.islice(e.digits(), word_depth + 1))
-    print(f"word: {word}", file=out)
-    for edge in edges:
-        assert edge.is_base or cutting.crosses_edge(value, edge)
-        print(str(edge), file=out)
+    assert all(edge.is_base or cutting.crosses_edge(value, edge) for edge in edges)
+    print(f"word: {word}", *(f"{x.a.num}/{x.a.den} -- {x.b.num}/{x.b.den}" for x in edges), sep="\n", file=out)
     if walk is not None:
         print("walk: " + " ".join(f"{l}:{r}" for l, r in walk), file=out)
     return 0

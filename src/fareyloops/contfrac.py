@@ -108,11 +108,23 @@ class CFExpansion(Immutable):
 _set_a0, _set_body, _set_period, _set_inf_tail = CFExpansion._setters()
 
 
+def _canonical(a0: int, body: tuple, period: Optional[tuple], inf_tail: bool) -> CFExpansion:
+    """Fields already canonical, written without the checks.  ``cf_of_surd``'s are: the digit
+    period is the state period (the digit tail fixes x_k, D fixes (P, Q)), the first reduced
+    x_k with k >= 1 opens it, and x_{start-1} is not reduced, so body[-1] != period[-1]."""
+    e = object.__new__(CFExpansion)
+    _set_a0(e, a0)
+    _set_body(e, body)
+    _set_period(e, period)
+    _set_inf_tail(e, inf_tail)
+    return e
+
+
 def format_cf(e: CFExpansion) -> str:
     """Render as ``[a0; a1, a2, ...]`` with ``(...)`` period and ``oo`` tail."""
-    parts = [str(a) for a in e.body]
+    parts = list(map(str, e.body))
     if e.period is not None:
-        parts.append("(" + ", ".join(str(a) for a in e.period) + ")")
+        parts.append("(" + ", ".join(map(str, e.period)) + ")")
     if e.inf_tail:
         parts.append("oo")
     if not parts:
@@ -381,8 +393,8 @@ def cf_of_surd(s: QuadSurd) -> CFExpansion:
     """Eventually periodic expansion of a positive quadratic irrational.
 
     Reads ``QuadSurd.steps`` up to its second period flag: the first flag
-    opens the period, the second closes it, and the constructor normalises
-    to the canonical minimal form.
+    opens the period, the second closes it, and the entries read are already
+    the canonical minimal form (see ``_canonical``).
     """
     if not s.is_positive():
         raise ValueError("expansion requires a positive value")
@@ -394,7 +406,7 @@ def cf_of_surd(s: QuadSurd) -> CFExpansion:
                 break
             start = len(entries)
         entries.append(a)
-    return CFExpansion(entries[0], tuple(entries[1:start]), tuple(entries[start:]))
+    return _canonical(entries[0], tuple(entries[1:start]), tuple(entries[start:]), False)
 
 
 # ---------------------------------------------------------------------------

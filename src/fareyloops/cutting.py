@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Union
 
 from .contfrac import CFExpansion
 from .loops import LoopVerdict, _raw_walk, _steps
-from .rationals import INFINITY, FareyEdge, Immutable, Rational
+from .rationals import INFINITY, FareyEdge, Immutable, Rational, _edge, _reduced
 from .surds import QuadSurd
 
 Value = Union[Rational, QuadSurd]
@@ -98,10 +98,8 @@ def crosses_edge(alpha: Value, edge: FareyEdge) -> bool:
             raise ValueError("alpha must be finite and positive")
         if alpha.num <= 0:
             raise ValueError("alpha must be positive")
-        if alpha == u or alpha == v:
-            return False
-    if v.is_infinite:
-        return alpha > u
+    if isinstance(alpha, QuadSurd):  # u < v, so u is finite
+        return alpha._cmp_rational(u.num, u.den) > 0 and (v.den == 0 or alpha._cmp_rational(v.num, v.den) < 0)
     return u < alpha and alpha < v
 
 
@@ -123,12 +121,13 @@ def crossed_edges(e: CFExpansion, depth: Optional[int] = None) -> list[FareyEdge
         if depth is None:
             raise ValueError("an infinite expansion needs a depth")
         take = depth - 1
+    # endpoints have determinant +-1 against the pivot, so lowest terms, and lo < hi
     fan = None
     for k, _, lo, hi in itertools.islice(_raw_walk(e), max(take, 0)):
         odd = k % 2  # fan k keeps its pivot p_k/q_k, the upper endpoint for odd k
         if k != fan:
-            fan, pivot = k, Rational(*(hi if odd else lo))
-        edges.append(FareyEdge(Rational(*lo), pivot) if odd else FareyEdge(pivot, Rational(*hi)))
+            fan, pivot = k, _reduced(*(hi if odd else lo))
+        edges.append(_edge(_reduced(*lo), pivot) if odd else _edge(pivot, _reduced(*hi)))
     return edges
 
 

@@ -161,6 +161,14 @@ ZERO = Rational(0, 1)
 ONE = Rational(1, 1)
 
 
+def _reduced(num: int, den: int) -> Rational:
+    """num/den already in lowest terms with den >= 0, oo as 1/0, written without the checks."""
+    x = object.__new__(Rational)
+    _set_num(x, num)
+    _set_den(x, den)
+    return x
+
+
 class FareyEdge(Immutable):
     """Unordered pair of distinct boundary points, stored with a < b."""
 
@@ -187,6 +195,14 @@ class FareyEdge(Immutable):
 
 
 _set_a, _set_b = FareyEdge._setters()
+
+
+def _edge(a: Rational, b: Rational) -> FareyEdge:
+    """The edge of endpoints a < b, written without the checks."""
+    edge = object.__new__(FareyEdge)
+    _set_a(edge, a)
+    _set_b(edge, b)
+    return edge
 
 
 def farey_mediant(a: Rational, b: Rational) -> Rational:

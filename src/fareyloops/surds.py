@@ -109,15 +109,20 @@ class QuadSurd(Immutable):
         P, Q, D = self.P, self.Q, self.D
         s = math.isqrt(D)
         a = self.floor()
-        P0 = None
         yield a, False
         while True:
             P = a * Q - P
             Q = (D - P * P) // Q
             a = _floor(P, Q, s)
-            if P0 is None and is_reduced(P, Q, s):
-                P0, Q0 = P, Q
+            if is_reduced(P, Q, s):
+                break
+            yield a, False
+        P0, Q0 = P, Q
+        while True:
             yield a, P == P0 and Q == Q0
+            P = a * Q - P
+            Q = (D - P * P) // Q
+            a = (P + s) // Q  # a reduced state's successor is reduced, so Q > 0
 
     def _cmp_rational(self, num: int, den: int) -> int:
         """Sign of self - num/den for den > 0."""

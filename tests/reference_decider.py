@@ -1,19 +1,27 @@
-"""A frozen copy of the fan scan `loops._scan_cycle` ran before it solved fans inline.
+"""Frozen copies of library code from before it was made faster, kept as oracles.
 
 `_fan_hit` solves one fan's congruence u + m*v = 0 (mod n) from scratch:
 it reduces (u, v), takes a gcd and an inverse, and lifts the root above
 `min_m`.  `_scan_cycle` is the state-cycle scan that called it once per fan,
 fan 0 included.  The library now solves fan 0 in closed form and later fans
 inline; the tests keep this copy as the oracle it is compared against.
+
+`surd_steps` is `QuadSurd.steps` as one loop that takes the floor with its
+sign test and tests `is_reduced` until the period opens; the library now
+runs the period in a second loop with the floor inlined.  `crosses_edge` is
+the crossing predicate that compared a surd through the reflected rational
+comparisons and tested a rational against both endpoints first.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from fareyloops.contfrac import CFExpansion
 from fareyloops.loops import LoopVerdict
+from fareyloops.rationals import FareyEdge, Rational
+from fareyloops.surds import QuadSurd
 
 
 def _fan_hit(u: int, v: int, n: int, bound: Optional[int], min_m: int) -> Optional[int]:
@@ -51,3 +59,50 @@ def _scan_cycle(steps, n: int, prefix: Union[CFExpansion, list[int]]) -> LoopVer
         u, v = v, (a * v + u) % n
         k += 1
     return LoopVerdict.loop() if isinstance(prefix, CFExpansion) else LoopVerdict.unknown(k)
+
+
+def _floor(P: int, Q: int, s: int) -> int:
+    """floor((P + sqrt(D))/Q) for s = isqrt(D), D non-square."""
+    if Q > 0:
+        return (P + s) // Q
+    return -((P + s) // (-Q)) - 1
+
+
+def _is_reduced(P: int, Q: int, r: int) -> bool:
+    """Whether (P + sqrt(D))/Q, with r = isqrt(D), is greater than 1 with conjugate in (-1, 0)."""
+    return P <= r and r - P < Q <= r + P
+
+
+def surd_steps(x: QuadSurd) -> Iterator[tuple[int, bool]]:
+    """(a_k, starts_period) for k = 0, 1, ..., as `QuadSurd.steps` yielded them."""
+    P, Q, D = x.P, x.Q, x.D
+    s = math.isqrt(D)
+    a = _floor(P, Q, s)
+    P0 = None
+    yield a, False
+    while True:
+        P = a * Q - P
+        Q = (D - P * P) // Q
+        a = _floor(P, Q, s)
+        if P0 is None and _is_reduced(P, Q, s):
+            P0, Q0 = P, Q
+        yield a, P == P0 and Q == Q0
+
+
+def crosses_edge(alpha: Union[Rational, QuadSurd], edge: FareyEdge) -> bool:
+    """Whether the ray from the base edge to alpha must cross this edge."""
+    u, v = edge.a, edge.b
+    if u.num < 0:
+        raise ValueError("tessellation edges here have nonnegative endpoints")
+    if edge.is_base:
+        return False
+    if isinstance(alpha, Rational):
+        if alpha.is_infinite:
+            raise ValueError("alpha must be finite and positive")
+        if alpha.num <= 0:
+            raise ValueError("alpha must be positive")
+        if alpha == u or alpha == v:
+            return False
+    if v.is_infinite:
+        return alpha > u
+    return u < alpha and alpha < v

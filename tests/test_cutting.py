@@ -39,12 +39,30 @@ from fareyloops.loops import (
     is_infinite_loop,
     loop_example,
 )
-from fareyloops.rationals import INFINITY, FareyEdge, Rational
+from fareyloops.rationals import INFINITY, FareyEdge, Rational, farey_mediant
 from fareyloops.sampling import random_finite_cf, random_periodic_cf
 from fareyloops.surds import QuadSurd
+import reference_decider
 from reference_decider import _fan_hit
 
 GOLDEN_CONJ = CFExpansion(0, (), (1,))
+
+
+def seeded_surds(seed, count):
+    """Seeded positive normalised surds with D up to 10^9 and Q of either
+    sign, a third of them scaled by 2 to 5."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        P, Q = rng.randint(-40_000, 40_000), rng.choice([-1, 1]) * rng.randint(1, 30_000)
+        D = rng.randint(10**4, 10**9)
+        D -= (D - P * P) % abs(Q)  # Q divides D - P^2
+        if D <= 0 or math.isqrt(D) ** 2 == D:
+            continue
+        s = QuadSurd(P, Q, D)
+        if s.is_positive():
+            out.append(s.scaled(rng.randint(2, 5)) if rng.random() < 1 / 3 else s)
+    return out
 
 
 class TestWordType:
@@ -117,6 +135,53 @@ class TestCrossesEdge:
             with pytest.raises(ValueError, match="nonnegative endpoints"):
                 crosses_edge(Rational(1, 2), edge)
 
+    @staticmethod
+    def near_edges(e, depth=None):
+        """The crossed edges, each edge's two children (one crossed, one not
+        where the ray passes the mediant) and the leading edges (m/1, oo)."""
+        path = crossed_edges(e, depth)
+        children = []
+        for edge in path[1:]:
+            mid = farey_mediant(edge.a, edge.b)
+            children += [FareyEdge(edge.a, mid), FareyEdge(mid, edge.b)]
+        leading = [FareyEdge(Rational(m), INFINITY) for m in range(e.a0 + 3)]
+        return path + children + leading
+
+    def test_surd_path_matches_generic_comparison(self):
+        outcomes = set()
+        for s in seeded_surds(31, 40):
+            for edge in self.near_edges(cf_of_surd(s), 200):
+                u, v = edge.a, edge.b
+                want = not edge.is_base and u < s and s < v
+                assert crosses_edge(s, edge) is want, (s, edge)
+                assert reference_decider.crosses_edge(s, edge) is want
+                outcomes.add((want, v.is_infinite))
+        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_rationals_keep_results_and_errors(self):
+        rng = random.Random(32)
+        bad = [(Rational(-1), Rational(0)), (Rational(-1, 2), INFINITY)]
+        outcomes = set()
+        for _ in range(60):
+            e = random_finite_cf(rng, a0_max=3, min_len=0)
+            if not (e.a0 or e.body):
+                continue
+            value = cf_value(e)
+            edges = self.near_edges(e) + [FareyEdge(*pair) for pair in bad]
+            edges += [FareyEdge(value, x) for x in (Rational(0), value.shifted(1), INFINITY)]
+            for alpha in (value, Rational(0), Rational(-3, 4), INFINITY):
+                for edge in edges:
+                    try:
+                        want = reference_decider.crosses_edge(alpha, edge)
+                    except ValueError as exc:
+                        with pytest.raises(ValueError, match=f"^{exc}$"):
+                            crosses_edge(alpha, edge)
+                        outcomes.add(str(exc))
+                        continue
+                    assert crosses_edge(alpha, edge) is want, (alpha, edge)
+                    outcomes.add(want)
+        assert len(outcomes) == 5  # True, False and three messages
+
 
 class TestCrossedEdges:
     def test_one_half(self):
@@ -170,6 +235,9 @@ class TestCrossedEdges:
         return edges
 
     def test_matches_two_rationals_per_step(self):
+        # the edges are built without the checks: each endpoint must be a
+        # Rational in lowest terms with den >= 0 and oo as 1/0, with a < b,
+        # and each edge what the validating constructors build
         rng = random.Random(2026)
         cases = [(CFExpansion(3), None), (CFExpansion(0, (1,), None, True), None), (GOLDEN_CONJ, 1)]
         for _ in range(80):
@@ -180,11 +248,17 @@ class TestCrossedEdges:
                     cases.append((twin_of(e), None))
             p = random_periodic_cf(rng)
             cases += [(p, depth) for depth in (1, 2, 7, 40) if p.a0 or depth > 1]
+        cases += [(cf_of_surd(s), 200) for s in seeded_surds(2026, 40)]
         for e, depth in cases:
             got = crossed_edges(e, depth)
             want = self._two_rationals_per_step(e, depth)
             assert got == want, (e, depth)
             assert [str(x) for x in got] == [str(x) for x in want]
+            for edge in got:
+                assert type(edge) is FareyEdge and edge.a < edge.b, (e, edge)
+                for x in edge.endpoints():
+                    assert type(x) is Rational and x.den >= 0 and math.gcd(x.num, x.den) == 1, (e, x)
+                    assert x.den or x.num == 1, (e, x)
 
     def test_fan_edges_share_their_pivot_object(self):
         e = CFExpansion(2, (3, 4, 5), (2, 1))

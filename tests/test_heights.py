@@ -5,10 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fareyloops import contfrac, heights
+from fareyloops import heights
 from fareyloops.cli import _PM_DEFAULT, main
 from fareyloops.contfrac import (
     CFExpansion,
@@ -45,6 +45,7 @@ from fareyloops.loops import NOTLOOP, LoopVerdict, is_infinite_loop, loop_exampl
 from fareyloops.rationals import Rational
 from fareyloops.sampling import random_finite_cf, random_periodic_cf
 from fareyloops.surds import QuadSurd
+from reference_decider import surd_steps
 
 GOLDEN_CONJ = CFExpansion(0, (), (1,))
 SQRT2 = CFExpansion(1, (), (2,))
@@ -214,6 +215,40 @@ def expansion_states(s):
         Q = (D - P * P) // Q
 
 
+@st.composite
+def wide_surds(draw):
+    """A positive normalised surd with D up to 10^9, scaled by 2 to 5 a third
+    of the time: a reduced start; x_0 = a_0 + 1/x_1 with x_1 of negative Q
+    dividing P + isqrt(D), whose floor is one less than (P + isqrt(D)) // Q;
+    or P and Q of either sign."""
+    kind = draw(st.integers(min_value=0, max_value=2))
+    if kind == 0:
+        # reduced: max(P, Q - P) < sqrt(D) < P + Q, with D = P^2 (mod Q)
+        P = draw(st.integers(min_value=1, max_value=10_000))
+        Q = draw(st.integers(min_value=1, max_value=20_000))
+        lo, hi = max(P, Q - P) ** 2 - P * P, (P + Q) ** 2 - P * P
+        D = P * P + Q * draw(st.integers(min_value=lo // Q + 1, max_value=(hi - 1) // Q))
+    elif kind == 1:
+        # x_1 = (-r - j*q + sqrt(D))/-q with D = r^2 + m*q: normalised, and
+        # above 1 for j >= 2, as sqrt(D) - r < 1 <= q
+        r = draw(st.integers(min_value=1, max_value=31_000))
+        q = draw(st.integers(min_value=1, max_value=2 * r))
+        D = r * r + q * draw(st.integers(min_value=1, max_value=2 * r // q))
+        P1, Q1 = -r - draw(st.integers(min_value=2, max_value=1000)) * q, -q
+        Q = (D - P1 * P1) // Q1  # x_0 = a_0 + 1/x_1
+        P = draw(st.integers(min_value=0, max_value=50)) * Q - P1
+    else:
+        P = draw(st.integers(min_value=-40_000, max_value=40_000))
+        Q = draw(st.integers(min_value=-30_000, max_value=30_000).filter(bool))
+        D = draw(st.integers(min_value=1, max_value=10**9))
+        D -= (D - P * P) % abs(Q)  # Q divides D - P^2
+    assume(D > 0 and math.isqrt(D) ** 2 != D)
+    s = QuadSurd(P, Q, D)
+    assume(s.is_positive())
+    n = draw(st.integers(min_value=1, max_value=5))
+    return s.scaled(n) if n > 1 and draw(st.integers(0, 2)) == 0 else s
+
+
 def split_population():
     """2,000 seeded surds and the values of 300 seeded periodic expansions."""
     rng = random.Random(42)
@@ -304,19 +339,38 @@ class TestCappedHeight:
     def test_reduced_closure_matches_seen_set(self, s):
         assert surd_height(s) == seen_set_height(s)
 
-    def test_cf_of_surd_splits_as_seen_dict(self, monkeypatch):
-        # the constructor canonicalises, so the split is read off its arguments
-        handed = []
+    @staticmethod
+    def assert_split_as_seen_dict(s):
+        # cf_of_surd builds its result unchecked: its fields must be the
+        # seen-dict split, and that split must already be the canonical
+        # form the validating constructor makes of it
+        got = cf_of_surd(s)
+        split = seen_dict_split(s)
+        assert type(got) is CFExpansion, s
+        assert type(got.body) is tuple and type(got.period) is tuple and got.inf_tail is False, s
+        assert (got.a0, got.body, got.period) == split, s
+        assert got == CFExpansion(*split), s
 
-        def record(*args):
-            handed.append(args)
-            return CFExpansion(*args)
-
-        monkeypatch.setattr(contfrac, "CFExpansion", record)
+    def test_cf_of_surd_splits_as_seen_dict(self):
         for s in split_population():
-            handed.clear()
-            cf_of_surd(s)
-            assert handed == [seen_dict_split(s)], s
+            self.assert_split_as_seen_dict(s)
+
+    @settings(deadline=None)
+    @given(wide_surds())
+    def test_cf_of_surd_splits_as_seen_dict_wide(self, s):
+        self.assert_split_as_seen_dict(s)
+
+    @settings(deadline=None)
+    @given(wide_surds())
+    def test_steps_match_the_one_loop_recurrence(self, s):
+        # three periods of the frozen recurrence: up to and including its fourth flag
+        want, flags = [], 0
+        for step in surd_steps(s):
+            want.append(step)
+            flags += step[1]
+            if flags == 4:
+                break
+        assert list(itertools.islice(s.steps(), len(want))) == want, s
 
     def test_steps_flag_each_period_start(self):
         # the period opens at k0 = max(start, 1) = 1 + len(body), since a
