@@ -249,7 +249,8 @@ def cmd_cutseq(args, cfg: Config, out) -> int:
     word = cutting.eta_inverse(e, word_depth)
     # the word reads back the partial quotients it was built from
     assert list(cutting.eta(word).digits()) == list(itertools.islice(e.digits(), word_depth + 1))
-    assert all(edge.is_base or cutting.crosses_edge(value, edge) for edge in edges)
+    # the base edge comes first, and only there: the ray crosses every edge after it
+    assert all(cutting.crosses_edge(value, edge) for edge in edges[1:])
     print(f"word: {word}", *(f"{x.a.num}/{x.a.den} -- {x.b.num}/{x.b.den}" for x in edges), sep="\n", file=out)
     if walk is not None:
         print("walk: " + " ".join(f"{l}:{r}" for l, r in walk), file=out)
@@ -372,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("loopcheck", help="infinite-loop verdict mod n")
     p.add_argument("value")
     p.add_argument("--mod", type=int, required=True)
-    p.add_argument("--depth", type=_positive_int, help="accepted; changes no verdict")
     p.add_argument("--geometric", action="store_true")
 
     p = sub.add_parser("loop-exists", help="existence of loops per modulus")

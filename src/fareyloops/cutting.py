@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .contfrac import CFExpansion
 from .loops import LoopVerdict, _raw_walk, _steps
@@ -165,13 +165,13 @@ def _first_zero(x: int, h: int, n: int) -> Optional[int]:
     return -(x // g) * pow(h // g, -1, n) % n or n
 
 
-def loop_verdict_geometric(e: Union[CFExpansion, QuadSurd, Iterable[int]], n: int) -> LoopVerdict:
+def loop_verdict_geometric(e: Union[CFExpansion, QuadSurd], n: int) -> LoopVerdict:
     """Loop decision by jumping each fan of crossed edges to its first level-n edge.
 
-    Takes any positive value and reads only the endpoint denominators (lo, hi)
-    mod n.  Fan k keeps one endpoint, of denominator h (lo in even fans, hi
-    in odd ones), and its edges create x + m*h for m = 1..a_{k+1}, x the
-    other endpoint's.  The first level-n edge is the least m >= 1 with
+    Takes a positive finite or periodic expansion or a surd, and reads only
+    the endpoint denominators (lo, hi) mod n.  Fan k keeps one endpoint, of
+    denominator h (lo in even fans, hi in odd ones), and its edges create
+    x + m*h for m = 1..a_{k+1}, x the other endpoint's.  The first level-n edge is the least m >= 1 with
     x + m*h = 0 (mod n), found in closed form by `_first_zero`: a kept
     endpoint was checked when it was created, and only oo, which is exempt,
     has denominator 0.  Without a zero the fan ends at x + a*h.  This is the
@@ -188,13 +188,13 @@ def loop_verdict_geometric(e: Union[CFExpansion, QuadSurd, Iterable[int]], n: in
     there repeats a zero-free one.  Two periods map the saved state
     invertibly on a finite set, so periodic input ends.  A rational's last
     step creates the value, which with the kept endpoint seeds the oo-tail,
-    an unbounded fan.  A walk that runs out is LOOP on a finite expansion
-    and, on a digit stream, UNKNOWN at the depth walked.
+    an unbounded fan.  Only a finite expansion's steps run out, every fan
+    walked: LOOP.
     """
     if n < 2:
         raise ValueError("modulus must be >= 2")
     steps, source = _steps(e)
-    lo, hi, saved, k = 1 % n, 0, None, -1
+    lo, hi, saved = 1 % n, 0, None
     for k, (a, starts_period) in enumerate(steps):
         odd = k % 2
         if starts_period:
@@ -208,4 +208,4 @@ def loop_verdict_geometric(e: Union[CFExpansion, QuadSurd, Iterable[int]], n: in
             return LoopVerdict.loop() if m is None else LoopVerdict._not_loop_at(k, m, source)
         end = (x + a * h) % n
         lo, hi = (end, hi) if odd else (lo, end)
-    return LoopVerdict.loop() if isinstance(source, CFExpansion) else LoopVerdict.unknown(k + 1)
+    return LoopVerdict.loop()

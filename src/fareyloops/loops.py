@@ -4,8 +4,8 @@ A positive real is an infinite loop mod n when no semi-convergent denominator
 (the seed q_{-1} = 0 excepted) is divisible by n; for rationals the oo-tail
 convention adds the final progression of Euclid's expansion.  One step
 stream, `_steps`, feeds both routes, the fan scan `_scan_cycle` and the edge
-walk `cutting.loop_verdict_geometric`: exact for finite and periodic
-expansions and surds, while truncated digit streams can only refute.
+walk `cutting.loop_verdict_geometric`; both take an exact value, a finite or
+periodic expansion or a surd, and both are exact on each.
 
 Loops exist mod every n >= 4, as the validated family of `loop_example`
 shows; mod 2 and 3 their absence is proved on a finite state graph: a walk
@@ -25,11 +25,8 @@ from .contfrac import CFExpansion, fans, semiconvergent, twin_of
 from .rationals import Immutable, Rational
 from .surds import QuadSurd
 
-DEFAULT_STREAM_DEPTH = 10_000
-
 LOOP = "LOOP"
 NOTLOOP = "NOTLOOP"
-UNKNOWN = "UNKNOWN"
 
 
 def _decimal_digits(q: int) -> int:
@@ -55,18 +52,18 @@ def _den_field(q: int) -> str:
 
 
 class LoopVerdict(Immutable):
-    """Outcome of one loop decision: LOOP, NOTLOOP at fan (k, m), or UNKNOWN.
+    """Outcome of one loop decision: LOOP, or NOTLOOP at fan (k, m).
 
     A NOTLOOP's witness is the semi-convergent {k, m}, whose denominator the
     modulus divides.  It is built on the first read of `.witness`: p and q
     have O(k) digits, so building them costs O(k^2) bit work that a caller
     reading only `.kind` never needs.  Both routes hand over the source of
     `_steps`: the finite or periodic expansion read, or the digits a_0, ...,
-    a_{k+1} read off a surd or stream.  Equality also compares the
+    a_{k+1} read off a surd.  Equality also compares the
     witnesses, so equal verdicts always name the same p/q.
     """
 
-    __slots__ = ("kind", "witness_k", "witness_m", "depth", "_witness", "_source")
+    __slots__ = ("kind", "witness_k", "witness_m", "_witness", "_source")
 
     def __init__(
         self,
@@ -74,12 +71,10 @@ class LoopVerdict(Immutable):
         witness_k: Optional[int] = None,
         witness_m: Optional[int] = None,
         witness: Optional[Rational] = None,
-        depth: Optional[int] = None,
     ):
         _set_kind(self, kind)
         _set_witness_k(self, witness_k)
         _set_witness_m(self, witness_m)
-        _set_depth(self, depth)
         _set_witness(self, witness)
         _set_source(self, None)
 
@@ -99,14 +94,9 @@ class LoopVerdict(Immutable):
         _set_kind(verdict, NOTLOOP)
         _set_witness_k(verdict, k)
         _set_witness_m(verdict, m)
-        _set_depth(verdict, None)
         _set_witness(verdict, None)
         _set_source(verdict, source)
         return verdict
-
-    @classmethod
-    def unknown(cls, depth: int) -> "LoopVerdict":
-        return cls(UNKNOWN, depth=depth)
 
     @property
     def witness(self) -> Optional[Rational]:
@@ -123,7 +113,7 @@ class LoopVerdict(Immutable):
         return self.kind == LOOP
 
     def _fields(self) -> tuple:
-        return self.kind, self.witness_k, self.witness_m, self.depth
+        return self.kind, self.witness_k, self.witness_m
 
     def __eq__(self, other):
         if not isinstance(other, LoopVerdict):
@@ -134,24 +124,22 @@ class LoopVerdict(Immutable):
         return hash(self._fields())
 
     def __reduce__(self):
-        return LoopVerdict, (self.kind, self.witness_k, self.witness_m, self.witness, self.depth)
+        return LoopVerdict, (self.kind, self.witness_k, self.witness_m, self.witness)
 
     def __repr__(self):
         return (
             f"LoopVerdict(kind={self.kind!r}, witness_k={self.witness_k!r}, "
-            f"witness_m={self.witness_m!r}, witness={self.witness!r}, depth={self.depth!r})"
+            f"witness_m={self.witness_m!r}, witness={self.witness!r})"
         )
 
     def record(self) -> str:
         """Single-line serialisation."""
         if self.kind == LOOP:
             return "LOOP"
-        if self.kind == NOTLOOP:
-            return f"NOTLOOP k={self.witness_k} m={self.witness_m} {_den_field(self.witness.den)}"
-        return f"UNKNOWN depth={self.depth}"
+        return f"NOTLOOP k={self.witness_k} m={self.witness_m} {_den_field(self.witness.den)}"
 
 
-_set_kind, _set_witness_k, _set_witness_m, _set_depth, _set_witness, _set_source = LoopVerdict._setters()
+_set_kind, _set_witness_k, _set_witness_m, _set_witness, _set_source = LoopVerdict._setters()
 _LOOP = LoopVerdict(LOOP)
 
 
@@ -165,9 +153,7 @@ class ModState(NamedTuple):
 _Steps = Iterator[tuple[Optional[int], bool]]
 
 
-def _steps(
-    e: Union[CFExpansion, QuadSurd, Iterable[int]], depth_limit: int = DEFAULT_STREAM_DEPTH
-) -> tuple[_Steps, Union[CFExpansion, list[int]]]:
+def _steps(e: Union[CFExpansion, QuadSurd]) -> tuple[_Steps, Union[CFExpansion, list[int]]]:
     """The input of both loop routes: the steps after a_0, and the witness source.
 
     Step k is (a_{k+1}, whether fan k starts a period).  A finite expansion
@@ -179,11 +165,13 @@ def _steps(
     (coprime to q_{L-1}) is a unit mod n, and then so is Euclid's tail
     m'*q_L + q_{L-1} for some m'.  A periodic expansion starts each period at
     its offset 0, a surd at the flags of `QuadSurd.steps`; both starts are
-    canonical.  A digit stream gives at most depth_limit steps, none a
-    period start.  The source of a finite or periodic expansion is the
-    expansion read; a surd or stream records a_0, a_1, ... in a list as its
-    steps are read, so a witness needs only the digits walked.
+    canonical.  The source of a finite or periodic expansion is the
+    expansion read; a surd records a_0, a_1, ... in a list as its steps are
+    read, so a witness needs only the digits walked.  Only a finite
+    expansion's steps end: a surd's never do.
     """
+    if not isinstance(e, (CFExpansion, QuadSurd)):
+        raise TypeError(f"loop decisions take a CFExpansion or a QuadSurd, not {type(e).__name__}")
     if isinstance(e, CFExpansion):
         if e.is_periodic:
             # the preperiod is minimal, so offset 0 of the period is its canonical start
@@ -193,30 +181,15 @@ def _steps(
             if e.inf_tail and e.body and e.body[-1] == 1:
                 e = twin_of(e)
             return zip((*e.body, None) if e.inf_tail else e.body, itertools.repeat(False)), e
-    elif not isinstance(e, QuadSurd) or e.is_positive():  # a stream's terms are checked as read
-        digits: list[int] = []
-        return _recorded(e.steps() if isinstance(e, QuadSurd) else _terms(e, depth_limit), digits), digits
+    elif e.is_positive():
+        steps = e.steps()
+        digits = [next(steps)[0]]
+        return _recorded(steps, digits), digits
     raise ValueError("loop decisions require a positive value")
 
 
-def _terms(stream: Iterable[int], depth_limit: int) -> Iterator[tuple[int, bool]]:
-    """The terms a_0, ..., a_{depth_limit} of a digit stream as steps (a_k, False), each checked."""
-    for k, a in enumerate(itertools.islice(stream, depth_limit + 1)):
-        if not isinstance(a, int):
-            raise ValueError(f"stream term a_{k} = {a!r} is not an integer")
-        if k == 0 and a < 0:
-            raise ValueError("leading term must be nonnegative")
-        if k > 0 and a < 1:
-            raise ValueError("partial quotients after a0 must be >= 1")
-        yield a, False
-
-
 def _recorded(steps: Iterator[tuple[int, bool]], digits: list[int]) -> _Steps:
-    """The steps after a_0 of steps (a_k, starts_period) from k = 0; each a_k also goes to digits."""
-    first = next(steps, None)
-    if first is None:
-        raise ValueError("empty digit stream")
-    digits.append(first[0])
+    """The steps (a_k, starts_period) of a surd after a_0, each a_k also appended to digits."""
     for a, starts_period in steps:
         digits.append(a)
         yield a, starts_period
@@ -240,8 +213,8 @@ def _scan_cycle(steps: _Steps, n: int, prefix: Union[CFExpansion, list[int]]) ->
     exactly when a_1 >= n.  Later fans solve v*m = -u (mod n) by a gcd and an
     inverse for the least m >= 0, a hit when m <= a_{k+1}.  A step with a = None
     is the unbounded tail fan, where any root hits, and ends the steps.
-    Steps that run out after k fans are LOOP on a finite expansion (every fan
-    scanned), else UNKNOWN at depth k; NOTLOOP builds its witness lazily from `prefix`.
+    Only a finite expansion's steps run out, every fan scanned: LOOP.  NOTLOOP
+    builds its witness lazily from `prefix`.
     """
     u, v = 0, 1
     u0 = None
@@ -263,27 +236,19 @@ def _scan_cycle(steps: _Steps, n: int, prefix: Union[CFExpansion, list[int]]) ->
             break
         u, v = v, (a * v + u) % n
         k += 1
-    return LoopVerdict.loop() if isinstance(prefix, CFExpansion) else LoopVerdict.unknown(k)
+    return LoopVerdict.loop()
 
 
-def is_infinite_loop(
-    e: Union[CFExpansion, QuadSurd, Iterable[int]],
-    n: int,
-    depth_limit: Optional[int] = None,
-) -> LoopVerdict:
+def is_infinite_loop(e: Union[CFExpansion, QuadSurd], n: int) -> LoopVerdict:
     """Decide whether the value of e is an infinite loop mod n.
 
     Exact for finite expansions (under the tail convention through Euclid's
     expansion and its oo-tail, which cover the twin's), for periodic
-    expansions and for QuadSurd values.  A bare iterable of partial quotients
-    is treated as a truncated digit stream and checked up to depth_limit
-    (default 10000, at least 1), returning UNKNOWN when no witness surfaces.
+    expansions and for QuadSurd values.  Any other input raises TypeError.
     """
     if n < 2:
         raise ValueError("modulus must be >= 2")
-    if depth_limit is not None and depth_limit < 1:
-        raise ValueError(f"depth_limit must be >= 1, got {depth_limit}")
-    steps, source = _steps(e, depth_limit or DEFAULT_STREAM_DEPTH)
+    steps, source = _steps(e)
     return _scan_cycle(steps, n, source)
 
 

@@ -58,7 +58,7 @@ def _scan_cycle(steps, n: int, prefix: Union[CFExpansion, list[int]]) -> LoopVer
             break
         u, v = v, (a * v + u) % n
         k += 1
-    return LoopVerdict.loop() if isinstance(prefix, CFExpansion) else LoopVerdict.unknown(k)
+    return LoopVerdict.loop()
 
 
 def _floor(P: int, Q: int, s: int) -> int:

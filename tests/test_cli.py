@@ -400,7 +400,7 @@ class TestInputErrors:
         ("cutseq", "3/7", "--mod", "5", "--depth", "0"),
         ("cutseq", "3/7", "--mod", "0"),
         ("semiconv", "sqrt(2)", "--depth", "0"),
-        ("loopcheck", "sqrt(2)", "--mod", "5", "--depth", "0"),
+        ("cutseq", "sqrt(2)", "--depth", "-2"),
         ("cf", "sqrt(2)", "--times", "0"),
         ("cf", "sqrt(2)", "--times", "-3"),
         ("spectrum", "sqrt(2)", "-p", "2", "-L", "2", "--persistence", "0"),
@@ -415,6 +415,13 @@ class TestInputErrors:
             run_cli(*argv)
         assert exc.value.code == 2
         assert f"got {argv[-1]!r}" in capsys.readouterr().err
+
+    def test_loopcheck_has_no_depth_option(self, capsys):
+        # both routes are exact on every value loopcheck parses, so no depth is asked for
+        with pytest.raises(SystemExit) as exc:
+            run_cli("loopcheck", "sqrt(2)", "--mod", "5", "--depth", "0")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --depth 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["3/7", "sqrt(2)"])
     def test_mp_bound_rejects_a_p_that_is_not_prime(self, value, capsys):

@@ -2,7 +2,6 @@ import itertools
 import math
 import os
 import random
-import re
 import subprocess
 import sys
 import time
@@ -20,7 +19,6 @@ from fareyloops.contfrac import CFExpansion, cf_from_rational, cf_of_surd, cf_va
 from fareyloops.loops import (
     LOOP,
     NOTLOOP,
-    UNKNOWN,
     LoopVerdict,
     ModState,
     _decimal_digits,
@@ -66,7 +64,6 @@ class TestVerdictRecord:
         assert LoopVerdict.loop().record() == "LOOP"
         v = LoopVerdict.not_loop(1, 2, Rational(2, 5))
         assert v.record() == "NOTLOOP k=1 m=2 q=5"
-        assert LoopVerdict.unknown(10000).record() == "UNKNOWN depth=10000"
 
     def test_decimal_digits(self):
         for d in range(1, 400):
@@ -103,6 +100,11 @@ class TestVerdictRecord:
 def _rational_expansions() -> list[tuple[CFExpansion, CFExpansion]]:
     """(Euclid's form, twin) with the oo-tail for every reduced p/q < 3, q < 40."""
     return [cf_from_rational(Rational(p, q)) for q in range(2, 40) for p in range(1, 3 * q) if math.gcd(p, q) == 1]
+
+
+def finite_prefix(e: CFExpansion, last: int) -> CFExpansion:
+    """[a_0; a_1, ..., a_last] of e, without the oo-tail."""
+    return CFExpansion(e.a0, tuple(itertools.islice(e.digits(), 1, last + 1)))
 
 
 def _seeded_population(seed: int, count: int) -> list[CFExpansion]:
@@ -146,11 +148,12 @@ class TestLazyWitness:
                 eager = semiconvergent(e, exact.witness_k, exact.witness_m)
                 assert eager.den % n == 0
                 surd = is_infinite_loop(cf_value(e), n)
-                stream = is_infinite_loop((e.entry(i) for i in range(10_001)), n)
-                for v in (exact, surd, stream):
+                # the finite prefix [a_0; ..., a_{k+1}] ends with the witness fan
+                prefix = is_infinite_loop(finite_prefix(e, exact.witness_k + 1), n)
+                for v in (exact, surd, prefix):
                     assert (v.witness_k, v.witness_m) == (exact.witness_k, exact.witness_m)
                     assert v.witness == eager
-                assert surd == exact == stream
+                assert surd == exact == prefix
         assert notloops > 300
 
     def test_rational_kind_builds_no_rational(self, monkeypatch):
@@ -193,7 +196,7 @@ class TestLazyWitness:
         ready = LoopVerdict.not_loop(conj.witness_k, conj.witness_m, conj.witness)
         assert is_infinite_loop(GOLDEN_CONJ, 7) == ready
         assert hash(is_infinite_loop(GOLDEN_CONJ, 7)) == hash(ready)
-        assert LoopVerdict.loop() == LoopVerdict.loop() != LoopVerdict.unknown(3)
+        assert LoopVerdict.loop() == LoopVerdict.loop() != LoopVerdict.not_loop(0, 3, Rational(1, 3))
 
     def test_verdicts_are_immutable(self):
         v = is_infinite_loop(GOLDEN_CONJ, 5)
@@ -277,17 +280,20 @@ class TestPeriodicDecisions:
                 assert is_infinite_loop(s, n).record() == is_infinite_loop(e, n).record(), (d, n)
 
     def test_periodic_agrees_with_deep_stream(self):
+        # a finite prefix [a_0; ..., a_{k+1}] scans fans 0..k of e and no more:
+        # through the witness fan of a NOTLOOP it gives that verdict, and
+        # 10,000 terms deep it is LOOP wherever e is
         rng = random.Random(13)
+        loops = 0
         for _ in range(1000):
             e = random_periodic_cf(rng)
             n = rng.randint(2, 12)
             exact = is_infinite_loop(e, n)
-            stream = is_infinite_loop((e.entry(i) for i in range(10_001)), n)
-            if exact.kind == NOTLOOP:
-                assert stream.kind == NOTLOOP
-                assert stream.witness == exact.witness
-            else:
-                assert stream.kind == UNKNOWN
+            last = exact.witness_k + 1 if exact.kind == NOTLOOP else 10_000
+            prefix = is_infinite_loop(finite_prefix(e, last), n)
+            assert prefix == exact, (e, n)  # equal verdicts name the same witness
+            loops += exact.is_loop
+        assert loops > 0
 
 
 FROZEN_SCAN_MODULI = (2, 3, 5, 7, 97, 101, 997, 4, 8, 9, 25, 27, 49, 128, 243, 625, 6, 12, 30, 36, 210)
@@ -296,10 +302,9 @@ FROZEN_SCAN_MODULI = (2, 3, 5, 7, 97, 101, 997, 4, 8, 9, 25, 27, 49, 128, 243, 6
 def assert_matches_frozen_scan(x, n: int) -> LoopVerdict:
     """`is_infinite_loop(x, n)` equals the frozen scan of `reference_decider`
     run on fresh steps of x, field by field, in its record and in its
-    witness; a list stands for a digit stream and is read afresh each time."""
-    fresh = (lambda: iter(x)) if isinstance(x, list) else (lambda: x)
-    got = is_infinite_loop(fresh(), n)
-    steps, source = _steps(fresh())
+    witness."""
+    got = is_infinite_loop(x, n)
+    steps, source = _steps(x)
     want = _scan_cycle(steps, n, source)
     assert got._fields() == want._fields(), (x, n, got, want)
     assert got.record() == want.record(), (x, n)
@@ -370,15 +375,6 @@ class TestInlineFanSolve:
                 assert_matches_frozen_scan(s, n)
             checked += 1
 
-    def test_digit_streams(self):
-        rng = random.Random(34)
-        kinds = set()
-        for _ in range(800):
-            digits = [rng.randint(0, 3)] + [rng.randint(1, 300) for _ in range(rng.randint(0, 10))]
-            for n in self.moduli(rng):
-                kinds.add(assert_matches_frozen_scan(digits, n).kind)
-        assert kinds == {NOTLOOP, UNKNOWN}
-
     @pytest.mark.parametrize("x, n, record", [
         (CFExpansion(0, (1, 999_997), (1, 999_996)), 10**6, "LOOP"),
         (CFExpansion(0, (1, 999_997), (1, 999_996)), 999_999, "NOTLOOP k=2 m=1 q=999999"),
@@ -388,9 +384,9 @@ class TestInlineFanSolve:
         (CFExpansion(0, (10**9 + 6, 3), (10**9 + 8,)), 10**9 + 7, "NOTLOOP k=1 m=1 q=1000000007"),
         (CFExpansion(0, (10**9 + 7, 3), (10**9 + 8,)), 10**9 + 7, "NOTLOOP k=0 m=1000000007 q=1000000007"),
         (QuadSurd(0, 1, 10**29 + 3), 7, "NOTLOOP k=1 m=6 q=7"),
-        ([1, 10**12, 10**12, 10**12], 10**6, "NOTLOOP k=0 m=1000000 q=1000000"),
-        ([1, 999_999, 10**12], 10**6, "NOTLOOP k=1 m=1 q=1000000"),
-        ([1, 999_999], 10**6, "UNKNOWN depth=1"),
+        (CFExpansion(1, (10**12, 10**12, 10**12)), 10**6, "NOTLOOP k=0 m=1000000 q=1000000"),
+        (CFExpansion(1, (999_999, 10**12)), 10**6, "NOTLOOP k=1 m=1 q=1000000"),
+        (CFExpansion(1, (999_999,)), 10**6, "LOOP"),
     ])
     def test_quotients_far_above_the_modulus(self, x, n, record):
         assert assert_matches_frozen_scan(x, n).record() == record
@@ -446,14 +442,15 @@ def seen_set_verdict(x, n):
 @pytest.fixture
 def state_budget(monkeypatch):
     """Caps the steps a surd hands out, one per complete quotient, at `.limit`
-    and counts them in `.read`, so that a scan that fails to close ends as
-    UNKNOWN instead of hanging."""
+    and counts them in `.read`; a scan that asks for a step past the limit
+    has failed to close, and fails loudly instead of hanging."""
     budget = types.SimpleNamespace(limit=0, read=0)
 
     def steps(s):
         for step in itertools.islice(UNPATCHED_STEPS(s), budget.limit):
             budget.read += 1
             yield step
+        raise AssertionError(f"the scan of {s} asked for a step past its budget of {budget.limit}")
 
     monkeypatch.setattr(QuadSurd, "steps", steps)
     return budget
@@ -520,43 +517,23 @@ class TestProjectiveClosure:
         assert peak < 50_000
 
 
-class TestStreams:
-    def test_unknown_at_depth(self):
-        v = is_infinite_loop(iter([0, 2, 1, 1]), 97)
-        assert v.kind == UNKNOWN and v.depth == 3
-        assert is_infinite_loop(iter([3]), 5).record() == "UNKNOWN depth=0"
+class TestInputContract:
+    """Both routes take a CFExpansion or a QuadSurd, and its value must be positive."""
 
-    def test_depth_limit(self):
-        def ones():
-            yield 0
-            while True:
-                yield 1
-
-        v = is_infinite_loop(ones(), 10**9, depth_limit=50)
-        assert v.kind == UNKNOWN and v.depth == 50
-        for bad in (0, -5):
-            with pytest.raises(ValueError, match="depth_limit must be >= 1"):
-                is_infinite_loop(ones(), 5, depth_limit=bad)
-
-    def test_witness_found(self):
-        v = is_infinite_loop(iter([0, 2, 3, 1]), 7, depth_limit=10)
-        assert v.kind == NOTLOOP and v.witness.den == 7
-
-    @pytest.mark.parametrize("value, message", [
-        ([], "empty digit stream"),
-        ([-1, 2, 3], "leading term must be nonnegative"),
-        ([1, 2, 0, 4], "partial quotients after a0 must be >= 1"),
-        (QuadSurd(-3, 1, 2), "loop decisions require a positive value"),
-        ([0.5, 2], "stream term a_0 = 0.5 is not an integer"),
-        ([0, 2.5, 3], "stream term a_1 = 2.5 is not an integer"),
-        ([0, 2, 1e20], "stream term a_2 = 1e+20 is not an integer"),
-        ([1, Fraction(3), 4], "stream term a_1 = Fraction(3, 1) is not an integer"),
-        (["1", 2], "stream term a_0 = '1' is not an integer"),
-    ])
-    def test_bad_input_is_rejected(self, value, message):
-        # both routes read one step stream, which checks each term as it is read
+    @pytest.mark.parametrize(
+        "value", [[0, 2, 3, 1], iter([0, 2, 3, 1]), Rational(2, 7), 3], ids=["list", "iterator", "Rational", "int"]
+    )
+    def test_other_types_are_rejected(self, value):
         for decide in (is_infinite_loop, cutting.loop_verdict_geometric):
-            with pytest.raises(ValueError, match=re.escape(message)):
+            with pytest.raises(TypeError, match=f"a CFExpansion or a QuadSurd, not {type(value).__name__}$"):
+                decide(value, 97)
+
+    @pytest.mark.parametrize(
+        "value", [QuadSurd(-3, 1, 2), CFExpansion(0, (), None, True)], ids=["negative surd", "[0; oo]"]
+    )
+    def test_nonpositive_value_is_rejected(self, value):
+        for decide in (is_infinite_loop, cutting.loop_verdict_geometric):
+            with pytest.raises(ValueError, match="loop decisions require a positive value"):
                 decide(value, 97)
 
 

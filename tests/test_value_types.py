@@ -76,7 +76,7 @@ CASES = [
         LoopVerdict.not_loop(1, 2, Rational(3, 7)),
         _verdict_key,
         LoopVerdict._fields,
-        "LoopVerdict(kind='NOTLOOP', witness_k=1, witness_m=2, witness=Rational(2, 5), depth=None)",
+        "LoopVerdict(kind='NOTLOOP', witness_k=1, witness_m=2, witness=Rational(2, 5))",
         id="LoopVerdict",
     ),
     pytest.param(
@@ -85,16 +85,16 @@ CASES = [
         LoopVerdict._not_loop_at(2, 2, [1, 2, 3, 4]),
         _verdict_key,
         LoopVerdict._fields,
-        "LoopVerdict(kind='NOTLOOP', witness_k=2, witness_m=1, witness=Rational(13, 9), depth=None)",
+        "LoopVerdict(kind='NOTLOOP', witness_k=2, witness_m=1, witness=Rational(13, 9))",
         id="LoopVerdict-digits",
     ),
     pytest.param(
         LoopVerdict.loop(),
         LoopVerdict(LOOP),
-        LoopVerdict.unknown(0),
+        LoopVerdict.not_loop(0, 2, Rational(1, 2)),
         _verdict_key,
         LoopVerdict._fields,
-        "LoopVerdict(kind='LOOP', witness_k=None, witness_m=None, witness=None, depth=None)",
+        "LoopVerdict(kind='LOOP', witness_k=None, witness_m=None, witness=None)",
         id="LoopVerdict-LOOP",
     ),
     pytest.param(
@@ -230,7 +230,7 @@ def test_not_loop_at_fills_the_slots_init_fills():
     assert len(notloops) > 20
     for e, v in notloops:
         k, m, source = v.witness_k, v.witness_m, v._source
-        assert _fields(v) == (NOTLOOP, k, m, None, None, source)
+        assert _fields(v) == (NOTLOOP, k, m, None, source)
         expansion = source if isinstance(source, CFExpansion) else CFExpansion(source[0], tuple(source[1 : k + 2]))
         built = LoopVerdict(NOTLOOP, witness_k=k, witness_m=m, witness=semiconvergent(expansion, k, m))
         assert v == built and repr(v) == repr(built) and _fields(v) == _fields(built)
