@@ -96,7 +96,7 @@ def expansions_of(value) -> list[CFExpansion]:
     return [cf_of_surd(value)]
 
 
-def _parse_range(text: str) -> tuple[int, int]:
+def _parse_range(text: str) -> range:
     lo, _, hi = text.partition("..")
     try:
         bounds = int(lo), int(hi)
@@ -104,7 +104,7 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise ValueError(f"range must look like a..b, got {text!r}") from None
     if bounds[0] > bounds[1]:
         raise ValueError(f"range {text!r} is empty")
-    return bounds
+    return range(bounds[0], bounds[1] + 1)
 
 
 def _positive_int(text: str) -> int:
@@ -173,8 +173,7 @@ def cmd_loopcheck(args, cfg: Config, out) -> int:
 
 
 def cmd_loop_exists(args, cfg: Config, out) -> int:
-    lo, hi = _parse_range(args.n_range)
-    for n in range(lo, hi + 1):
+    for n in _parse_range(args.n_range):
         print(f"n={n} loop_exists={1 if loops.loop_exists(n) else 0}", file=out)
     return 0
 
@@ -260,11 +259,12 @@ def cmd_cutseq(args, cfg: Config, out) -> int:
 def cmd_spectrum(args, cfg: Config, out) -> int:
     e = expansions_of(parse_value(args.value))[0]
     result = heights.height_spectrum(e, args.p, args.L)
+    # the persistence rows are found before anything is printed, so that a failing call prints nothing
+    rows = heights.persistence_scan(e, args.p, args.persistence, args.L) if args.persistence else []
     for ell, b in result.entries:
         print(f"l={ell} B={'oo' if b == float('inf') else b}", file=out)
-    if args.persistence:
-        for m, ell in heights.persistence_scan(e, args.p, args.persistence, args.L):
-            print(f"m={m} l={'-' if ell is None else ell}", file=out)
+    for m, ell in rows:
+        print(f"m={m} l={'-' if ell is None else ell}", file=out)
     return 0
 
 
@@ -296,28 +296,22 @@ def cmd_verify(args, cfg: Config, out) -> int:
     count = args.count or cfg.count
     keep = cfg.mode == "record"
     if name == "noloop":
-        lo, hi = _parse_range(args.n_range or "4..25")
-        report = heights.run_noloop_scan(range(lo, hi + 1), count, seed, keep)
+        report = heights.run_noloop_scan(_parse_range(args.n_range or "4..25"), count, seed, keep)
     elif name == "infl":
         report = heights.run_infl_scan(_PM_DEFAULT, count, seed, keep)
     elif name == "pro2":
-        lo, hi = _parse_range(args.n_range or "2..7")
-        report = heights.run_pro2_scan(range(lo, hi + 1), count, seed, keep)
+        report = heights.run_pro2_scan(_parse_range(args.n_range or "2..7"), count, seed, keep)
     elif name == "count-height":
         report = heights.run_count_scan(_COUNT_PM, count, seed, L=args.L, keep_records=keep)
     elif name == "defs-equivalence":
-        lo, hi = _parse_range(args.n_range or "2..12")
-        report = heights.run_defs_equivalence_scan(args.q_max or cfg.q_max, lo, hi, keep)
+        moduli = _parse_range(args.n_range or "2..12")
+        report = heights.run_defs_equivalence_scan(args.q_max or cfg.q_max, moduli.start, moduli[-1], keep)
     elif name == "thma":
         report = heights.run_thma_scan(count, max(count // 5, 1), seed, keep_records=keep)
-    elif name == "dual-pushforward":
+    else:  # dual-pushforward; argparse rejects every other name
         report = heights.run_dual_pushforward_scan(count, seed, keep_records=keep)
-    else:
-        print(f"unknown check {name!r}", file=sys.stderr)
-        return 2
-    if keep:
-        for rec in report.records:
-            print(rec.line(), file=out)
+    for rec in report.records:  # kept in record mode only
+        print(rec.line(), file=out)
     print(report.summary(), file=out)
     return 0 if report.passed else 1
 

@@ -13,7 +13,7 @@ import itertools
 import math
 import random
 import time
-from typing import Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .contfrac import (
     CFExpansion,
@@ -173,18 +173,15 @@ _set_check, _set_params, _set_applicable, _set_passed, _set_witness = CheckRecor
 
 
 class ScanReport:
-    def __init__(
-        self, check: str, params: dict, total: int = 0, violations: int = 0, skipped: int = 0,
-        first_violation: Optional[CheckRecord] = None, elapsed: float = 0.0, records: Optional[list] = None,
-    ):
+    def __init__(self, check: str, params: dict):
         self.check = check
         self.params = params
-        self.total = total
-        self.violations = violations
-        self.skipped = skipped
-        self.first_violation = first_violation
-        self.elapsed = elapsed
-        self.records = [] if records is None else records
+        self.total = 0
+        self.violations = 0
+        self.skipped = 0
+        self.first_violation: Optional[CheckRecord] = None
+        self.elapsed = 0.0
+        self.records: list[CheckRecord] = []
 
     def add(self, record: CheckRecord, keep: bool = False):
         self.total += 1
@@ -216,11 +213,7 @@ class ScanReport:
 
 def check_noloop_bound(e: CFExpansion, n: int) -> CheckRecord:
     """For exact non-loops mod n: max{B(a), B(n*a)} >= floor(2*sqrt(n)) - 1."""
-    params = (("n", n),)
-    kind = is_infinite_loop(e, n).kind
-    if kind != NOTLOOP or e.is_finite:
-        return CheckRecord("noloop", params, False, True, f"verdict={kind}")
-    return CheckRecord("noloop", params, True, *_height_bound(e, n))
+    return _check_height("noloop", (("n", n),), e, n)
 
 
 def check_infl(e: CFExpansion, p: int, m: int) -> CheckRecord:
@@ -228,29 +221,26 @@ def check_infl(e: CFExpansion, p: int, m: int) -> CheckRecord:
     decided as the equivalent max{B(a), B(p^m a)} >= floor(2*sqrt(p^m)) - 1."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    n = p**m
-    params = (("p", p), ("m", m))
-    kind = is_infinite_loop(e, n).kind
-    if kind != NOTLOOP or e.is_finite:
-        return CheckRecord("infl", params, False, True, f"verdict={kind}")
-    return CheckRecord("infl", params, True, *_height_bound(e, n))
+    return _check_height("infl", (("p", p), ("m", m)), e, p**m)
 
 
-def _height_bound(e: CFExpansion, n: int) -> tuple[bool, str]:
-    """(passed, witness) for max{B(a), B(n*a)} >= floor(2*sqrt(n)) - 1 on a
-    periodic expansion e.
+def _check_height(check: str, params: tuple, e: CFExpansion, n: int) -> CheckRecord:
+    """max{B(a), B(n*a)} >= floor(2*sqrt(n)) - 1, applicable to the exact
+    non-loops mod n among periodic expansions.
 
     B(n*a) is read only when B(a) falls short, and only up to the threshold:
     below it the capped height is exact, so a violation's witness is too.
     """
+    kind = is_infinite_loop(e, n).kind
+    if kind != NOTLOOP or e.is_finite:
+        return CheckRecord(check, params, False, True, f"verdict={kind}")
     threshold = floor_2sqrt(n) - 1
     b_alpha = height(e)
-    if b_alpha >= threshold:
-        return True, "-"
-    b_scaled = surd_height(cf_value(e).scaled(n), threshold)
-    if b_scaled >= threshold:
-        return True, "-"
-    return False, f"B={b_alpha} Bn={b_scaled} thr={threshold} e={e}"
+    if b_alpha < threshold:
+        b_scaled = surd_height(cf_value(e).scaled(n), threshold)
+        if b_scaled < threshold:
+            return CheckRecord(check, params, True, False, f"B={b_alpha} Bn={b_scaled} thr={threshold} e={e}")
+    return CheckRecord(check, params, True, True)
 
 
 def check_pro2(e: CFExpansion, n: int, k: int) -> CheckRecord:
@@ -276,11 +266,9 @@ def check_pro2(e: CFExpansion, n: int, k: int) -> CheckRecord:
     return CheckRecord("pro2", params, True, ok, witness)
 
 
-def check_count_height(
-    e: CFExpansion, p: int, m: int, L: int, extension_factor: int = 3
-) -> CheckRecord:
+def check_count_height(e: CFExpansion, p: int, m: int, L: int) -> CheckRecord:
     """Exploratory: if p^l*a stays a loop mod p^m for all l <= L, record whether
-    B(a) <= p^m - 4; otherwise search l <= extension*L for the forced non-loop
+    B(a) <= p^m - 4; otherwise search l <= 3L for the forced non-loop
     witness.  Every case is classified; 'unresolved' is the only failure."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -295,7 +283,7 @@ def check_count_height(
     b = height(e)
     if b <= n - 4:
         return CheckRecord("count-height", params, True, True, f"loop_through={L} B={b}")
-    cap = max(extension_factor * L, L + 1)
+    cap = max(3 * L, L + 1)
     for ell in range(L + 1, cap + 1):
         if not is_infinite_loop(s.scaled(p**ell), n).is_loop:
             return CheckRecord("count-height", params, True, True, f"B={b} witness_at={ell}")
@@ -335,33 +323,48 @@ def persistence_scan(
 # batch scans (shared by the CLI and the acceptance suite)
 
 
+def _scan(
+    check: str, params: dict, cases: Callable[..., Iterable[CheckRecord]], keep_records: bool,
+    keys: Iterable[tuple] = ((),), failures_only: bool = False,
+) -> ScanReport:
+    """The one driver of every batch scan: it seeds, counts, keeps and times the cases.
+
+    ``cases(rng, *key)`` yields one key's records, drawn from
+    random.Random(f"{seed}:{p1}:{p2}...") for a key (p1, p2, ...), so that they
+    do not depend on the other keys, or from random.Random(seed) for the empty
+    key; seed is params.get("seed"), and a scan without one draws nothing.
+    Record mode (``keep_records``) keeps every record, or the failed ones only
+    when ``failures_only``.  ``elapsed`` times the whole scan, draws included.
+    """
+    start = time.perf_counter()
+    report = ScanReport(check, params)
+    seed = params.get("seed")
+    for key in keys:
+        rng = random.Random(":".join(map(str, (seed, *key))) if key else seed)
+        for record in cases(rng, *key):
+            report.add(record, keep_records and not (failures_only and record.passed))
+    report.elapsed = time.perf_counter() - start
+    return report
+
+
 def run_noloop_scan(
     n_values: Sequence[int], count: int, seed: int, keep_records: bool = False
 ) -> ScanReport:
-    start = time.perf_counter()
-    report = ScanReport("noloop", {"n": f"{min(n_values)}..{max(n_values)}", "count": count, "seed": seed})
-    for n in n_values:
-        rng = random.Random(f"{seed}:{n}")
-        for _ in range(count):
-            e = random_periodic_cf(rng)
-            report.add(check_noloop_bound(e, n), keep_records)
-    report.elapsed = time.perf_counter() - start
-    return report
+    def cases(rng: random.Random, n: int) -> Iterator[CheckRecord]:
+        return (check_noloop_bound(random_periodic_cf(rng), n) for _ in range(count))
+
+    params = {"n": f"{min(n_values)}..{max(n_values)}", "count": count, "seed": seed}
+    return _scan("noloop", params, cases, keep_records, [(n,) for n in n_values])
 
 
 def run_infl_scan(
     pm_values: Sequence[tuple[int, int]], count: int, seed: int, keep_records: bool = False
 ) -> ScanReport:
-    start = time.perf_counter()
-    label = ",".join(f"{p}^{m}" for p, m in pm_values)
-    report = ScanReport("infl", {"pm": label, "count": count, "seed": seed})
-    for p, m in pm_values:
-        rng = random.Random(f"{seed}:{p}:{m}")
-        for _ in range(count):
-            e = random_periodic_cf(rng)
-            report.add(check_infl(e, p, m), keep_records)
-    report.elapsed = time.perf_counter() - start
-    return report
+    def cases(rng: random.Random, p: int, m: int) -> Iterator[CheckRecord]:
+        return (check_infl(random_periodic_cf(rng), p, m) for _ in range(count))
+
+    params = {"pm": ",".join(f"{p}^{m}" for p, m in pm_values), "count": count, "seed": seed}
+    return _scan("infl", params, cases, keep_records, pm_values)
 
 
 def plant_pro2_case(rng: random.Random, n: int) -> tuple[CFExpansion, int]:
@@ -398,40 +401,28 @@ def plant_pro2_case(rng: random.Random, n: int) -> tuple[CFExpansion, int]:
 def run_pro2_scan(
     n_values: Sequence[int], count: int, seed: int, keep_records: bool = False
 ) -> ScanReport:
-    start = time.perf_counter()
-    report = ScanReport("pro2", {"n": f"{min(n_values)}..{max(n_values)}", "count": count, "seed": seed})
-    for n in n_values:
-        rng = random.Random(f"{seed}:{n}")
+    def cases(rng: random.Random, n: int) -> Iterator[CheckRecord]:
         for _ in range(count):
             e, k = plant_pro2_case(rng, n)
-            report.add(check_pro2(e, n, k), keep_records)
-    report.elapsed = time.perf_counter() - start
-    return report
+            yield check_pro2(e, n, k)
+
+    params = {"n": f"{min(n_values)}..{max(n_values)}", "count": count, "seed": seed}
+    return _scan("pro2", params, cases, keep_records, [(n,) for n in n_values])
 
 
 def run_count_scan(
-    pm_values: Sequence[tuple[int, int]],
-    count: int,
-    seed: int,
-    L: int = 20,
-    extension_factor: int = 3,
-    keep_records: bool = False,
+    pm_values: Sequence[tuple[int, int]], count: int, seed: int, L: int = 20, keep_records: bool = False
 ) -> ScanReport:
-    start = time.perf_counter()
-    label = ",".join(f"{p}^{m}" for p, m in pm_values)
-    report = ScanReport("count-height", {"pm": label, "count": count, "seed": seed, "L": L})
-    for p, m in pm_values:
-        rng = random.Random(f"{seed}:{p}:{m}")
+    def cases(rng: random.Random, p: int, m: int) -> Iterator[CheckRecord]:
         population = [random_periodic_cf(rng, max_entry=4) for _ in range(count)]
         example = loop_example(p**m)
         if example.is_periodic:
             population[0] = example  # guarantee at least one loop at level 0
-        for e in population:
-            rec = check_count_height(e, p, m, L, extension_factor)
-            # completeness criterion: nothing may stay unexplained
-            report.add(rec, keep_records)
-    report.elapsed = time.perf_counter() - start
-    return report
+        # completeness criterion: nothing may stay unexplained
+        return (check_count_height(e, p, m, L) for e in population)
+
+    params = {"pm": ",".join(f"{p}^{m}" for p, m in pm_values), "count": count, "seed": seed, "L": L}
+    return _scan("count-height", params, cases, keep_records, pm_values)
 
 
 def run_defs_equivalence_scan(
@@ -439,70 +430,53 @@ def run_defs_equivalence_scan(
 ) -> ScanReport:
     """Loop decisions by denominators versus by crossed edges, on all reduced
     rationals in (0, 1) with denominator <= q_max and all moduli in range."""
-    start = time.perf_counter()
-    report = ScanReport(
-        "defs-equivalence", {"q_max": q_max, "n": f"{n_lo}..{n_hi}"}
-    )
+    if q_max < 2:
+        raise ValueError("q_max must be >= 2")
     # an agreeing case is counted through one shared passing record, never kept
     agree = CheckRecord("defs-equivalence", (), True, True)
-    for q in range(2, q_max + 1):
-        for p in range(1, q):
-            if math.gcd(p, q) != 1:
-                continue
-            entries = euclid_entries(p, q)
-            e = CFExpansion(entries[0], tuple(entries[1:]), None, True)
-            for n in range(n_lo, n_hi + 1):
-                v1 = is_infinite_loop(e, n)
-                v2 = loop_verdict_geometric(e, n)
-                if v1.kind == v2.kind:
-                    report.add(agree)
+
+    def cases(_rng: random.Random) -> Iterator[CheckRecord]:
+        for q in range(2, q_max + 1):
+            for p in range(1, q):
+                if math.gcd(p, q) != 1:
                     continue
-                rec = CheckRecord(
-                    "defs-equivalence", (("x", f"{p}/{q}"), ("n", n)), True, False, f"{v1.kind}!={v2.kind}"
-                )
-                report.add(rec, keep_records)
-    report.elapsed = time.perf_counter() - start
-    return report
+                entries = euclid_entries(p, q)
+                e = CFExpansion(entries[0], tuple(entries[1:]), None, True)
+                for n in range(n_lo, n_hi + 1):
+                    v1 = is_infinite_loop(e, n)
+                    v2 = loop_verdict_geometric(e, n)
+                    if v1.kind == v2.kind:
+                        yield agree
+                    else:
+                        params = (("x", f"{p}/{q}"), ("n", n))
+                        yield CheckRecord("defs-equivalence", params, True, False, f"{v1.kind}!={v2.kind}")
+
+    params = {"q_max": q_max, "n": f"{n_lo}..{n_hi}"}
+    return _scan("defs-equivalence", params, cases, keep_records, failures_only=True)
 
 
-def _expansion_entries_from_edges(e: CFExpansion, depth: Optional[int] = None) -> list[int]:
-    """Partial quotients read back off the fan structure of the crossed edges."""
-    edges = crossed_edges(e, depth)
-    return [size for _, size in fan_chain(edges)]
-
-
-def run_thma_scan(
-    num_rationals: int, num_periodic: int, seed: int, depth: int = 40, keep_records: bool = False
-) -> ScanReport:
+def run_thma_scan(num_rationals: int, num_periodic: int, seed: int, keep_records: bool = False) -> ScanReport:
     """Fan structure of the crossed edges reproduces the partial quotients."""
-    start = time.perf_counter()
-    report = ScanReport(
-        "thma", {"rationals": num_rationals, "periodic": num_periodic, "seed": seed}
-    )
-    rng = random.Random(seed)
-    for _ in range(num_rationals):
-        x = random_unit_rational(rng)
-        e = cf_from_rational(x)[0]
-        sizes = _expansion_entries_from_edges(e)
-        expected = [e.entry(i) for i in range(1, e.last_index + 1)]
-        got = sizes[:-1] + [sizes[-1] + 1] if sizes else []
-        ok = got == expected
-        report.add(
-            CheckRecord("thma", (("x", str(x)),), True, ok, "-" if ok else f"{got}!={expected}"),
-            keep_records and not ok,
-        )
-    for _ in range(num_periodic):
-        e = random_periodic_cf(rng, a0_max=0)
-        sizes = _expansion_entries_from_edges(e, depth)
-        complete = sizes[:-1]  # last fan may be cut by the depth
-        expected = [e.entry(i) for i in range(1, len(complete) + 1)]
-        ok = complete == expected
-        report.add(
-            CheckRecord("thma", (("x", str(e)),), True, ok, "-" if ok else f"{complete}!={expected}"),
-            keep_records and not ok,
-        )
-    report.elapsed = time.perf_counter() - start
-    return report
+
+    def cases(rng: random.Random) -> Iterator[CheckRecord]:
+        for _ in range(num_rationals):
+            x = random_unit_rational(rng)
+            e = cf_from_rational(x)[0]
+            sizes = [size for _, size in fan_chain(crossed_edges(e))]
+            expected = [e.entry(i) for i in range(1, e.last_index + 1)]
+            got = sizes[:-1] + [sizes[-1] + 1] if sizes else []
+            ok = got == expected
+            yield CheckRecord("thma", (("x", str(x)),), True, ok, "-" if ok else f"{got}!={expected}")
+        for _ in range(num_periodic):
+            e = random_periodic_cf(rng, a0_max=0)
+            sizes = [size for _, size in fan_chain(crossed_edges(e, 40))]
+            complete = sizes[:-1]  # last fan may be cut at depth 40
+            expected = [e.entry(i) for i in range(1, len(complete) + 1)]
+            ok = complete == expected
+            yield CheckRecord("thma", (("x", str(e)),), True, ok, "-" if ok else f"{complete}!={expected}")
+
+    params = {"rationals": num_rationals, "periodic": num_periodic, "seed": seed}
+    return _scan("thma", params, cases, keep_records, failures_only=True)
 
 
 def _semiconvergent_pool(e: CFExpansion, den_cap: int) -> set[Rational]:
@@ -517,46 +491,38 @@ def _semiconvergent_pool(e: CFExpansion, den_cap: int) -> set[Rational]:
     return pool
 
 
-def run_dual_pushforward_scan(count: int, seed: int, n_max: int = 10, keep_records: bool = False) -> ScanReport:
-    """Convergent/semi-convergent pairs with denominators splitting n push
+def run_dual_pushforward_scan(count: int, seed: int, keep_records: bool = False) -> ScanReport:
+    """Convergent/semi-convergent pairs with denominators splitting n <= 10 push
     forward to semi-convergents of the scaled value, one of them a convergent."""
-    start = time.perf_counter()
-    report = ScanReport("dual-pushforward", {"count": count, "seed": seed, "n_max": n_max})
-    rng = random.Random(seed)
-    bits = rng.getrandbits
-    found = 0
-    while found < count:
-        e = random_finite_cf(rng, min_len=3, max_len=7, max_entry=8, a0_max=1)
-        n = _draw(bits, 2, n_max)
-        cases = []
-        for k, a, p_prev, q_prev, p, q in itertools.islice(fans(e.digits()), 1, e.last_index + 1):
-            for m in range(a + 1):
-                sc = Rational(m * p + p_prev, m * q + q_prev)
-                if sc.den == 0:
-                    continue  # the seed vertex q_{-1} = 0 is not a finite point
-                for n1 in range(1, n + 1):
-                    if n % n1 == 0 and q % n1 == 0 and sc.den % (n // n1) == 0:
-                        cases.append((k, m, n1, Rational(p, q), sc))
-        if not cases:
-            continue
-        k, m, n1, conv, semi = cases[_draw(bits, 0, len(cases) - 1)]
-        found += 1
-        img_a = conv.scaled(n)
-        img_b = semi.scaled(n)
-        scaled = multiply_cf(CFExpansion(e.a0, e.body, None, False), n)
-        cap = max(img_a.den, img_b.den) + scaled.entry(0) + 2
-        pool = _semiconvergent_pool(scaled, max(cap, 10))
-        conv_pool = set(convergents(scaled)) | set(convergents(twin_of(scaled)))
-        ok = img_a in pool and img_b in pool and (img_a in conv_pool or img_b in conv_pool)
-        report.add(
-            CheckRecord(
-                "dual-pushforward",
-                (("x", str(e)), ("n", n), ("k", k), ("m", m)),
-                True,
-                ok,
-                "-" if ok else f"images {img_a},{img_b}",
-            ),
-            keep_records and not ok,
-        )
-    report.elapsed = time.perf_counter() - start
-    return report
+
+    def cases(rng: random.Random) -> Iterator[CheckRecord]:
+        bits = rng.getrandbits
+        found = 0
+        while found < count:
+            e = random_finite_cf(rng, min_len=3, max_len=7, max_entry=8, a0_max=1)
+            n = _draw(bits, 2, 10)
+            pairs = []
+            for k, a, p_prev, q_prev, p, q in itertools.islice(fans(e.digits()), 1, e.last_index + 1):
+                for m in range(a + 1):
+                    sc = Rational(m * p + p_prev, m * q + q_prev)
+                    if sc.den == 0:
+                        continue  # the seed vertex q_{-1} = 0 is not a finite point
+                    for n1 in range(1, n + 1):
+                        if n % n1 == 0 and q % n1 == 0 and sc.den % (n // n1) == 0:
+                            pairs.append((k, m, n1, Rational(p, q), sc))
+            if not pairs:
+                continue
+            k, m, n1, conv, semi = pairs[_draw(bits, 0, len(pairs) - 1)]
+            found += 1
+            img_a = conv.scaled(n)
+            img_b = semi.scaled(n)
+            scaled = multiply_cf(CFExpansion(e.a0, e.body, None, False), n)
+            cap = max(img_a.den, img_b.den) + scaled.entry(0) + 2
+            pool = _semiconvergent_pool(scaled, max(cap, 10))
+            conv_pool = set(convergents(scaled)) | set(convergents(twin_of(scaled)))
+            ok = img_a in pool and img_b in pool and (img_a in conv_pool or img_b in conv_pool)
+            params = (("x", str(e)), ("n", n), ("k", k), ("m", m))
+            yield CheckRecord("dual-pushforward", params, True, ok, "-" if ok else f"images {img_a},{img_b}")
+
+    params = {"count": count, "seed": seed, "n_max": 10}
+    return _scan("dual-pushforward", params, cases, keep_records, failures_only=True)

@@ -448,6 +448,21 @@ class TestInputErrors:
             f"error: {value} has no interior fan to list; name a vertex with --k and --m\n"
         )
 
+    def test_defs_equivalence_needs_a_denominator_of_two_or_more(self, tmp_path, capsys):
+        # q_max = 1 leaves no rational in (0, 1) to check, by flag or by --config
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("q_max = 1\n")
+        for argv in (("verify", "defs-equivalence", "--q-max", "1"),
+                     ("--config", str(cfg), "verify", "defs-equivalence")):
+            code, out = run_cli(*argv)
+            assert (code, out) == (2, "")
+            assert capsys.readouterr().err == "error: q_max must be >= 2\n"
+
+    def test_failing_persistence_scan_prints_nothing(self, capsys):
+        code, out = run_cli("spectrum", "0", "-p", "2", "-L", "1", "--persistence", "1")
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: loop decisions require a positive value\n"
+
     @pytest.mark.parametrize("n_range", ["-3..-2", "0..2", "1..1"])
     def test_pro2_rejects_moduli_below_two(self, n_range):
         # a fresh process, so that planting against n < 0, which never ends,

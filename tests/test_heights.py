@@ -580,6 +580,40 @@ class TestScansMisc:
         rep = run_dual_pushforward_scan(150, seed=6)
         assert rep.passed and rep.total == 150
 
+    @pytest.mark.parametrize("helper, wrong, scan", [
+        ("fan_chain", [], lambda keep: run_thma_scan(30, 10, seed=5, keep_records=keep)),
+        ("_semiconvergent_pool", set(), lambda keep: run_dual_pushforward_scan(30, seed=6, keep_records=keep)),
+    ])
+    def test_failures_only_scans_keep_exactly_the_failed_record(self, monkeypatch, helper, wrong, scan):
+        # the helper's first call answers wrong, so exactly the scan's first case fails
+        real = getattr(heights, helper)
+        for keep in (False, True):
+            calls = []
+
+            def first_call_fails(*args):
+                calls.append(args)
+                return wrong if len(calls) == 1 else real(*args)
+
+            monkeypatch.setattr(heights, helper, first_call_fails)
+            report = scan(keep)
+            assert (report.violations, report.passed) == (1, False)
+            assert report.records == ([report.first_violation] if keep else [])
+
+    def test_record_mode_keeps_every_record_of_the_full_scans(self):
+        scans = (
+            lambda keep: run_noloop_scan([4, 5], 20, seed=1, keep_records=keep),
+            lambda keep: run_infl_scan([(2, 2), (3, 1)], 20, seed=1, keep_records=keep),
+            lambda keep: run_pro2_scan([2, 3], 20, seed=1, keep_records=keep),
+            lambda keep: run_count_scan([(2, 2), (3, 2)], 20, seed=1, L=3, keep_records=keep),
+        )
+        skipped = 0
+        for scan in scans:
+            kept, counted = scan(True), scan(False)
+            assert kept.total == counted.total == 40 and counted.records == []
+            assert len(kept.records) == kept.total
+            skipped += sum(not r.applicable for r in kept.records)
+        assert skipped > 0  # skipped records are kept too
+
     def test_report_lines_are_stable(self):
         r1 = run_noloop_scan([5], 40, seed=9, keep_records=True)
         r2 = run_noloop_scan([5], 40, seed=9, keep_records=True)

@@ -275,11 +275,6 @@ def test_scan_report_keeps_its_constructor_defaults_and_counters():
     assert (report.total, report.violations, report.skipped, report.passed) == (4, 2, 1, False)
     assert report.first_violation is bad and report.records == [good, bad]
     assert report.summary() == "check=noloop n=4..5 cases=4 skipped=1 violations=2 pass=0 elapsed=0.00s"
-    records = [good]
-    full = ScanReport(check="infl", params={}, total=3, violations=1, skipped=2, first_violation=bad,
-                      elapsed=1.5, records=records)
-    assert (full.total, full.violations, full.skipped, full.first_violation, full.elapsed) == (3, 1, 2, bad, 1.5)
-    assert full.records is records and ScanReport("infl", {}, 3, 1, 2, bad, 1.5, records).records is records
 
 
 class _Reflecting:
