@@ -15,6 +15,7 @@ from fareyloops import (
     cf_of_surd,
     format_cf,
     height_spectrum,
+    mp_bounds,
     persistence_scan,
 )
 from fareyloops.heights import (
@@ -31,7 +32,7 @@ for label, e in [("golden conjugate", golden_conj), ("sqrt(2)", sqrt2)]:
     spectrum = height_spectrum(e, 2, 4)
     row = "  ".join(f"B(2^{l}a)={b}" for l, b in spectrum.entries)
     print(f"{label:18} {format_cf(e):10} {row}")
-    print(f"{'':18} upper bound from the spectrum: {spectrum.bound()}")
+    print(f"{'':18} upper bound from the spectrum: {mp_bounds(e, 2, 4)[0]}")
 
 print()
 print("== every power of 2 is witnessed for the golden conjugate ==")

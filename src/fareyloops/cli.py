@@ -28,7 +28,7 @@ _NEGATIVE_VALUE_RE = re.compile(r"^-\d+(/[+-]?\d+)?$|^-\d*\.\d+$")
 
 
 class Config(Immutable):
-    """Run parameters; all limits positive, seed fixes every random scan."""
+    """Run parameters; all limits positive and q_max >= 2, seed fixes every random scan."""
 
     __slots__ = ("seed", "depth", "q_max", "count", "mode")
 
@@ -37,6 +37,8 @@ class Config(Immutable):
     ):
         if q_max < 1 or count < 1:
             raise ValueError(f"limits must be positive: q_max={q_max} count={count}")
+        if q_max < 2:  # no rational in (0, 1) has a denominator below 2
+            raise ValueError("q_max must be >= 2")
         if depth is not None and depth < 1:
             raise ValueError(f"depth must be positive, got {depth}")
         if mode not in ("human", "record"):

@@ -101,6 +101,18 @@ class CFExpansion(Immutable):
             return iter((self.a0, *self.body))
         return itertools.chain((self.a0,), self.body, itertools.cycle(self.period))
 
+    def steps(self) -> Iterator[tuple[Optional[int], bool]]:
+        """(a_k, starts_period) for k = 0, 1, ..., as ``QuadSurd.steps`` streams a surd's.
+
+        The preperiod is minimal, so the value's period opens at offset 0 of
+        each pass over the period: those steps are flagged, no others.  A
+        finite expansion ends after a_L, or in (None, False) under the oo-tail."""
+        flags = itertools.repeat(False)
+        if self.period is None:
+            return zip((self.a0, *self.body, None) if self.inf_tail else (self.a0, *self.body), flags)
+        period = zip(self.period, (True,) + (False,) * (len(self.period) - 1))
+        return itertools.chain(((self.a0, False),), zip(self.body, flags), itertools.cycle(period))
+
     def __str__(self):
         return format_cf(self)
 

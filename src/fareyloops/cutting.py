@@ -193,7 +193,7 @@ def loop_verdict_geometric(e: Union[CFExpansion, QuadSurd], n: int) -> LoopVerdi
     """
     if n < 2:
         raise ValueError("modulus must be >= 2")
-    steps, source = _steps(e)
+    steps, value = _steps(e)
     lo, hi, saved = 1 % n, 0, None
     for k, (a, starts_period) in enumerate(steps):
         odd = k % 2
@@ -205,7 +205,7 @@ def loop_verdict_geometric(e: Union[CFExpansion, QuadSurd], n: int) -> LoopVerdi
         x, h = (lo, hi) if odd else (hi, lo)  # odd fans move the lower endpoint
         m = _first_zero(x, h, n)
         if a is None or (m is not None and m <= a):  # a is None: the oo-tail
-            return LoopVerdict.loop() if m is None else LoopVerdict._not_loop_at(k, m, source)
+            return LoopVerdict.loop() if m is None else LoopVerdict._not_loop_at(k, m, value)
         end = (x + a * h) % n
         lo, hi = (end, hi) if odd else (lo, end)
     return LoopVerdict.loop()

@@ -41,10 +41,6 @@ class MediantRun(Immutable):
         _set_rounds(self, rounds)
         _set_nonterminating(self, nonterminating)
 
-    @property
-    def final(self):
-        return self.rounds[-1]
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented

@@ -89,13 +89,6 @@ class HeightSpectrum(Immutable):
         _set_p(self, p)
         _set_entries(self, entries)
 
-    def bound(self) -> Rational:
-        """min over recorded levels of 1/B; an upper bound at any truncation."""
-        largest = max(b for _, b in self.entries)
-        if largest == math.inf:
-            return Rational(0, 1)
-        return Rational(1, largest)
-
 
 _set_alpha, _set_p, _set_entries = HeightSpectrum._setters()
 

@@ -3,9 +3,9 @@
 A positive real is an infinite loop mod n when no semi-convergent denominator
 (the seed q_{-1} = 0 excepted) is divisible by n; for rationals the oo-tail
 convention adds the final progression of Euclid's expansion.  One step
-stream, `_steps`, feeds both routes, the fan scan `_scan_cycle` and the edge
-walk `cutting.loop_verdict_geometric`; both take an exact value, a finite or
-periodic expansion or a surd, and both are exact on each.
+stream, `_steps`, the value's own, feeds both routes, the fan scan
+`_scan_cycle` and the edge walk `cutting.loop_verdict_geometric`; both take
+an exact value, a finite or periodic expansion or a surd, exact on each.
 
 Loops exist mod every n >= 4, as the validated family of `loop_example`
 shows; mod 2 and 3 their absence is proved on a finite state graph: a walk
@@ -57,10 +57,10 @@ class LoopVerdict(Immutable):
     A NOTLOOP's witness is the semi-convergent {k, m}, whose denominator the
     modulus divides.  It is built on the first read of `.witness`: p and q
     have O(k) digits, so building them costs O(k^2) bit work that a caller
-    reading only `.kind` never needs.  Both routes hand over the source of
-    `_steps`: the finite or periodic expansion read, or the digits a_0, ...,
-    a_{k+1} read off a surd.  Equality also compares the
-    witnesses, so equal verdicts always name the same p/q.
+    reading only `.kind` never needs.  A NOTLOOP keeps the value `_steps`
+    read, not its digits; a surd's witness reads a_0, ..., a_{k+1} again from
+    `steps()`.  Equality also compares the witnesses, so equal verdicts
+    always name the same p/q.
     """
 
     __slots__ = ("kind", "witness_k", "witness_m", "_witness", "_source")
@@ -88,8 +88,8 @@ class LoopVerdict(Immutable):
         return cls(NOTLOOP, witness_k=k, witness_m=m, witness=value)
 
     @classmethod
-    def _not_loop_at(cls, k: int, m: int, source: Union[CFExpansion, list[int]]) -> "LoopVerdict":
-        """NOTLOOP whose witness is read off `source` when first asked for."""
+    def _not_loop_at(cls, k: int, m: int, source: Union[CFExpansion, QuadSurd]) -> "LoopVerdict":
+        """NOTLOOP whose witness is read off the value `source` when first asked for."""
         verdict = object.__new__(cls)
         _set_kind(verdict, NOTLOOP)
         _set_witness_k(verdict, k)
@@ -102,8 +102,9 @@ class LoopVerdict(Immutable):
     def witness(self) -> Optional[Rational]:
         source = self._source
         if source is not None:
-            if isinstance(source, list):
-                source = CFExpansion(source[0], tuple(source[1 : self.witness_k + 2]))
+            if isinstance(source, QuadSurd):
+                digits = [a for a, _ in itertools.islice(source.steps(), self.witness_k + 2)]
+                source = CFExpansion(digits[0], digits[1:])
             _set_witness(self, semiconvergent(source, self.witness_k, self.witness_m))
             _set_source(self, None)
         return self._witness
@@ -153,49 +154,35 @@ class ModState(NamedTuple):
 _Steps = Iterator[tuple[Optional[int], bool]]
 
 
-def _steps(e: Union[CFExpansion, QuadSurd]) -> tuple[_Steps, Union[CFExpansion, list[int]]]:
-    """The input of both loop routes: the steps after a_0, and the witness source.
+def _steps(e: Union[CFExpansion, QuadSurd]) -> tuple[_Steps, Union[CFExpansion, QuadSurd]]:
+    """The input of both loop routes: the steps after a_0, and the value read.
 
-    Step k is (a_{k+1}, whether fan k starts a period).  A finite expansion
+    Step k is (a_{k+1}, whether fan k starts a period), read off the value's
+    own `steps()`, whose period starts are canonical.  A finite expansion
     carrying the oo-tail ends in the step (None, False), its unbounded final
-    fan.  Under the tail convention Euclid's form [a_0; ..., a_L] (not ending
-    in 1) decides the value alone, so a twin is read in Euclid's form.
-    Through its fan L the twin [a_0; ..., a_L - 1, 1] draws only Euclid's
-    denominators, and its tail m*q_L + (q_L - q_{L-1}) is 0 mod n only if q_L
-    (coprime to q_{L-1}) is a unit mod n, and then so is Euclid's tail
-    m'*q_L + q_{L-1} for some m'.  A periodic expansion starts each period at
-    its offset 0, a surd at the flags of `QuadSurd.steps`; both starts are
-    canonical.  The source of a finite or periodic expansion is the
-    expansion read; a surd records a_0, a_1, ... in a list as its steps are
-    read, so a witness needs only the digits walked.  Only a finite
-    expansion's steps end: a surd's never do.
+    fan; only a finite expansion's steps end.  Under the tail convention
+    Euclid's form [a_0; ..., a_L] (not ending in 1) decides the value alone,
+    so a twin is read in Euclid's form: through its fan L the twin [a_0; ...,
+    a_L - 1, 1] draws only Euclid's denominators, and its tail m*q_L + (q_L -
+    q_{L-1}) is 0 mod n only if q_L (coprime to q_{L-1}) is a unit mod n, and
+    then so is Euclid's tail m'*q_L + q_{L-1} for some m'.
     """
-    if not isinstance(e, (CFExpansion, QuadSurd)):
-        raise TypeError(f"loop decisions take a CFExpansion or a QuadSurd, not {type(e).__name__}")
     if isinstance(e, CFExpansion):
-        if e.is_periodic:
-            # the preperiod is minimal, so offset 0 of the period is its canonical start
-            period = zip(e.period, (True,) + (False,) * (len(e.period) - 1))
-            return itertools.chain(zip(e.body, itertools.repeat(False)), itertools.cycle(period)), e
-        if e.a0 or e.body:
-            if e.inf_tail and e.body and e.body[-1] == 1:
-                e = twin_of(e)
-            return zip((*e.body, None) if e.inf_tail else e.body, itertools.repeat(False)), e
-    elif e.is_positive():
-        steps = e.steps()
-        digits = [next(steps)[0]]
-        return _recorded(steps, digits), digits
-    raise ValueError("loop decisions require a positive value")
+        if e.inf_tail and e.body and e.body[-1] == 1:
+            e = twin_of(e)
+        positive = e.a0 or e.body or e.period
+    elif isinstance(e, QuadSurd):
+        positive = e.is_positive()
+    else:
+        raise TypeError(f"loop decisions take a CFExpansion or a QuadSurd, not {type(e).__name__}")
+    if not positive:
+        raise ValueError("loop decisions require a positive value")
+    steps = e.steps()
+    next(steps)
+    return steps, e
 
 
-def _recorded(steps: Iterator[tuple[int, bool]], digits: list[int]) -> _Steps:
-    """The steps (a_k, starts_period) of a surd after a_0, each a_k also appended to digits."""
-    for a, starts_period in steps:
-        digits.append(a)
-        yield a, starts_period
-
-
-def _scan_cycle(steps: _Steps, n: int, prefix: Union[CFExpansion, list[int]]) -> LoopVerdict:
+def _scan_cycle(steps: _Steps, n: int, value: Union[CFExpansion, QuadSurd]) -> LoopVerdict:
     """The state-cycle scan behind every loop decision.
 
     Step k gives a_{k+1}, which closes fan k at (u, v) = (q_{k-1}, q_k) mod n,
@@ -214,7 +201,7 @@ def _scan_cycle(steps: _Steps, n: int, prefix: Union[CFExpansion, list[int]]) ->
     inverse for the least m >= 0, a hit when m <= a_{k+1}.  A step with a = None
     is the unbounded tail fan, where any root hits, and ends the steps.
     Only a finite expansion's steps run out, every fan scanned: LOOP.  NOTLOOP
-    builds its witness lazily from `prefix`.
+    keeps `value` for its witness, so the scan holds O(1) memory.
     """
     u, v = 0, 1
     u0 = None
@@ -227,11 +214,11 @@ def _scan_cycle(steps: _Steps, n: int, prefix: Union[CFExpansion, list[int]]) ->
                 return LoopVerdict.loop()
         if not k:
             if a is None or a >= n:
-                return LoopVerdict._not_loop_at(0, n, prefix)
+                return LoopVerdict._not_loop_at(0, n, value)
         elif not u % (g := math.gcd(v, n)):
             m = -(u // g) * pow(v // g, -1, n // g) % (n // g)
             if a is None or m <= a:
-                return LoopVerdict._not_loop_at(k, m, prefix)
+                return LoopVerdict._not_loop_at(k, m, value)
         if a is None:
             break
         u, v = v, (a * v + u) % n
@@ -248,8 +235,8 @@ def is_infinite_loop(e: Union[CFExpansion, QuadSurd], n: int) -> LoopVerdict:
     """
     if n < 2:
         raise ValueError("modulus must be >= 2")
-    steps, source = _steps(e)
-    return _scan_cycle(steps, n, source)
+    steps, value = _steps(e)
+    return _scan_cycle(steps, n, value)
 
 
 def loop_scaling_check(e: CFExpansion, n: int, k: int) -> bool:

@@ -40,7 +40,7 @@ def _fan_hit(u: int, v: int, n: int, bound: Optional[int], min_m: int) -> Option
     return m0
 
 
-def _scan_cycle(steps, n: int, prefix: Union[CFExpansion, list[int]]) -> LoopVerdict:
+def _scan_cycle(steps, n: int, value: Union[CFExpansion, QuadSurd]) -> LoopVerdict:
     """The state-cycle scan over `loops._steps` output, one `_fan_hit` per fan."""
     u, v = 0, 1
     u0 = None
@@ -53,7 +53,7 @@ def _scan_cycle(steps, n: int, prefix: Union[CFExpansion, list[int]]) -> LoopVer
                 return LoopVerdict.loop()
         m = _fan_hit(u, v, n, a, 1 if k == 0 else 0)
         if m is not None:
-            return LoopVerdict._not_loop_at(k, m, prefix)
+            return LoopVerdict._not_loop_at(k, m, value)
         if a is None:
             break
         u, v = v, (a * v + u) % n

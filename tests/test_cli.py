@@ -452,11 +452,11 @@ class TestInputErrors:
         # q_max = 1 leaves no rational in (0, 1) to check, by flag or by --config
         cfg = tmp_path / "scan.cfg"
         cfg.write_text("q_max = 1\n")
-        for argv in (("verify", "defs-equivalence", "--q-max", "1"),
-                     ("--config", str(cfg), "verify", "defs-equivalence")):
+        for argv, prefix in ((("verify", "defs-equivalence", "--q-max", "1"), ""),
+                             (("--config", str(cfg), "verify", "defs-equivalence"), f"--config {cfg}: ")):
             code, out = run_cli(*argv)
             assert (code, out) == (2, "")
-            assert capsys.readouterr().err == "error: q_max must be >= 2\n"
+            assert capsys.readouterr().err == f"error: {prefix}q_max must be >= 2\n"
 
     def test_failing_persistence_scan_prints_nothing(self, capsys):
         code, out = run_cli("spectrum", "0", "-p", "2", "-L", "1", "--persistence", "1")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -222,6 +223,29 @@ class TestSurdExpansion:
                      QuadSurd(5, 4, 19), QuadSurd(1, 7, 13)]:
             if surd.is_positive():
                 assert cf_value(cf_of_surd(surd)) == surd
+
+    def test_matches_sympy(self):
+        # an oracle that shares no code with QuadSurd.steps; CI installs no sympy
+        sympy_cf = pytest.importorskip("sympy.ntheory.continued_fraction").continued_fraction_periodic
+        rng = random.Random(41)
+        checked = 0
+        while checked < 40:
+            # Q | D - P^2, so that neither side scales D up by Q^2
+            P, Q = rng.randint(-99, 99), rng.choice((-1, 1)) * rng.randint(1, 99)
+            D = P * P + Q * rng.randint(-101, 101)
+            if not 2 <= D <= 10**4 or math.isqrt(D) ** 2 == D:
+                continue
+            s = QuadSurd(P, Q, D)
+            s = s.shifted(rng.randint(0, 3) - s.floor())  # positive, a_0 in 0..3
+            e = cf_of_surd(s)
+            *head, period = sympy_cf(s.P, s.Q, s.D)
+            if not head:  # sympy folds the a_0 of a purely periodic value into its period
+                head, period = period[:1], period[1:] + period[:1]
+            assert len(period) == len(e.period), (s, e)
+            count = 1 + len(e.body) + 3 * len(e.period)
+            want = list(itertools.islice(itertools.chain(head, itertools.cycle(period)), count))
+            assert list(itertools.islice(e.digits(), count)) == want, (s, e)
+            checked += 1
 
 
 @st.composite

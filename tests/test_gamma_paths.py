@@ -58,7 +58,7 @@ class TestVertexAlgorithm:
 
     def test_terminated_rounds_are_gamma0_paths(self):
         for n in (2, 3):
-            final = v_algorithm(n, 10).final
+            final = v_algorithm(n, 10).rounds[-1]
             assert all(is_gamma0_neighbor(a, b, n) for a, b in zip(final, final[1:]))
 
     def test_monotone_increasing_vertices(self):
@@ -86,12 +86,12 @@ class TestDenominatorAlgorithm:
     def test_mod_two(self):
         run = d_algorithm(2, 10)
         assert run.terminated
-        assert braced(run.final) == "{1,0,1}"
+        assert braced(run.rounds[-1]) == "{1,0,1}"
 
     def test_mod_three_mirrors_vertices(self):
         run = d_algorithm(3, 10)
         assert run.terminated
-        assert braced(run.final) == "{1,0,2,0,1}"
+        assert braced(run.rounds[-1]) == "{1,0,2,0,1}"
 
     @pytest.mark.parametrize("n", range(2, 31))
     def test_mirror_property(self, n):

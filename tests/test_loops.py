@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fareyloops import contfrac, cutting, heights, loops, surds
-from fareyloops.contfrac import CFExpansion, cf_from_rational, cf_of_surd, cf_value, semiconvergent
+from fareyloops.contfrac import CFExpansion, cf_from_rational, cf_of_surd, cf_value, semiconvergent, twin_of
 from fareyloops.loops import (
     LOOP,
     NOTLOOP,
@@ -208,6 +208,16 @@ class TestLazyWitness:
         for m in range(1, 11):
             v = is_infinite_loop(QuadSurd(0, 1, 3), 3**m)
             assert (v.kind, v.witness_k, v.witness_m) == (NOTLOOP, 3**m - 2, 2), m
+
+    def test_sqrt2_first_hit_law(self):
+        # for sqrt(2) mod 2^m the first fan hit is always {2^m - 2, 2}, on
+        # both routes, whether the value comes as a surd or as [1; (2)]
+        sqrt2 = QuadSurd(0, 1, 2)
+        for value in (sqrt2, cf_of_surd(sqrt2)):
+            for decide in (is_infinite_loop, cutting.loop_verdict_geometric):
+                for m in range(1, 17):
+                    v = decide(value, 2**m)
+                    assert (v.kind, v.witness_k, v.witness_m) == (NOTLOOP, 2**m - 2, 2), (value, decide, m)
 
 
 class TestRationalDecisions:
@@ -516,6 +526,18 @@ class TestProjectiveClosure:
         assert verdict.kind == LOOP
         assert peak < 50_000
 
+    def test_surd_notloop_keeps_no_digits(self):
+        # the NOTLOOP at fan 3^9 - 2 keeps the surd, not the 19,683 digits
+        # walked to reach it; the witness reads them again only when asked for
+        tracemalloc.start()
+        try:
+            kind = is_infinite_loop(QuadSurd(0, 1, 3), 3**9).kind
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kind == NOTLOOP
+        assert peak < 16 * 1024
+
 
 class TestInputContract:
     """Both routes take a CFExpansion or a QuadSurd, and its value must be positive."""
@@ -538,18 +560,22 @@ class TestInputContract:
 
 
 class TestStepStream:
-    """Both routes read `_steps`; both closure proofs need a value's period
-    starts to be the same whichever form the value comes in."""
+    """Both routes read `_steps`, which skips a_0 of the value's own
+    `steps()`; both closure proofs need a value's period starts to be the
+    same whichever form the value comes in."""
 
     @staticmethod
     def assert_same_steps(surd, e):
-        # the preperiod and three periods of e, flags included
-        count = len(e.body) + 3 * len(e.period)
-        steps, digits = _steps(surd)
-        expected = list(itertools.islice(_steps(e)[0], count))
-        assert list(itertools.islice(steps, count)) == expected, (surd, e)
+        # a_0, the preperiod and three periods of e, flags included
+        count = 1 + len(e.body) + 3 * len(e.period)
+        expected = list(itertools.islice(e.steps(), count))
+        assert list(itertools.islice(surd.steps(), count)) == expected, (surd, e)
         assert sum(starts for _, starts in expected) == 3
-        assert digits == [e.a0, *(a for a, _ in expected)], (surd, e)
+        assert [a for a, _ in expected] == list(itertools.islice(e.digits(), count))
+        for x in (surd, e):
+            steps, value = _steps(x)
+            assert value is x
+            assert list(itertools.islice(steps, count - 1)) == expected[1:], x
 
     def test_surd_and_its_expansion(self):
         rng = random.Random(21)
@@ -568,6 +594,24 @@ class TestStepStream:
         for _ in range(300):
             e = random_periodic_cf(rng, max_pre=3, max_period=4, max_entry=9, a0_max=3)
             self.assert_same_steps(cf_value(e), e)
+
+    def test_finite_expansion_reads_in_euclids_form(self):
+        rng = random.Random(24)
+        for _ in range(300):
+            e = random_finite_cf(rng, min_len=0, max_len=6, inf_tail=True)
+            if not (e.a0 or e.body):
+                with pytest.raises(ValueError, match="positive value"):
+                    _steps(e)
+                continue
+            for x in (e, CFExpansion(e.a0, e.body), twin_of(e)):
+                entries = [x.a0, *x.body, *([None] if x.inf_tail else [])]
+                assert list(x.steps()) == [(a, False) for a in entries], x
+                steps, value = _steps(x)
+                if x.inf_tail and x.body[-1:] == (1,):
+                    assert value == twin_of(x) and value.body[-1:] != (1,), x
+                else:
+                    assert value is x
+                assert list(steps) == list(value.steps())[1:], x
 
 
 class TestScaling:

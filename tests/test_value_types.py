@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from fareyloops.cli import Config
-from fareyloops.contfrac import CFExpansion, semiconvergent
+from fareyloops.contfrac import CFExpansion, cf_of_surd, semiconvergent
 from fareyloops.gamma_paths import MediantRun, v_algorithm
 from fareyloops.heights import CheckRecord, HeightSpectrum, ScanReport, height_spectrum
 from fareyloops.cutting import CuttingWord, loop_verdict_geometric
@@ -79,13 +79,13 @@ CASES = [
         "LoopVerdict(kind='NOTLOOP', witness_k=1, witness_m=2, witness=Rational(2, 5))",
         id="LoopVerdict",
     ),
-    pytest.param(
-        LoopVerdict._not_loop_at(2, 1, [1, 2, 3, 4]),
-        LoopVerdict(NOTLOOP, witness_k=2, witness_m=1, witness=semiconvergent(CFExpansion(1, (2, 3, 4)), 2, 1)),
-        LoopVerdict._not_loop_at(2, 2, [1, 2, 3, 4]),
+    pytest.param(  # a surd source: the witness reads its digits a_0..a_{k+1} again
+        LoopVerdict._not_loop_at(2, 1, QuadSurd(0, 1, 2)),
+        LoopVerdict(NOTLOOP, witness_k=2, witness_m=1, witness=semiconvergent(CFExpansion(1, (), (2,)), 2, 1)),
+        LoopVerdict._not_loop_at(2, 2, QuadSurd(0, 1, 2)),
         _verdict_key,
         LoopVerdict._fields,
-        "LoopVerdict(kind='NOTLOOP', witness_k=2, witness_m=1, witness=Rational(13, 9))",
+        "LoopVerdict(kind='NOTLOOP', witness_k=2, witness_m=1, witness=Rational(10, 7))",
         id="LoopVerdict-digits",
     ),
     pytest.param(
@@ -229,9 +229,9 @@ def test_not_loop_at_fills_the_slots_init_fills():
     notloops = [(e, v) for e, n in inputs for v in (is_infinite_loop(e, n),) if v.kind == NOTLOOP]
     assert len(notloops) > 20
     for e, v in notloops:
-        k, m, source = v.witness_k, v.witness_m, v._source
-        assert _fields(v) == (NOTLOOP, k, m, None, source)
-        expansion = source if isinstance(source, CFExpansion) else CFExpansion(source[0], tuple(source[1 : k + 2]))
+        k, m = v.witness_k, v.witness_m
+        assert _fields(v)[:4] == (NOTLOOP, k, m, None) and v._source is e  # the value read, not its digits
+        expansion = e if isinstance(e, CFExpansion) else cf_of_surd(e)
         built = LoopVerdict(NOTLOOP, witness_k=k, witness_m=m, witness=semiconvergent(expansion, k, m))
         assert v == built and repr(v) == repr(built) and _fields(v) == _fields(built)
 
