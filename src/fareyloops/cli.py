@@ -138,14 +138,20 @@ def cmd_cf(args, cfg: Config, out) -> int:
 
 
 def cmd_semiconv(args, cfg: Config, out) -> int:
-    e = expansions_of(parse_value(args.value))[0]
+    """The semi-convergent {k, m} named by --k and --m, or each vertex of fans 0..depth - 1.
+
+    A surd is read only through a_{k+1}, or a_depth (depth 8 by default), not its period."""
+    value = parse_value(args.value)
+    vertex = args.k is not None and args.m is not None
+    depth = args.depth or cfg.depth
+    surd_depth = max(args.k, 0) + 1 if vertex else depth or 8  # a_0..a_surd_depth are read
+    e = contfrac.surd_prefix(value, surd_depth) if isinstance(value, QuadSurd) else expansions_of(value)[0]
     if (args.k is None) != (args.m is None):
         raise ValueError("--k and --m must be given together")
-    if args.k is not None:
+    if vertex:
         value = contfrac.semiconvergent(e, args.k, args.m)
         print(f"k={args.k} m={args.m} value={value}", file=out)
         return 0
-    depth = args.depth or cfg.depth
     if e.is_finite and e.last_index == 0:
         raise ValueError(f"{args.value} has no interior fan to list; name a vertex with --k and --m")
     last = min(e.last_index, depth or e.last_index) if e.is_finite else (depth or 8)
@@ -229,16 +235,10 @@ def cmd_cutseq(args, cfg: Config, out) -> int:
     value = parse_value(args.value)
     depth = args.depth or cfg.depth
     if isinstance(value, QuadSurd):
-        # the output reads only a_0..a_depth: the word has depth runs after
-        # a_0, and the walk's depth steps and the edges' depth - 1 use no
-        # more, since every a_i after a_0 is at least 1.  So a surd is
-        # expanded that far and no further, whatever its period, and the
-        # crossing check below runs against the surd itself
-        if not value.is_positive():
-            raise ValueError("expansion requires a positive value")
+        # the word's depth runs after a_0, the walk's depth steps and the edges' depth - 1 read
+        # only a_0..a_depth, as each a_i >= 1; the crossing check runs against the surd itself
         depth = depth or 12
-        digits = [a for a, _ in itertools.islice(value.steps(), depth + 1)]
-        e = CFExpansion(digits[0], tuple(digits[1:]))
+        e = contfrac.surd_prefix(value, depth)
     else:
         e = expansions_of(value)[0]
         value = contfrac.cf_value(e)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
 
 from .rationals import INFINITY, Immutable, Rational
@@ -200,26 +199,21 @@ def parse_cf(text: str) -> CFExpansion:
 # construction from values
 
 
-def cf_from_rational(x) -> tuple[CFExpansion, CFExpansion]:
-    """Both expansions of a finite rational x >= 0, each carrying the oo-tail.
+def cf_from_rational(x: Rational) -> tuple[CFExpansion, CFExpansion]:
+    """Both expansions of a finite x >= 0, each carrying the oo-tail; x is a ``Rational``
+    (an int or a ``Fraction`` raises ``TypeError``).
 
     Returns (canonical, twin): the canonical form does not end in 1, the twin
     ends in 1.  The value 0 admits only [0] under a nonnegative leading term;
     it is returned for both slots.
     """
-    if isinstance(x, Rational):
-        if x.is_infinite:
-            raise ValueError("cannot expand the point at infinity")
-        num, den = x.num, x.den
-    elif isinstance(x, Fraction):
-        num, den = x.numerator, x.denominator
-    elif isinstance(x, int):
-        num, den = x, 1
-    else:
-        raise TypeError(f"cannot expand {x!r}")
-    if num < 0:
+    if not isinstance(x, Rational):
+        raise TypeError(f"cannot expand {x!r}: cf_from_rational takes a Rational")
+    if x.is_infinite:
+        raise ValueError("cannot expand the point at infinity")
+    if x.num < 0:
         raise ValueError("expansion requires x >= 0")
-    entries = euclid_entries(num, den)
+    entries = euclid_entries(x.num, x.den)
     canonical = CFExpansion(entries[0], tuple(entries[1:]), None, True)
     if entries == [0]:
         return canonical, canonical
@@ -419,6 +413,15 @@ def cf_of_surd(s: QuadSurd) -> CFExpansion:
             start = len(entries)
         entries.append(a)
     return _canonical(entries[0], tuple(entries[1:start]), tuple(entries[start:]), False)
+
+
+def surd_prefix(s: QuadSurd, depth: int) -> CFExpansion:
+    """[a_0; a_1, ..., a_depth] of a positive surd, depth >= 0: ``QuadSurd.steps`` read
+    that far and no further, however long the period that ``cf_of_surd`` reads."""
+    if not s.is_positive():
+        raise ValueError("expansion requires a positive value")
+    digits = [a for a, _ in itertools.islice(s.steps(), depth + 1)]
+    return CFExpansion(digits[0], digits[1:])
 
 
 # ---------------------------------------------------------------------------

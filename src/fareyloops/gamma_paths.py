@@ -6,8 +6,8 @@ runs the same recursion on denominators reduced mod n.  Both split a pair
 exactly when both its denominators are nonzero mod n: consecutive vertices
 are Farey neighbours (0/1, 1/1 are, and a mediant neighbours both parents),
 so their denominators are coprime, never both 0, and the pair is a level-n
-edge iff one is 0.  The vertex form splits on its row's denominators mod n;
-the Farey determinant is tested only on the last round of a terminated run.
+edge iff one is 0.  The vertex form splits on its vertices' denominators mod
+n; the Farey determinant is tested only on the last round of a terminated run.
 Whether the process terminates within a given number of rounds is read off
 ``nonterminating(n)`` where that holds; otherwise it is decided on the finite
 set of unresolved residue pairs.  Sequence lengths grow geometrically, so the
@@ -99,18 +99,13 @@ def v_algorithm(
     a level-n neighbour; the run terminates when all pairs are neighbours.
     """
     terminated, rounds_run, blocked = _verdict(n, max_iter)
-    dens = [1, 1]  # denominators mod n of the current row: its D row
 
     def step(verts):
-        nonlocal dens
-        nxt, nxt_dens = [verts[0]], [dens[0]]
-        for a, b, u, v in zip(verts, verts[1:], dens, dens[1:]):
-            if u and v:
+        nxt = [verts[0]]
+        for a, b in zip(verts, verts[1:]):
+            if a.den % n and b.den % n:
                 nxt.append(farey_mediant(a, b))
-                nxt_dens.append((u + v) % n)
-            nxt.append(b)
-            nxt_dens.append(v)
-        dens = nxt_dens
+            nxt.append(b)  # the same object, whose text the CLI reuses
         return nxt
 
     rounds = _rounds([Rational(0, 1), Rational(1, 1)], step, rounds_run, materialize_limit)

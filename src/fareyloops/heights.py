@@ -294,18 +294,13 @@ def persistence_scan(
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     out: list[tuple[int, Optional[int]]] = []
-    rational = e.is_finite
     value = cf_value(e)
     for m in range(1, m_max + 1):
         n = p**m
         found: Optional[int] = None
         for ell in range(L + 1):
-            if rational:
-                scaled_e = cf_from_rational(value.scaled(p**ell))[0]
-                verdict = is_infinite_loop(scaled_e, n)
-            else:
-                verdict = is_infinite_loop(value.scaled(p**ell), n)
-            if not verdict.is_loop:
+            scaled = value.scaled(p**ell)  # a rational is decided on its Euclid expansion
+            if not is_infinite_loop(cf_from_rational(scaled)[0] if e.is_finite else scaled, n).is_loop:
                 found = ell
                 break
         out.append((m, found))

@@ -21,7 +21,7 @@ import math
 import sys
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
-from .contfrac import CFExpansion, fans, semiconvergent, twin_of
+from .contfrac import CFExpansion, fans, semiconvergent, surd_prefix, twin_of
 from .rationals import Immutable, Rational
 from .surds import QuadSurd
 
@@ -103,8 +103,7 @@ class LoopVerdict(Immutable):
         source = self._source
         if source is not None:
             if isinstance(source, QuadSurd):
-                digits = [a for a, _ in itertools.islice(source.steps(), self.witness_k + 2)]
-                source = CFExpansion(digits[0], digits[1:])
+                source = surd_prefix(source, self.witness_k + 1)
             _set_witness(self, semiconvergent(source, self.witness_k, self.witness_m))
             _set_source(self, None)
         return self._witness

@@ -1,8 +1,9 @@
 """Exact rationals with a point at infinity, plus the Farey-structure predicates.
 
-Values are reduced fractions num/den with den >= 0.  The single point at
-infinity is stored canonically as 1/0 and compares greater than every finite
-rational.  Everything here is immutable and pure.
+``Rational`` is the library's one rational type; no module imports ``fractions``.
+Values are reduced fractions num/den with den >= 0, hashed by ``Fraction``'s
+formula.  The single point at infinity is stored canonically as 1/0 and
+compares greater than every finite rational.  Everything here is immutable and pure.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from fractions import Fraction
 
 _HASH_MODULUS = sys.hash_info.modulus
 
@@ -82,11 +82,6 @@ class Rational(Immutable):
     @property
     def is_infinite(self) -> bool:
         return self.den == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.den == 0:
-            raise ValueError("infinity has no Fraction form")
-        return Fraction(self.num, self.den)
 
     def shifted(self, k: int) -> "Rational":
         """self + k; infinity is fixed by shifting."""

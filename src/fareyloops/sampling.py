@@ -1,23 +1,21 @@
-"""Seeded generators for the randomized scans.
+"""Seeded generators for the randomized scans: expansions, and ``Rational`` values in (0, 1).
 
 All scans draw from ``random.Random(seed)`` instances so that reports are
 reproducible bit for bit.  Every draw goes through ``_draw(bits, lo, hi)``
-with ``bits = rng.getrandbits``: it returns what ``randint(lo, hi)`` on
-``rng`` returns and leaves ``rng`` in the same state, and like ``randint``
-it raises ``ValueError`` when hi < lo.  It replays CPython's rejection loop
-(draw k = (hi - lo + 1).bit_length() bits until the result is below
-hi - lo + 1) without the ``randint``, ``randrange`` and ``_randbelow``
-frames above ``getrandbits``, which cost more than the draw itself, and it
-ties the stream to that loop rather than to ``randrange``'s argument handling.
+with ``bits = rng.getrandbits``: it returns what ``randint(lo, hi)`` on ``rng``
+returns, leaves ``rng`` in the same state and raises ``ValueError`` when
+hi < lo.  It replays CPython's rejection loop (draw k = (hi - lo + 1).bit_length()
+bits until the result is below hi - lo + 1) without the frames above
+``getrandbits``, which cost more than the draw, and so ties the stream to that loop.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Callable
 
 from .contfrac import CFExpansion
+from .rationals import Rational
 
 
 def _draw(bits: Callable[[int], int], lo: int, hi: int) -> int:
@@ -63,8 +61,8 @@ def random_periodic_cf(
     return CFExpansion(_draw(bits, 0, a0_max), tuple(pre), tuple(period))
 
 
-def random_unit_rational(rng: random.Random, q_max: int = 500) -> Fraction:
-    """A rational strictly inside (0, 1): q >= 3 and 1 <= p <= q - 1."""
+def random_unit_rational(rng: random.Random, q_max: int = 500) -> Rational:
+    """The ``Rational`` p/q strictly inside (0, 1), drawn as q in 3..q_max, then p in 1..q - 1."""
     bits = rng.getrandbits
     q = _draw(bits, 3, q_max)
-    return Fraction(_draw(bits, 1, q - 1), q)
+    return Rational(_draw(bits, 1, q - 1), q)

@@ -9,7 +9,6 @@ rationals, integer shifts/scalings and reciprocals are all exact.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterator
 
 from .rationals import Immutable, Rational
@@ -64,11 +63,11 @@ class QuadSurd(Immutable):
         _set_Q(self, Q)
         _set_D(self, D)
 
-    # The pair (rational part, signed radical part) determines the value, so
-    # equality and hashing avoid any integer factorisation.
+    # The pair (rational part, signed radical part) determines the value, so equality and
+    # hashing avoid any integer factorisation; Rational hashes as the Fraction key did.
     def _key(self):
         sign = 1 if self.Q > 0 else -1
-        return (Fraction(self.P, self.Q), sign, Fraction(self.D, self.Q * self.Q))
+        return (Rational(self.P, self.Q), sign, Rational(self.D, self.Q * self.Q))
 
     def __eq__(self, other):
         if not isinstance(other, QuadSurd):

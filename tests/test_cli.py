@@ -219,6 +219,53 @@ class TestCommands:
         cfg.write_text("depth = 1\n")
         assert run_cli("--config", str(cfg), "semiconv", "3/7")[1].splitlines() == full[:3]
 
+    def test_semiconv_reads_a_huge_period_surd_only_as_far_as_it_prints(self):
+        # a fresh process, so that a full expansion of the period is killed
+        # at the timeout instead of running on in the test process
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        value = "sqrt(100000000000000000000000000003)"
+        start = time.perf_counter()
+        run = subprocess.run(
+            [sys.executable, "-m", "fareyloops.cli", "semiconv", value, "--k", "2", "--m", "1"],
+            capture_output=True, text=True, timeout=10, env=env,
+        )
+        assert time.perf_counter() - start < 1
+        assert (run.returncode, run.stdout) == (0, "k=2 m=1 value=4743416490252569/15\n")
+        run = subprocess.run(
+            [sys.executable, "-m", "fareyloops.cli", "semiconv", value],
+            capture_output=True, text=True, timeout=10, env=env,
+        )
+        assert run.returncode == 0
+        fans = [line.split()[0] for line in run.stdout.splitlines()]
+        assert list(dict.fromkeys(fans)) == [f"k={k}" for k in range(8)]
+
+    @pytest.mark.parametrize("N", [2, 94, 10007, 100000000000000000000000000003])
+    def test_semiconv_of_a_surd_is_that_of_its_first_digits(self, N, monkeypatch):
+        # the textbook (m, d, a) recurrence for sqrt(N), sharing no code with QuadSurd
+        a0 = math.isqrt(N)
+        digits, m, d, a = [a0], 0, 1, a0
+        while len(digits) < 12:
+            m = d * a - m
+            d = (N - m * m) // d
+            a = (a0 + m) // d
+            digits.append(a)
+        read, steps = [], QuadSurd.steps
+        monkeypatch.setattr(QuadSurd, "steps", lambda s: (read.append(x) or x for x in steps(s)))
+
+        def prefix(depth):
+            return "[" + str(a0) + "; " + ", ".join(map(str, digits[1:depth + 1])) + "]"
+
+        for depth in (None, 1, 3, 11):
+            flags = ("--depth", str(depth)) if depth else ()
+            read.clear()
+            assert run_cli("semiconv", f"sqrt({N})", *flags) == run_cli("semiconv", prefix(depth or 8), *flags)
+            assert len(read) == (depth or 8) + 1
+        for k, m in ((0, 1), (2, 1), (5, digits[6]), (9, 0)):
+            read.clear()
+            got = run_cli("semiconv", f"sqrt({N})", "--k", str(k), "--m", str(m))
+            assert got == run_cli("semiconv", prefix(k + 1), "--k", str(k), "--m", str(m))
+            assert len(read) == k + 2
+
     def test_gamma_path_vertices_mod_two(self):
         code, out = run_cli("gamma-path", "--mod", "2", "--max-iter", "10")
         assert out.splitlines() == [
@@ -741,7 +788,7 @@ class TestCoverage:
             "import fareyloops.cli\n"
             f"for argv in {calls!r}:\n"
             "    assert fareyloops.cli.main(argv, out=io.StringIO()) == 0, argv\n"
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+            "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal', 'numbers'} & set(sys.modules)))\n"
         )
         run = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,

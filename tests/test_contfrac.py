@@ -22,6 +22,7 @@ from fareyloops.contfrac import (
     parse_cf,
     semiconvergent,
     shift_cf,
+    surd_prefix,
     twin_of,
 )
 from fareyloops.rationals import INFINITY, Rational
@@ -69,6 +70,11 @@ class TestExpansionType:
             CFExpansion(0, (2, 3)).entry(3)
 
 
+def _fraction(r: Rational) -> Fraction:
+    """The oracle's copy of a finite Rational."""
+    return Fraction(r.num, r.den)
+
+
 class TestEuclid:
     def test_both_expansions_of_three_sevenths(self):
         canonical, twin = cf_from_rational(Rational(3, 7))
@@ -82,26 +88,31 @@ class TestEuclid:
         assert (twin.a0, twin.body) == (1, (1,))
 
     def test_one_half(self):
-        canonical, twin = cf_from_rational(Fraction(1, 2))
+        canonical, twin = cf_from_rational(Rational(1, 2))
         assert (canonical.a0, canonical.body) == (0, (2,))
         assert (twin.a0, twin.body) == (0, (1, 1))
 
     def test_zero_is_its_own_twin(self):
-        canonical, twin = cf_from_rational(0)
+        canonical, twin = cf_from_rational(Rational(0))
         assert canonical == twin == CFExpansion(0, (), None, True)
+
+    @pytest.mark.parametrize("x", (Fraction(1, 2), Fraction(3), 0, 3, 0.5, 2.0), ids=repr)
+    def test_takes_only_a_rational(self, x):
+        with pytest.raises(TypeError, match="takes a Rational"):
+            cf_from_rational(x)
 
     def test_rejects_negative_and_infinite(self):
         with pytest.raises(ValueError):
-            cf_from_rational(Fraction(-1, 2))
+            cf_from_rational(Rational(-1, 2))
         with pytest.raises(ValueError):
             cf_from_rational(INFINITY)
 
     def test_both_evaluate_back(self):
         rng = random.Random(1)
         for _ in range(200):
-            x = Fraction(rng.randint(0, 400), rng.randint(1, 60))
-            for e in cf_from_rational(x):
-                assert cf_eval(e).as_fraction() == x
+            num, den = rng.randint(0, 400), rng.randint(1, 60)
+            for e in cf_from_rational(Rational(num, den)):
+                assert _fraction(cf_eval(e)) == Fraction(num, den)
 
     def test_twin_of_round_trip(self):
         canonical, twin = cf_from_rational(Rational(3, 7))
@@ -218,6 +229,20 @@ class TestSurdExpansion:
         e = CFExpansion(a0, tuple(body), tuple(period))
         assert cf_of_surd(cf_value(e)) == e
 
+    def test_prefix_is_the_first_digits_of_the_expansion(self):
+        rng = random.Random(42)
+        for _ in range(200):
+            s = cf_value(random_periodic_cf(rng))
+            e = cf_of_surd(s)
+            for depth in (0, 1, rng.randint(2, 30)):
+                digits = list(itertools.islice(e.digits(), depth + 1))
+                assert surd_prefix(s, depth) == CFExpansion(digits[0], digits[1:])
+
+    def test_prefix_rejects_nonpositive(self):
+        for s in (QuadSurd(-5, 2, 5), QuadSurd(0, -1, 2)):
+            with pytest.raises(ValueError, match="expansion requires a positive value"):
+                surd_prefix(s, 3)
+
     def test_surd_round_trip(self):
         for surd in [QuadSurd(0, 1, 2), QuadSurd(3, 2, 5), QuadSurd(-1, 3, 7),
                      QuadSurd(5, 4, 19), QuadSurd(1, 7, 13)]:
@@ -313,7 +338,7 @@ class TestMultiplyShift:
         for _ in range(150):
             e = random_finite_cf(rng)
             n = rng.randint(1, 9)
-            assert cf_eval(multiply_cf(e, n)).as_fraction() == n * cf_eval(e).as_fraction()
+            assert _fraction(cf_eval(multiply_cf(e, n))) == n * _fraction(cf_eval(e))
 
     @staticmethod
     def _scaled_through_values(e, n):
@@ -372,7 +397,7 @@ class TestDeterminantAndSandwich:
         rng = random.Random(8)
         for _ in range(200):
             e = random_finite_cf(rng, min_len=3, max_len=9)
-            x = cf_eval(e).as_fraction()
+            x = _fraction(cf_eval(e))
             for k in range(e.last_index):
                 p, q = convergent_pair(e, k)
                 gap = abs(x - Fraction(p, q))

@@ -89,13 +89,18 @@ def _periodic_oracle(rng, max_pre=2, max_period=3, max_entry=6, a0_max=2):
     return CFExpansion(rng.randint(0, a0_max), tuple(pre), tuple(period))
 
 
-def _unit_rational_oracle(rng, q_max=500):
+def _unit_fraction_oracle(rng, q_max=500):
     while True:
         q = rng.randint(3, q_max)
         p = rng.randint(1, q - 1)
         x = Fraction(p, q)
         if 0 < x < 1:
             return x
+
+
+def _unit_rational_oracle(rng, q_max=500):
+    x = _unit_fraction_oracle(rng, q_max)
+    return Rational(x.numerator, x.denominator)
 
 
 def _plant_oracle(rng, n):
@@ -177,6 +182,17 @@ def test_sampler_matches_its_randint_oracle(sampler, oracle, kwargs):
             mismatches += sampler(ours, **kwargs) != oracle(ref, **kwargs)
         mismatches += ours.getstate() != ref.getstate()
     assert mismatches == 0
+
+
+@pytest.mark.parametrize("q_max", (500, 3, 10**30))
+def test_unit_rational_prints_as_the_fraction_of_its_draws(q_max):
+    for i in range(500):
+        ours, ref = _pair(f"unit-fraction:{i}")
+        for _ in range(3):
+            x, y = random_unit_rational(ours, q_max), _unit_fraction_oracle(ref, q_max)
+            assert type(x) is Rational
+            assert (x.num, x.den, str(x)) == (y.numerator, y.denominator, str(y))
+        assert ours.getstate() == ref.getstate()
 
 
 @pytest.mark.parametrize("seed", [0, 6, 2248])

@@ -1,5 +1,7 @@
 import math
 import pickle
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given
@@ -39,6 +41,48 @@ class TestConstruction:
 
     def test_hash_consistent(self):
         assert hash(QuadSurd(0, 1, 2)) == hash(QuadSurd(0, 2, 8))
+
+
+def _fraction_key(s: QuadSurd) -> tuple:
+    """The key surds were hashed on when it was built from Fractions."""
+    return (Fraction(s.P, s.Q), 1 if s.Q > 0 else -1, Fraction(s.D, s.Q * s.Q))
+
+
+class TestKeyOnRationals:
+    """The equality key is built from Rationals; hash and equality must stay
+    those of the Fraction key, so every set and dict of surds is unchanged."""
+
+    @staticmethod
+    def seeded_surds(count=2000):
+        # small triples scaled by k, so that many name the same value; the
+        # constructor rescales the ones whose Q does not divide D - P^2
+        rng = random.Random("surd-keys")
+        nonsquares = [d for d in range(2, 13) if not is_square(d)]
+        surds, rescaled = [], 0
+        while len(surds) < count:
+            k = rng.randint(1, 3)
+            P, Q, D = k * rng.randint(-3, 3), k * rng.choice((-1, 1)) * rng.randint(1, 3), k * k * rng.choice(nonsquares)
+            s = QuadSurd(P, Q, D)
+            rescaled += (s.P, s.Q, s.D) != (P, Q, D)
+            surds.append(s)
+        assert rescaled > count // 4 and sum(s.Q < 0 for s in surds) > count // 4
+        return surds
+
+    def test_hash_is_that_of_the_fraction_key(self):
+        for s in self.seeded_surds():
+            assert hash(s) == hash(_fraction_key(s)), s
+            twin = QuadSurd(3 * s.P, 3 * s.Q, 9 * s.D)
+            assert twin == s and hash(twin) == hash(s)
+
+    def test_equal_exactly_when_the_fraction_keys_are(self):
+        surds = self.seeded_surds()
+        keys = [_fraction_key(s) for s in surds]
+        equal = 0
+        for i, (s, key) in enumerate(zip(surds, keys)):
+            for t, other in zip(surds[i + 1:i + 41], keys[i + 1:i + 41]):
+                assert (s == t) == (key == other), (s, t)
+                equal += key == other
+        assert equal > 100
 
 
 class TestArithmetic:

@@ -1,15 +1,18 @@
 """The slotted value types and records: immutable, compared and hashed over
 their field tuple (same class only), and printed as they always were."""
 
+import ast
 import copy
 import operator
 import pickle
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import fareyloops
 from fareyloops.cli import Config
 from fareyloops.contfrac import CFExpansion, cf_of_surd, semiconvergent
 from fareyloops.gamma_paths import MediantRun, v_algorithm
@@ -234,6 +237,41 @@ def test_not_loop_at_fills_the_slots_init_fills():
         expansion = e if isinstance(e, CFExpansion) else cf_of_surd(e)
         built = LoopVerdict(NOTLOOP, witness_k=k, witness_m=m, witness=semiconvergent(expansion, k, m))
         assert v == built and repr(v) == repr(built) and _fields(v) == _fields(built)
+
+
+# The builders that skip their type's checks through object.__new__.  Each one
+# has a differential test against the validating constructor; a new site
+# must come with one, and then be added here.
+UNCHECKED_BUILDERS = (
+    "contfrac._canonical",
+    "loops.LoopVerdict._not_loop_at",
+    "rationals._edge",
+    "rationals._reduced",
+    "rationals.farey_mediant",
+    "surds._derived",
+)
+
+
+def _object_new_sites(node: ast.AST, scope: str) -> list[str]:
+    """The scope (module.class.function) of every ``object.__new__`` under node."""
+    sites = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            sites += _object_new_sites(child, f"{scope}.{child.name}")
+            continue
+        if (isinstance(child, ast.Attribute) and child.attr == "__new__"
+                and isinstance(child.value, ast.Name) and child.value.id == "object"):
+            sites.append(scope)
+        sites += _object_new_sites(child, scope)
+    return sites
+
+
+def test_object_new_is_called_only_in_the_known_unchecked_builders():
+    package = Path(fareyloops.__file__).parent
+    sites = []
+    for path in sorted(package.rglob("*.py")):
+        sites += _object_new_sites(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert sorted(sites) == list(UNCHECKED_BUILDERS)
 
 
 def test_mediant_run_equality_and_hash_ignore_nonterminating():
