@@ -29,8 +29,7 @@ sqrt2 = cf_of_surd(QuadSurd(0, 1, 2))
 
 print("== spectra under doubling ==")
 for label, e in [("golden conjugate", golden_conj), ("sqrt(2)", sqrt2)]:
-    spectrum = height_spectrum(e, 2, 4)
-    row = "  ".join(f"B(2^{l}a)={b}" for l, b in spectrum.entries)
+    row = "  ".join(f"B(2^{l}a)={b}" for l, b in height_spectrum(e, 2, 4))
     print(f"{label:18} {format_cf(e):10} {row}")
     print(f"{'':18} upper bound from the spectrum: {mp_bounds(e, 2, 4)[0]}")
 

@@ -260,10 +260,10 @@ def cmd_cutseq(args, cfg: Config, out) -> int:
 
 def cmd_spectrum(args, cfg: Config, out) -> int:
     e = expansions_of(parse_value(args.value))[0]
-    result = heights.height_spectrum(e, args.p, args.L)
+    spectrum = heights.height_spectrum(e, args.p, args.L)
     # the persistence rows are found before anything is printed, so that a failing call prints nothing
     rows = heights.persistence_scan(e, args.p, args.persistence, args.L) if args.persistence else []
-    for ell, b in result.entries:
+    for ell, b in spectrum:
         print(f"l={ell} B={'oo' if b == float('inf') else b}", file=out)
     for m, ell in rows:
         print(f"m={m} l={'-' if ell is None else ell}", file=out)

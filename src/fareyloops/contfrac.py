@@ -395,6 +395,13 @@ def _surd_of_periodic(e: CFExpansion) -> QuadSurd:
     return QuadSurd(P, Q, D)
 
 
+def _expansion_steps(s: QuadSurd) -> Iterator[tuple[int, bool]]:
+    """``s.steps()`` for the readers of a surd's expansion, which only a positive value has."""
+    if not s.is_positive():
+        raise ValueError("expansion requires a positive value")
+    return s.steps()
+
+
 def cf_of_surd(s: QuadSurd) -> CFExpansion:
     """Eventually periodic expansion of a positive quadratic irrational.
 
@@ -402,11 +409,9 @@ def cf_of_surd(s: QuadSurd) -> CFExpansion:
     opens the period, the second closes it, and the entries read are already
     the canonical minimal form (see ``_canonical``).
     """
-    if not s.is_positive():
-        raise ValueError("expansion requires a positive value")
     entries: list[int] = []
     start = 0  # a_0 never opens the period
-    for a, starts_period in s.steps():
+    for a, starts_period in _expansion_steps(s):
         if starts_period:
             if start:
                 break
@@ -418,9 +423,7 @@ def cf_of_surd(s: QuadSurd) -> CFExpansion:
 def surd_prefix(s: QuadSurd, depth: int) -> CFExpansion:
     """[a_0; a_1, ..., a_depth] of a positive surd, depth >= 0: ``QuadSurd.steps`` read
     that far and no further, however long the period that ``cf_of_surd`` reads."""
-    if not s.is_positive():
-        raise ValueError("expansion requires a positive value")
-    digits = [a for a, _ in itertools.islice(s.steps(), depth + 1)]
+    digits = [a for a, _ in itertools.islice(_expansion_steps(s), depth + 1)]
     return CFExpansion(digits[0], digits[1:])
 
 

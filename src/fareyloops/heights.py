@@ -1,22 +1,24 @@
 """Height spectra under repeated prime scaling, and the batch inequality scans.
 
-Everything is exact integer/rational arithmetic: floor(2*sqrt(n)) is
-isqrt(4n), heights of quadratic irrationals come from the integral expansion
-recurrence, and rationals carry infinite height under the oo-tail convention.
-Lower bounds on the multiplicative approximation constant are deliberately
-not reported: a finite scan cannot certify an infimum from below.
+The l-scans read alpha, p*alpha, p^2*alpha, ... off one stream, ``_scalings``.  All
+arithmetic is exact: floor(2*sqrt(n)) is isqrt(4n), heights of quadratic irrationals
+come from the integral expansion recurrence, and rationals carry infinite height
+under the oo-tail convention.  Lower bounds on the multiplicative approximation
+constant are deliberately not reported: a finite scan cannot certify an infimum.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 import time
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .contfrac import (
     CFExpansion,
+    _expansion_steps,
     cf_from_rational,
     cf_value,
     convergent_pair,
@@ -64,11 +66,9 @@ def surd_height(s: QuadSurd, cap: Optional[int] = None) -> int:
     returns cap, so the result is min(height, cap): a result below the cap
     is the exact height.
     """
-    if not s.is_positive():
-        raise ValueError("expansion requires a positive value")
     best = 0
     opened = False
-    steps = s.steps()
+    steps = _expansion_steps(s)
     next(steps)  # a_0
     for a, starts_period in steps:
         if a > best:
@@ -81,55 +81,44 @@ def surd_height(s: QuadSurd, cap: Optional[int] = None) -> int:
             opened = True
 
 
-class HeightSpectrum(Immutable):
-    __slots__ = ("alpha", "p", "entries")
-
-    def __init__(self, alpha: CFExpansion, p: int, entries: tuple[tuple[int, Union[int, float]], ...]):
-        _set_alpha(self, alpha)
-        _set_p(self, p)
-        _set_entries(self, entries)
-
-
-_set_alpha, _set_p, _set_entries = HeightSpectrum._setters()
-
-
-def height_spectrum(e: CFExpansion, p: int, L: int) -> HeightSpectrum:
-    """Exact heights B(p^l * alpha) for l = 0..L."""
+def _check_levels(p: int, L: int) -> None:
+    """Every l-scan takes a prime p and levels 0..L."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if L < 0:
         raise ValueError("L must be >= 0")
-    entries: list[tuple[int, Union[int, float]]] = [(0, height(e))]
-    if e.inf_tail:
-        entries.extend((ell, math.inf) for ell in range(1, L + 1))
-    elif e.is_finite:
-        entries.extend((ell, height(multiply_cf(e, p**ell))) for ell in range(1, L + 1))
-    else:
-        s = cf_value(e)
-        entries.extend((ell, surd_height(s.scaled(p**ell))) for ell in range(1, L + 1))
-    return HeightSpectrum(e, p, tuple(entries))
+
+
+def _scalings(e: CFExpansion, p: int) -> Iterator[Union[CFExpansion, QuadSurd]]:
+    """p^l * value(e) for l = 0, 1, ..., as the loop routes and the height readers take
+    it: e itself, then ``multiply_cf(e, p**l)`` for a finite e, which keeps its oo-tail,
+    or the scaled surd for a periodic e, whose value is built when level 1 is read."""
+    yield e
+    scale = (lambda n: multiply_cf(e, n)) if e.is_finite else cf_value(e).scaled
+    yield from map(scale, itertools.accumulate(itertools.repeat(p), operator.mul))  # p, p^2, ...
+
+
+def height_spectrum(e: CFExpansion, p: int, L: int) -> tuple[tuple[int, Union[int, float]], ...]:
+    """The exact pairs (l, B(p^l * alpha)) for l = 0..L; B = oo for a rational with the oo-tail."""
+    _check_levels(p, L)
+    b = (height(x) if isinstance(x, CFExpansion) else surd_height(x) for x in _scalings(e, p))
+    return tuple(zip(range(L + 1), b))
 
 
 def mp_bounds(e: CFExpansion, p: int, L: int) -> tuple[Rational, Rational]:
     """(upper, partial_lower_min), both read off one height spectrum.
 
-    upper = min over l <= L of 1/B(p^l alpha): an upper bound for the
-    p-adic approximation constant at any L, nonincreasing in L.
-
-    partial_lower_min = min over l <= L of 1/(B(p^l alpha)+2).  NOT a
-    bound: the true lower bound is an infimum over all l, which no finite
-    scan can certify.
-
-    Rational input returns exactly (0, 0) (its own denominators already
-    realise the infimum); the value is then a statement, not a scan bound.
+    upper = min over l <= L of 1/B(p^l alpha): an upper bound for the p-adic
+    approximation constant at any L, nonincreasing in L.  partial_lower_min =
+    min over l <= L of 1/(B(p^l alpha)+2) is NOT a bound: the true lower bound is
+    an infimum over all l, which no finite scan can certify.  Rational input
+    returns exactly (0, 0), as its own denominators already realise the infimum;
+    the value is then a statement, not a scan bound.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if L < 0:
-        raise ValueError("L must be >= 0")
     if e.is_finite:
+        _check_levels(p, L)  # height_spectrum checks them otherwise
         return Rational(0, 1), Rational(0, 1)
-    worst = max(b for _, b in height_spectrum(e, p, L).entries)
+    worst = max(b for _, b in height_spectrum(e, p, L))
     return Rational(1, worst), Rational(1, worst + 2)
 
 
@@ -260,51 +249,44 @@ def check_pro2(e: CFExpansion, n: int, k: int) -> CheckRecord:
 
 
 def check_count_height(e: CFExpansion, p: int, m: int, L: int) -> CheckRecord:
-    """Exploratory: if p^l*a stays a loop mod p^m for all l <= L, record whether
-    B(a) <= p^m - 4; otherwise search l <= 3L for the forced non-loop
-    witness.  Every case is classified; 'unresolved' is the only failure."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    """Exploratory: if p^l*a stays a loop mod p^m for all l <= L, record whether B(a) <=
+    p^m - 4; otherwise search l <= 3L for the forced non-loop witness.  Every case is
+    classified; 'unresolved' is the only failure.  The surd is built only if e loops."""
+    _check_levels(p, L)
     if not e.is_periodic:
         raise ValueError("this check runs on periodic expansions")
     n = p**m
     params = (("p", p), ("m", m), ("L", L))
-    s = cf_value(e)
-    for ell in range(L + 1):
-        if not is_infinite_loop(s.scaled(p**ell), n).is_loop:
+    levels = enumerate(_scalings(e, p))
+    for ell, scaled in itertools.islice(levels, L + 1):
+        if not is_infinite_loop(scaled, n).is_loop:
             return CheckRecord("count-height", params, False, True, f"refuted_at={ell}")
     b = height(e)
     if b <= n - 4:
         return CheckRecord("count-height", params, True, True, f"loop_through={L} B={b}")
-    cap = max(3 * L, L + 1)
-    for ell in range(L + 1, cap + 1):
-        if not is_infinite_loop(s.scaled(p**ell), n).is_loop:
+    for ell, scaled in itertools.islice(levels, max(2 * L, 1)):  # on to level max(3L, L + 1)
+        if not is_infinite_loop(scaled, n).is_loop:
             return CheckRecord("count-height", params, True, True, f"B={b} witness_at={ell}")
     return CheckRecord("count-height", params, True, False, f"unresolved B={b} e={e}")
 
 
-def persistence_scan(
-    e: CFExpansion, p: int, m_max: int, L: int
-) -> list[tuple[int, Optional[int]]]:
+def persistence_scan(e: CFExpansion, p: int, m_max: int, L: int) -> list[tuple[int, Optional[int]]]:
     """For each m <= m_max, the smallest l <= L with p^l*a not a loop mod p^m.
 
-    A complete witness list certifies, at scan scale, the vanishing of the
-    p-adic approximation constant for this value.
+    A finite a keeps its own tail convention at every level, as ``is_infinite_loop``
+    reads it; each level is built once, while some m has no witness.  A complete
+    witness list certifies, at scan scale, the vanishing of the p-adic
+    approximation constant for this value.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    out: list[tuple[int, Optional[int]]] = []
-    value = cf_value(e)
-    for m in range(1, m_max + 1):
-        n = p**m
-        found: Optional[int] = None
-        for ell in range(L + 1):
-            scaled = value.scaled(p**ell)  # a rational is decided on its Euclid expansion
-            if not is_infinite_loop(cf_from_rational(scaled)[0] if e.is_finite else scaled, n).is_loop:
-                found = ell
-                break
-        out.append((m, found))
-    return out
+    _check_levels(p, L)
+    found: dict[int, int] = {}
+    for ell, scaled in zip(range(L + 1), _scalings(e, p)):
+        for m in range(1, m_max + 1):
+            if m not in found and not is_infinite_loop(scaled, p**m).is_loop:
+                found[m] = ell
+        if len(found) == m_max:
+            break
+    return [(m, found.get(m)) for m in range(1, m_max + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,16 @@ from fareyloops import heights
 from fareyloops.cli import _PM_DEFAULT, main
 from fareyloops.contfrac import (
     CFExpansion,
+    cf_eval,
     cf_from_rational,
     cf_of_surd,
     cf_value,
     convergent_pair,
+    euclid_entries,
     height,
     multiply_cf,
     shift_cf,
+    twin_of,
 )
 from fareyloops.heights import (
     CheckRecord,
@@ -66,18 +69,26 @@ def test_floor_2sqrt_thresholds():
 
 class TestSpectrum:
     def test_sqrt2(self):
-        assert height_spectrum(SQRT2, 2, 1).entries == ((0, 2), (1, 4))
+        assert height_spectrum(SQRT2, 2, 1) == ((0, 2), (1, 4))
 
     def test_golden_conjugate(self):
-        assert height_spectrum(GOLDEN_CONJ, 2, 1).entries == ((0, 1), (1, 4))
+        assert height_spectrum(GOLDEN_CONJ, 2, 1) == ((0, 1), (1, 4))
 
     def test_rational_is_all_infinite(self):
         e = cf_from_rational(Rational(3, 7))[0]
-        assert all(b == math.inf for _, b in height_spectrum(e, 5, 3).entries)
+        assert all(b == math.inf for _, b in height_spectrum(e, 5, 3))
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
             height_spectrum(SQRT2, 6, 1)
+
+    def test_rational_without_the_tail_has_its_own_heights(self):
+        # 1/3 = [0; 3], 2/3 = [0; 1, 2], 4/3 = [1; 3]
+        assert height_spectrum(CFExpansion(0, (3,)), 2, 2) == ((0, 3), (1, 2), (2, 3))
+        rng = random.Random(36)
+        for _ in range(40):
+            e = random_finite_cf(rng)
+            assert height_spectrum(e, 3, 3) == tuple((ell, height(multiply_cf(e, 3**ell))) for ell in range(4))
 
     def test_surd_height_matches_expansion_height(self):
         rng = random.Random(31)
@@ -109,6 +120,19 @@ class TestSpectrum:
         assert surd_height(cf_value(CFExpansion(3, (), (1, 3)))) == 3
         with pytest.raises(ValueError, match="positive"):
             surd_height(QuadSurd(-5, 2, 5))
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [lambda e, p, L: check_count_height(e, p, 2, L), lambda e, p, L: persistence_scan(e, p, 2, L)],
+    ids=["check_count_height", "persistence_scan"],
+)
+def test_level_scans_take_a_prime_and_levels_from_zero(scan):
+    # as height_spectrum and mp_bounds do
+    with pytest.raises(ValueError, match=r"^4 is not prime$"):
+        scan(SQRT2, 4, 1)
+    with pytest.raises(ValueError, match=r"^L must be >= 0$"):
+        scan(SQRT2, 2, -1)
 
 
 class TestUpperBound:
@@ -524,6 +548,47 @@ class TestPersistence:
     def test_rational_witnessed_at_zero(self):
         e = cf_from_rational(Rational(3, 7))[0]
         assert persistence_scan(e, 3, 5, 4) == [(m, 0) for m in range(1, 6)]
+
+    @staticmethod
+    def _oracle(e: CFExpansion, p: int, m_max: int, L: int) -> list:
+        """Each level p^l * value(e) re-expanded by Euclid, keeping e's tail convention."""
+        levels = []
+        for ell in range(L + 1):
+            x = cf_eval(e).scaled(p**ell)
+            entries = euclid_entries(x.num, x.den)
+            levels.append(CFExpansion(entries[0], tuple(entries[1:]), None, e.inf_tail))
+        return [
+            (m, next((ell for ell, f in enumerate(levels) if not is_infinite_loop(f, p**m).is_loop), None))
+            for m in range(1, m_max + 1)
+        ]
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("inf_tail", [False, True])
+    def test_finite_levels_match_the_reexpanding_oracle(self, p, inf_tail):
+        rng = random.Random(37 + p)
+        tail_changes_an_answer = False
+        for _ in range(60):
+            drawn = random_finite_cf(rng, max_entry=12, inf_tail=inf_tail)
+            for e in (drawn, twin_of(drawn)):
+                expected = self._oracle(e, p, 4, 3)
+                assert persistence_scan(e, p, 4, 3) == expected, e
+                other = CFExpansion(e.a0, e.body, None, not inf_tail)
+                tail_changes_an_answer |= expected != self._oracle(other, p, 4, 3)
+        assert tail_changes_an_answer
+
+    def test_no_tail_is_read_as_loopcheck_reads_it(self):
+        # [0; 3] draws 1, 2, 3: a loop mod 4; [0; 3, oo] also draws 4
+        assert persistence_scan(CFExpansion(0, (3,)), 2, 2, 0) == [(1, 0), (2, None)]
+        assert persistence_scan(CFExpansion(0, (3,), None, True), 2, 2, 0) == [(1, 0), (2, 0)]
+
+    def test_levels_past_zero_are_built_only_when_read(self, monkeypatch):
+        def no_surd(e):
+            raise AssertionError("built the surd of a level never read")
+
+        monkeypatch.setattr(heights, "cf_value", no_surd)
+        # the Fibonacci denominators hit every 2^m at level 0
+        assert persistence_scan(GOLDEN_CONJ, 2, 6, 5) == [(m, 0) for m in range(1, 7)]
+        assert "refuted_at=0" in check_count_height(GOLDEN_CONJ, 2, 2, 5).witness
 
 
 class TestSandwichConsistency:

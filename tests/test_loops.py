@@ -689,6 +689,19 @@ class TestGraph:
         with pytest.raises(RuntimeError, match="failed validation"):
             loop_exists(7)
 
+    def test_cycle_search_expands_a_state_reached_twice_once(self):
+        # a diamond s -> a, b -> c: the edge b -> c meets c visited but off the
+        # path, which is no cycle, so the search is exhausted and asks c once
+        graph = {"s": (("L", "a"), ("R", "b")), "a": (("R", "c"),), "b": (("L", "c"),), "c": ()}
+        asked = []
+
+        def moves(state):
+            asked.append(state)
+            return graph[state]
+
+        assert _find_cycle("s", moves) is None
+        assert sorted(asked) == ["a", "b", "c", "s"]
+
     def test_cycle_search_certificate(self):
         for n in range(2, 81):
             start = ModState(1 % n, 1 % n)

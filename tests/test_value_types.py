@@ -16,7 +16,7 @@ import fareyloops
 from fareyloops.cli import Config
 from fareyloops.contfrac import CFExpansion, cf_of_surd, semiconvergent
 from fareyloops.gamma_paths import MediantRun, v_algorithm
-from fareyloops.heights import CheckRecord, HeightSpectrum, ScanReport, height_spectrum
+from fareyloops.heights import CheckRecord, ScanReport
 from fareyloops.cutting import CuttingWord, loop_verdict_geometric
 from fareyloops.loops import LOOP, NOTLOOP, LoopVerdict, is_infinite_loop, loop_example
 from fareyloops.sampling import random_periodic_cf
@@ -37,10 +37,6 @@ def _run_key(run: MediantRun) -> tuple:
 
 
 _HALF_ROUNDS = ((ZERO, ONE), (ZERO, Rational(1, 2), ONE))
-_SPECTRUM_TEXT = (
-    "HeightSpectrum(alpha=CFExpansion(a0=0, body=(), period=(2,), inf_tail=False), p=2, "
-    "entries=((0, 2), (1, 4), (2, 10)))"
-)
 
 
 # (value, an equal value built another way, an unequal value of the same
@@ -149,15 +145,6 @@ CASES = [
         "MediantRun(terminated=True, rounds_run=1, rounds=((Rational(0, 1), Rational(1, 1)), "
         "(Rational(0, 1), Rational(1, 2), Rational(1, 1))), nonterminating=False)",
         id="MediantRun",
-    ),
-    pytest.param(
-        height_spectrum(CFExpansion(0, (), (2,)), 2, 2),
-        HeightSpectrum(CFExpansion(0, (2, 2), (2,)), 2, ((0, 2), (1, 4), (2, 10))),
-        height_spectrum(CFExpansion(0, (2,), None, True), 3, 1),
-        _fields,
-        _fields,
-        _SPECTRUM_TEXT,
-        id="HeightSpectrum",
     ),
 ]
 
