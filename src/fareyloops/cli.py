@@ -13,7 +13,8 @@ import re
 import sys
 from typing import Optional, Sequence
 
-from . import contfrac, cutting, gamma_paths, heights, loops, rationals
+# each handler imports the layers it calls, so a command loads only those
+from . import contfrac, rationals
 from .contfrac import CFExpansion, cf_from_rational, cf_of_surd, format_cf, parse_cf
 from .rationals import Immutable, Rational
 from .surds import QuadSurd
@@ -167,6 +168,8 @@ def cmd_semiconv(args, cfg: Config, out) -> int:
 
 
 def cmd_loopcheck(args, cfg: Config, out) -> int:
+    from . import loops
+
     value = parse_value(args.value)
     # both routes read one step stream; a surd's comes lazily off its own
     # expansion recurrence, which stops at the first witness instead of
@@ -175,18 +178,24 @@ def cmd_loopcheck(args, cfg: Config, out) -> int:
     verdict = loops.is_infinite_loop(decided, args.mod)
     print(verdict.record(), file=out)
     if args.geometric:
+        from . import cutting
+
         geo = cutting.loop_verdict_geometric(decided, args.mod)
         print(f"geometric: {geo.record()}", file=out)
     return 0
 
 
 def cmd_loop_exists(args, cfg: Config, out) -> int:
+    from . import loops
+
     for n in _parse_range(args.n_range):
         print(f"n={n} loop_exists={1 if loops.loop_exists(n) else 0}", file=out)
     return 0
 
 
 def cmd_loop_example(args, cfg: Config, out) -> int:
+    from . import loops
+
     e = loops.loop_example(args.mod)  # raises unless the exact decision says LOOP
     print(format_cf(e), file=out)
     print(f"verdict={loops.LOOP}", file=out)
@@ -197,6 +206,8 @@ def cmd_loop_example(args, cfg: Config, out) -> int:
 
 
 def cmd_gamma_path(args, cfg: Config, out) -> int:
+    from . import gamma_paths
+
     n = args.mod
     if args.denoms:
         run = gamma_paths.d_algorithm(n, args.max_iter)
@@ -232,6 +243,8 @@ def _vertex_texts(rounds):
 
 
 def cmd_cutseq(args, cfg: Config, out) -> int:
+    from . import cutting, loops
+
     value = parse_value(args.value)
     depth = args.depth or cfg.depth
     if isinstance(value, QuadSurd):
@@ -259,6 +272,8 @@ def cmd_cutseq(args, cfg: Config, out) -> int:
 
 
 def cmd_spectrum(args, cfg: Config, out) -> int:
+    from . import heights
+
     e = expansions_of(parse_value(args.value))[0]
     spectrum = heights.height_spectrum(e, args.p, args.L)
     # the persistence rows are found before anything is printed, so that a failing call prints nothing
@@ -271,6 +286,8 @@ def cmd_spectrum(args, cfg: Config, out) -> int:
 
 
 def cmd_mp_bound(args, cfg: Config, out) -> int:
+    from . import heights
+
     e = expansions_of(parse_value(args.value))[0]
     upper, partial = heights.mp_bounds(e, args.p, args.L)
     print(f"upper={upper}", file=out)
@@ -293,6 +310,8 @@ _COUNT_PM = ((2, 2), (2, 3), (3, 2), (2, 4), (5, 2))
 
 
 def cmd_verify(args, cfg: Config, out) -> int:
+    from . import heights
+
     name = args.check
     seed = args.seed if args.seed is not None else cfg.seed
     count = args.count or cfg.count

@@ -101,6 +101,8 @@ def _scalings(e: CFExpansion, p: int) -> Iterator[Union[CFExpansion, QuadSurd]]:
 def height_spectrum(e: CFExpansion, p: int, L: int) -> tuple[tuple[int, Union[int, float]], ...]:
     """The exact pairs (l, B(p^l * alpha)) for l = 0..L; B = oo for a rational with the oo-tail."""
     _check_levels(p, L)
+    if e.inf_tail:  # p^l * alpha keeps the oo-tail at every level
+        return tuple((ell, math.inf) for ell in range(L + 1))
     b = (height(x) if isinstance(x, CFExpansion) else surd_height(x) for x in _scalings(e, p))
     return tuple(zip(range(L + 1), b))
 

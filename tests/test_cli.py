@@ -40,6 +40,23 @@ def run_cli(*argv):
     return code, buf.getvalue()
 
 
+def modules_after(calls) -> set:
+    """The names in ``sys.modules`` after a fresh interpreter imports the CLI and runs each call."""
+    script = (
+        "import io, sys\n"
+        "import fareyloops.cli\n"
+        f"for argv in {list(calls)!r}:\n"
+        "    assert fareyloops.cli.main(argv, out=io.StringIO()) == 0, argv\n"
+        "print(*sorted(sys.modules))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    return set(run.stdout.split())
+
+
 def normalized(text):
     return re.sub(r"\s+", "", text)
 
@@ -315,6 +332,23 @@ class TestCommands:
         code, out = run_cli("spectrum", "(-1+sqrt(5))/2", "-p", "2", "-L", "1",
                             "--persistence", "3")
         assert out.splitlines() == ["l=0 B=1", "l=1 B=4", "m=1 l=0", "m=2 l=0", "m=3 l=0"]
+
+    def test_spectrum_of_an_oo_tail_builds_no_scaled_expansion(self, monkeypatch):
+        calls = []
+
+        def counted(*args, _fn=contfrac.multiply_cf):
+            calls.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(heights, "multiply_cf", counted)
+        for L in (0, 5):
+            code, out = run_cli("spectrum", "3/7", "-p", "2", "-L", str(L))
+            assert (code, out.splitlines()) == (0, [f"l={ell} B=oo" for ell in range(L + 1)])
+        assert calls == []
+        # a finite expansion without the tail is still scaled at every level after 0
+        code, out = run_cli("spectrum", "[0; 3]", "-p", "2", "-L", "2")
+        assert (code, out.splitlines()) == (0, ["l=0 B=3", "l=1 B=2", "l=2 B=3"])
+        assert len(calls) == 2
 
     def test_mp_bound(self):
         code, out = run_cli("mp-bound", "sqrt(2)", "-p", "2", "-L", "1")
@@ -783,19 +817,23 @@ class TestCoverage:
             ["--format", "record", "verify", "noloop", "--n-range", "4..5", "--count", "5"],
         ]
         assert {build_parser().parse_args(argv).command for argv in calls} == set(COMMAND_HANDLERS)
-        script = (
-            "import io, sys\n"
-            "import fareyloops.cli\n"
-            f"for argv in {calls!r}:\n"
-            "    assert fareyloops.cli.main(argv, out=io.StringIO()) == 0, argv\n"
-            "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal', 'numbers'} & set(sys.modules)))\n"
+        loaded = modules_after(calls)
+        assert not {"dataclasses", "inspect", "fractions", "decimal", "numbers"} & loaded
+
+    def test_each_command_loads_only_the_layers_it_calls(self):
+        def layers_after(*calls):
+            return {m for m in modules_after(calls) if m.startswith("fareyloops.")}
+
+        graph = layers_after(
+            ["loop-exists", "--n-range", "2..5"],
+            ["loop-example", "--mod", "9", "--scale-check", "2"],
+            ["gamma-path", "--mod", "5", "--max-iter", "4"],
+            ["gamma-path", "--mod", "5", "--denoms", "--max-iter", "4"],
         )
-        run = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
-        )
-        assert (run.returncode, run.stderr) == (0, "")
-        assert run.stdout == "[]\n"
+        assert "fareyloops.loops" in graph and "fareyloops.gamma_paths" in graph
+        assert not {"fareyloops.heights", "fareyloops.cutting", "fareyloops.sampling"} & graph
+        assert "fareyloops.cutting" not in layers_after(["loopcheck", "sqrt(2)", "--mod", "5"])
+        assert "fareyloops.cutting" in layers_after(["loopcheck", "sqrt(2)", "--mod", "5", "--geometric"])
 
     def test_parser_knows_every_command(self):
         parser = build_parser()
