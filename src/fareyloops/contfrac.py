@@ -119,16 +119,10 @@ class CFExpansion(Immutable):
 _set_a0, _set_body, _set_period, _set_inf_tail = CFExpansion._setters()
 
 
-def _canonical(a0: int, body: tuple, period: Optional[tuple], inf_tail: bool) -> CFExpansion:
-    """Fields already canonical, written without the checks.  ``cf_of_surd``'s are: the digit
-    period is the state period (the digit tail fixes x_k, D fixes (P, Q)), the first reduced
-    x_k with k >= 1 opens it, and x_{start-1} is not reduced, so body[-1] != period[-1]."""
-    e = object.__new__(CFExpansion)
-    _set_a0(e, a0)
-    _set_body(e, body)
-    _set_period(e, period)
-    _set_inf_tail(e, inf_tail)
-    return e
+# Fields already canonical.  ``cf_of_surd``'s are: the digit period is the state period
+# (the digit tail fixes x_k, D fixes (P, Q)), the first reduced x_k with k >= 1 opens it,
+# and x_{start-1} is not reduced, so body[-1] != period[-1].
+_canonical = CFExpansion._builder()
 
 
 def format_cf(e: CFExpansion) -> str:

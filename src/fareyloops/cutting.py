@@ -205,7 +205,7 @@ def loop_verdict_geometric(e: Union[CFExpansion, QuadSurd], n: int) -> LoopVerdi
         x, h = (lo, hi) if odd else (hi, lo)  # odd fans move the lower endpoint
         m = _first_zero(x, h, n)
         if a is None or (m is not None and m <= a):  # a is None: the oo-tail
-            return LoopVerdict.loop() if m is None else LoopVerdict._not_loop_at(k, m, value)
+            return LoopVerdict.loop() if m is None else LoopVerdict.not_loop(k, m, value)
         end = (x + a * h) % n
         lo, hi = (end, hi) if odd else (lo, end)
     return LoopVerdict.loop()

@@ -488,7 +488,7 @@ def run_dual_pushforward_scan(count: int, seed: int, keep_records: bool = False)
             found += 1
             img_a = conv.scaled(n)
             img_b = semi.scaled(n)
-            scaled = multiply_cf(CFExpansion(e.a0, e.body, None, False), n)
+            scaled = multiply_cf(e, n)  # e is drawn without the oo-tail
             cap = max(img_a.den, img_b.den) + scaled.entry(0) + 2
             pool = _semiconvergent_pool(scaled, max(cap, 10))
             conv_pool = set(convergents(scaled)) | set(convergents(twin_of(scaled)))

@@ -57,26 +57,25 @@ class LoopVerdict(Immutable):
     A NOTLOOP's witness is the semi-convergent {k, m}, whose denominator the
     modulus divides.  It is built on the first read of `.witness`: p and q
     have O(k) digits, so building them costs O(k^2) bit work that a caller
-    reading only `.kind` never needs.  A NOTLOOP keeps the value `_steps`
-    read, not its digits; a surd's witness reads a_0, ..., a_{k+1} again from
-    `steps()`.  Equality also compares the witnesses, so equal verdicts
-    always name the same p/q.
+    reading only `.kind` never needs.  Until then `_witness` holds the value
+    `_steps` read, not its digits; a surd's witness reads a_0, ..., a_{k+1}
+    again from `steps()`.  Equality also compares the witnesses, so equal
+    verdicts always name the same p/q.
     """
 
-    __slots__ = ("kind", "witness_k", "witness_m", "_witness", "_source")
+    __slots__ = ("kind", "witness_k", "witness_m", "_witness")
 
     def __init__(
         self,
         kind: str,
         witness_k: Optional[int] = None,
         witness_m: Optional[int] = None,
-        witness: Optional[Rational] = None,
+        witness: Union[Rational, CFExpansion, QuadSurd, None] = None,
     ):
         _set_kind(self, kind)
         _set_witness_k(self, witness_k)
         _set_witness_m(self, witness_m)
         _set_witness(self, witness)
-        _set_source(self, None)
 
     @classmethod
     def loop(cls) -> "LoopVerdict":
@@ -84,29 +83,19 @@ class LoopVerdict(Immutable):
         return _LOOP
 
     @classmethod
-    def not_loop(cls, k: int, m: int, value: Rational) -> "LoopVerdict":
-        return cls(NOTLOOP, witness_k=k, witness_m=m, witness=value)
-
-    @classmethod
-    def _not_loop_at(cls, k: int, m: int, source: Union[CFExpansion, QuadSurd]) -> "LoopVerdict":
-        """NOTLOOP whose witness is read off the value `source` when first asked for."""
-        verdict = object.__new__(cls)
-        _set_kind(verdict, NOTLOOP)
-        _set_witness_k(verdict, k)
-        _set_witness_m(verdict, m)
-        _set_witness(verdict, None)
-        _set_source(verdict, source)
-        return verdict
+    def not_loop(cls, k: int, m: int, value: Union[Rational, CFExpansion, QuadSurd]) -> "LoopVerdict":
+        """NOTLOOP at fan (k, m): value is the witness, or the expansion or surd it is read off."""
+        return cls(NOTLOOP, k, m, value)
 
     @property
     def witness(self) -> Optional[Rational]:
-        source = self._source
-        if source is not None:
-            if isinstance(source, QuadSurd):
-                source = surd_prefix(source, self.witness_k + 1)
-            _set_witness(self, semiconvergent(source, self.witness_k, self.witness_m))
-            _set_source(self, None)
-        return self._witness
+        witness = self._witness
+        if witness is not None and witness.__class__ is not Rational:
+            if witness.__class__ is QuadSurd:
+                witness = surd_prefix(witness, self.witness_k + 1)
+            witness = semiconvergent(witness, self.witness_k, self.witness_m)
+            _set_witness(self, witness)
+        return witness
 
     @property
     def is_loop(self) -> bool:
@@ -139,7 +128,7 @@ class LoopVerdict(Immutable):
         return f"NOTLOOP k={self.witness_k} m={self.witness_m} {_den_field(self.witness.den)}"
 
 
-_set_kind, _set_witness_k, _set_witness_m, _set_witness, _set_source = LoopVerdict._setters()
+_set_kind, _set_witness_k, _set_witness_m, _set_witness = LoopVerdict._setters()
 _LOOP = LoopVerdict(LOOP)
 
 
@@ -213,11 +202,11 @@ def _scan_cycle(steps: _Steps, n: int, value: Union[CFExpansion, QuadSurd]) -> L
                 return LoopVerdict.loop()
         if not k:
             if a is None or a >= n:
-                return LoopVerdict._not_loop_at(0, n, value)
+                return LoopVerdict.not_loop(0, n, value)
         elif not u % (g := math.gcd(v, n)):
             m = -(u // g) * pow(v // g, -1, n // g) % (n // g)
             if a is None or m <= a:
-                return LoopVerdict._not_loop_at(k, m, value)
+                return LoopVerdict.not_loop(k, m, value)
         if a is None:
             break
         u, v = v, (a * v + u) % n

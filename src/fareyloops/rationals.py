@@ -38,6 +38,18 @@ class Immutable:
     def _setters(cls) -> tuple:
         return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
+    @classmethod
+    def _builder(cls):
+        """A function of the fields, in slot order, that builds an instance without
+        ``__init__``'s checks.  Generated from the slot names, so a build is one
+        ``object.__new__`` and one setter call per field, as a hand-written one is."""
+        names = cls.__slots__
+        namespace = {"new": object.__new__, "cls": cls}
+        namespace.update((f"set_{name}", setter) for name, setter in zip(names, cls._setters()))
+        body = "".join(f"    set_{name}(obj, {name})\n" for name in names)
+        exec(f"def build({', '.join(names)}):\n    obj = new(cls)\n{body}    return obj\n", namespace)
+        return namespace["build"]
+
     def __setattr__(self, *name_value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
@@ -153,15 +165,9 @@ _set_num, _set_den = Rational._setters()
 
 INFINITY = Rational(1, 0)
 ZERO = Rational(0, 1)
-ONE = Rational(1, 1)
 
-
-def _reduced(num: int, den: int) -> Rational:
-    """num/den already in lowest terms with den >= 0, oo as 1/0, written without the checks."""
-    x = object.__new__(Rational)
-    _set_num(x, num)
-    _set_den(x, den)
-    return x
+# num/den already in lowest terms with den >= 0, oo as 1/0
+_reduced = Rational._builder()
 
 
 class FareyEdge(Immutable):
@@ -191,13 +197,8 @@ class FareyEdge(Immutable):
 
 _set_a, _set_b = FareyEdge._setters()
 
-
-def _edge(a: Rational, b: Rational) -> FareyEdge:
-    """The edge of endpoints a < b, written without the checks."""
-    edge = object.__new__(FareyEdge)
-    _set_a(edge, a)
-    _set_b(edge, b)
-    return edge
+# the edge of distinct endpoints a < b
+_edge = FareyEdge._builder()
 
 
 def farey_mediant(a: Rational, b: Rational) -> Rational:
@@ -211,10 +212,7 @@ def farey_mediant(a: Rational, b: Rational) -> Rational:
         raise ValueError("mediant of a point with itself is undefined")
     num, den = a.num + b.num, a.den + b.den
     g = math.gcd(num, den)
-    mediant = object.__new__(Rational)
-    _set_num(mediant, num // g)
-    _set_den(mediant, den // g)
-    return mediant
+    return _reduced(num // g, den // g)
 
 
 def farey_difference(a: Rational, b: Rational) -> Rational:

@@ -171,10 +171,5 @@ class QuadSurd(Immutable):
 _set_P, _set_Q, _set_D = QuadSurd._setters()
 
 
-def _derived(P: int, Q: int, D: int) -> QuadSurd:
-    """The surd of a triple derived from a valid one, written without the checks."""
-    surd = object.__new__(QuadSurd)
-    _set_P(surd, P)
-    _set_Q(surd, Q)
-    _set_D(surd, D)
-    return surd
+# the surd of a triple derived from a valid one
+_derived = QuadSurd._builder()

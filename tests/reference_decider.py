@@ -53,7 +53,7 @@ def _scan_cycle(steps, n: int, value: Union[CFExpansion, QuadSurd]) -> LoopVerdi
                 return LoopVerdict.loop()
         m = _fan_hit(u, v, n, a, 1 if k == 0 else 0)
         if m is not None:
-            return LoopVerdict._not_loop_at(k, m, value)
+            return LoopVerdict.not_loop(k, m, value)
         if a is None:
             break
         u, v = v, (a * v + u) % n

@@ -557,7 +557,7 @@ def _stepwise_geometric(e, n: int) -> LoopVerdict:
         if a is None:
             value, kept = edge[::-1] if k % 2 else edge
             m = _fan_hit(kept, value, n, None, 1)
-            return LoopVerdict.loop() if m is None else LoopVerdict._not_loop_at(k, m, source)
+            return LoopVerdict.loop() if m is None else LoopVerdict.not_loop(k, m, source)
         if starts_period:
             if saved is None:
                 saved = k % 2, *edge
@@ -565,7 +565,7 @@ def _stepwise_geometric(e, n: int) -> LoopVerdict:
                 return LoopVerdict.loop()
         for m in range(1, (a if a <= n else n + (a - n) % n) + 1):
             if not (children := _children(*edge, n)):
-                return LoopVerdict._not_loop_at(k, m, source)
+                return LoopVerdict.not_loop(k, m, source)
             edge = children[k % 2]
     return LoopVerdict.loop()
 

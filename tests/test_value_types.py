@@ -3,6 +3,7 @@ their field tuple (same class only), and printed as they always were."""
 
 import ast
 import copy
+import inspect
 import operator
 import pickle
 import random
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import fareyloops
+from fareyloops import contfrac, rationals, surds
 from fareyloops.cli import Config
 from fareyloops.contfrac import CFExpansion, cf_of_surd, semiconvergent
 from fareyloops.gamma_paths import MediantRun, v_algorithm
@@ -20,7 +22,7 @@ from fareyloops.heights import CheckRecord, ScanReport
 from fareyloops.cutting import CuttingWord, loop_verdict_geometric
 from fareyloops.loops import LOOP, NOTLOOP, LoopVerdict, is_infinite_loop, loop_example
 from fareyloops.sampling import random_periodic_cf
-from fareyloops.rationals import INFINITY, ONE, ZERO, FareyEdge, Rational
+from fareyloops.rationals import INFINITY, ZERO, FareyEdge, Rational
 from fareyloops.surds import QuadSurd
 
 
@@ -36,7 +38,7 @@ def _run_key(run: MediantRun) -> tuple:
     return _fields(run)[:3]  # nonterminating is left out
 
 
-_HALF_ROUNDS = ((ZERO, ONE), (ZERO, Rational(1, 2), ONE))
+_HALF_ROUNDS = ((ZERO, Rational(1)), (ZERO, Rational(1, 2), Rational(1)))
 
 
 # (value, an equal value built another way, an unequal value of the same
@@ -70,7 +72,7 @@ CASES = [
         id="QuadSurd",
     ),
     pytest.param(
-        LoopVerdict._not_loop_at(1, 2, CFExpansion(0, (2, 3))),
+        LoopVerdict.not_loop(1, 2, CFExpansion(0, (2, 3))),
         LoopVerdict.not_loop(1, 2, Rational(2, 5)),
         LoopVerdict.not_loop(1, 2, Rational(3, 7)),
         _verdict_key,
@@ -79,9 +81,9 @@ CASES = [
         id="LoopVerdict",
     ),
     pytest.param(  # a surd source: the witness reads its digits a_0..a_{k+1} again
-        LoopVerdict._not_loop_at(2, 1, QuadSurd(0, 1, 2)),
+        LoopVerdict.not_loop(2, 1, QuadSurd(0, 1, 2)),
         LoopVerdict(NOTLOOP, witness_k=2, witness_m=1, witness=semiconvergent(CFExpansion(1, (), (2,)), 2, 1)),
-        LoopVerdict._not_loop_at(2, 2, QuadSurd(0, 1, 2)),
+        LoopVerdict.not_loop(2, 2, QuadSurd(0, 1, 2)),
         _verdict_key,
         LoopVerdict._fields,
         "LoopVerdict(kind='NOTLOOP', witness_k=2, witness_m=1, witness=Rational(10, 7))",
@@ -111,7 +113,7 @@ CASES = [
     pytest.param(
         FareyEdge(INFINITY, ZERO),
         FareyEdge(ZERO, INFINITY),
-        FareyEdge(ZERO, ONE),
+        FareyEdge(ZERO, Rational(1)),
         _fields,
         _fields,
         "FareyEdge(a=Rational(0, 1), b=Rational(1, 0))",
@@ -212,31 +214,50 @@ def test_cfexpansion_errors_are_unchanged(args, message):
 
 
 
-def test_not_loop_at_fills_the_slots_init_fills():
-    # _not_loop_at sets each slot itself; what it builds must read as the keyword build does
+def test_notloop_holds_the_value_read_until_the_first_witness():
+    # one slot: a decision's NOTLOOP keeps the value it read, and the first
+    # .witness replaces it with the Rational read off it
     rng = random.Random(23)
     inputs = [(random_periodic_cf(rng), n) for n in range(2, 40)] + [(QuadSurd(0, 1, d), 7) for d in (2, 3, 5, 6, 7)]
-    notloops = [(e, v) for e, n in inputs for v in (is_infinite_loop(e, n),) if v.kind == NOTLOOP]
-    assert len(notloops) > 20
+    notloops = [(e, v) for e, n in inputs for route in (is_infinite_loop, loop_verdict_geometric)
+                for v in (route(e, n),) if v.kind == NOTLOOP]
+    assert len(notloops) > 40
     for e, v in notloops:
         k, m = v.witness_k, v.witness_m
-        assert _fields(v)[:4] == (NOTLOOP, k, m, None) and v._source is e  # the value read, not its digits
+        assert _fields(v)[:3] == (NOTLOOP, k, m) and v._witness is e  # the value read, not its digits
         expansion = e if isinstance(e, CFExpansion) else cf_of_surd(e)
         built = LoopVerdict(NOTLOOP, witness_k=k, witness_m=m, witness=semiconvergent(expansion, k, m))
-        assert v == built and repr(v) == repr(built) and _fields(v) == _fields(built)
+        assert v.witness == built.witness and _fields(v) == _fields(built)
+        assert type(v._witness) is Rational and v._witness is v.witness
+        assert v == built and repr(v) == repr(built)
 
 
-# The builders that skip their type's checks through object.__new__.  Each one
-# has a differential test against the validating constructor; a new site
-# must come with one, and then be added here.
-UNCHECKED_BUILDERS = (
-    "contfrac._canonical",
-    "loops.LoopVerdict._not_loop_at",
-    "rationals._edge",
-    "rationals._reduced",
-    "rationals.farey_mediant",
-    "surds._derived",
-)
+# Each binding of Immutable._builder() with values its validating constructor built
+BUILDERS = [
+    pytest.param(rationals._reduced, [Rational(3, 8), Rational(-2), ZERO, INFINITY], id="rationals._reduced"),
+    pytest.param(rationals._edge, [FareyEdge(ZERO, INFINITY), FareyEdge(Rational(1, 2), Rational(1, 3))],
+                 id="rationals._edge"),
+    pytest.param(surds._derived, [QuadSurd(1, 2, 5), QuadSurd(-3, 7, 2), QuadSurd(4, -6, 12)], id="surds._derived"),
+    pytest.param(contfrac._canonical, [CFExpansion(0, (1, 2), (3,)), CFExpansion(2, (5, 1), None, True),
+                                       CFExpansion(3, (), None, False), cf_of_surd(QuadSurd(1, 3, 7))],
+                 id="contfrac._canonical"),
+]
+
+
+@pytest.mark.parametrize("build, values", BUILDERS)
+def test_each_builder_builds_what_the_validating_constructor_builds(build, values):
+    for value in values:
+        cls, fields = type(value), value._astuple(value)
+        assert list(inspect.signature(build).parameters) == list(cls.__slots__)
+        built = build(*fields)
+        assert type(built) is cls and _fields(built) == fields
+        assert built == value and hash(built) == hash(value) and repr(built) == repr(value)
+
+
+# The one place that skips a type's checks through object.__new__: each
+# binding of Immutable._builder() is in BUILDERS above, and a new site must
+# come with a differential test against the validating constructor.
+UNCHECKED_BUILDERS = ("rationals.Immutable._builder",)
 
 
 def _object_new_sites(node: ast.AST, scope: str) -> list[str]:
@@ -315,7 +336,7 @@ class _Reflecting:
         return "reflected-gt"
 
 
-_RATIONALS = (ZERO, Rational(1, 2), ONE, Rational(3), Rational(-2), INFINITY)
+_RATIONALS = (ZERO, Rational(1, 2), Rational(1), Rational(3), Rational(-2), INFINITY)
 
 
 @pytest.mark.parametrize("a", _RATIONALS, ids=str)
@@ -355,7 +376,7 @@ def test_rational_hands_foreign_comparisons_to_the_other_side(a):
 
 
 def test_rational_compares_with_rational_by_value():
-    ordered = [Rational(-2), ZERO, Rational(1, 3), Rational(1, 2), ONE, Rational(3), INFINITY]
+    ordered = [Rational(-2), ZERO, Rational(1, 3), Rational(1, 2), Rational(1), Rational(3), INFINITY]
     for i, a in enumerate(ordered):
         for j, b in enumerate(ordered):
             assert (a == b) is (i == j) and (a < b) is (i < j) and (a > b) is (i > j)
