@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .rationals import INFINITY, Immutable, Rational
+from .rationals import INFINITY, Immutable, Rational, _reduced
 from .surds import QuadSurd
 
 Value = Union[Rational, QuadSurd]
@@ -125,6 +125,11 @@ _set_a0, _set_body, _set_period, _set_inf_tail = CFExpansion._setters()
 _canonical = CFExpansion._builder()
 
 
+def _finite(entries: Sequence[int], inf_tail: bool) -> CFExpansion:
+    """The finite expansion of entries a0 >= 0, a1, ... >= 1, as Euclid and ``twin_entries`` give."""
+    return _canonical(entries[0], tuple(entries[1:]), None, inf_tail)
+
+
 def format_cf(e: CFExpansion) -> str:
     """Render as ``[a0; a1, a2, ...]`` with ``(...)`` period and ``oo`` tail."""
     parts = list(map(str, e.body))
@@ -208,12 +213,11 @@ def cf_from_rational(x: Rational) -> tuple[CFExpansion, CFExpansion]:
     if x.num < 0:
         raise ValueError("expansion requires x >= 0")
     entries = euclid_entries(x.num, x.den)
-    canonical = CFExpansion(entries[0], tuple(entries[1:]), None, True)
+    canonical = _finite(entries, True)
     if entries == [0]:
         return canonical, canonical
     # Euclid's last quotient is at least 2 unless it is the only one
-    twin = twin_entries(entries)
-    return canonical, CFExpansion(twin[0], tuple(twin[1:]), None, True)
+    return canonical, _finite(twin_entries(entries), True)
 
 
 def euclid_entries(num: int, den: int) -> list[int]:
@@ -242,8 +246,7 @@ def twin_of(e: CFExpansion) -> CFExpansion:
     """The other finite expansion of the same rational value."""
     if not e.is_finite:
         raise ValueError("only rationals have twin expansions")
-    entries = twin_entries([e.a0, *e.body])
-    return CFExpansion(entries[0], tuple(entries[1:]), None, e.inf_tail)
+    return _finite(twin_entries([e.a0, *e.body]), e.inf_tail)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +260,8 @@ def fans(digits: Iterable[int]) -> Iterator[tuple[int, Optional[int], int, int, 
     holds the semi-convergents (m*p_k + p_{k-1}) / (m*q_k + q_{k-1}) for
     0 <= m <= a_{k+1}; fan -1 is the leading-term fan m/1.  After the last
     digit of a finite expansion one more fan comes with a_{k+1} = None: the
-    final fan, unbounded under the oo-tail convention.
+    final fan, unbounded under the oo-tail convention.  As p_k*q_{k-1} - p_{k-1}*q_k
+    = +-1, each convergent and semi-convergent is in lowest terms: built by ``_reduced``.
     """
     p_prev, q_prev, p, q = 0, 1, 1, 0
     k = -1
@@ -285,8 +289,7 @@ def convergent_pair(e: CFExpansion, k: int) -> tuple[int, int]:
 
 def convergent(e: CFExpansion, k: int) -> Rational:
     """The k-th convergent p_k/q_k."""
-    p, q = convergent_pair(e, k)
-    return Rational(p, q)
+    return _reduced(*convergent_pair(e, k))
 
 
 def convergents(e: CFExpansion, upto: Optional[int] = None) -> list[Rational]:
@@ -299,7 +302,7 @@ def convergents(e: CFExpansion, upto: Optional[int] = None) -> list[Rational]:
     if e.is_finite and upto > e.last_index:
         raise IndexError(f"finite expansion has no entry a_{e.last_index + 1}")
     tail = itertools.islice(fans(e.digits()), 1, upto + 2)
-    return [INFINITY] + [Rational(p, q) for _, _, _, _, p, q in tail]
+    return [INFINITY] + [_reduced(p, q) for _, _, _, _, p, q in tail]
 
 
 def cf_eval(e: CFExpansion, depth: Optional[int] = None) -> Rational:
@@ -335,7 +338,7 @@ def semiconvergent(e: CFExpansion, k: int, m: int) -> Rational:
             raise IndexError("final fan requires the oo-tail convention")
     elif m > bound:
         raise ValueError(f"m={m} outside fan bound a_{k + 1}={bound}")
-    return Rational(m * p + p_prev, m * q + q_prev)
+    return _reduced(m * p + p_prev, m * q + q_prev)
 
 
 def height(e: CFExpansion) -> Union[int, float]:
@@ -437,8 +440,7 @@ def multiply_cf(e: CFExpansion, n: int) -> CFExpansion:
     if e.is_finite:
         for _, _, _, _, p, q in fans(e.digits()):
             pass
-        entries = euclid_entries(n * p, q)
-        return CFExpansion(entries[0], tuple(entries[1:]), None, e.inf_tail)
+        return _finite(euclid_entries(n * p, q), e.inf_tail)
     return cf_of_surd(_surd_of_periodic(e).scaled(n))
 
 

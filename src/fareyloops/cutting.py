@@ -137,14 +137,17 @@ def fan_chain(edges: list[FareyEdge]) -> list[tuple[Rational, int]]:
     The pivot sequence is the convergent chain of the expansion that produced
     the edges; run sizes match the partial quotients (the final fan of a
     terminating ray is one short, its last edge being the termination).
+    Reduced fractions are equal exactly when their (num, den) pairs are.
     """
     chain: list[tuple[Rational, int]] = []
     for e1, e2 in zip(edges, edges[1:]):
-        shared = [x for x in e2.endpoints() if x == e1.a or x == e1.b]
-        if len(shared) != 1:
+        ends = ((e1.a.num, e1.a.den), (e1.b.num, e1.b.den))
+        a, b = e2.a, e2.b
+        on_a, on_b = (a.num, a.den) in ends, (b.num, b.den) in ends
+        if on_a == on_b:
             raise ValueError("consecutive crossed edges must share one endpoint")
-        pivot = shared[0]
-        if chain and chain[-1][0] == pivot:
+        pivot = a if on_a else b
+        if chain and (chain[-1][0].num, chain[-1][0].den) == (pivot.num, pivot.den):
             chain[-1] = (pivot, chain[-1][1] + 1)
         else:
             chain.append((pivot, 1))

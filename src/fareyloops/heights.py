@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 from .contfrac import (
     CFExpansion,
     _expansion_steps,
+    _finite,
     cf_from_rational,
     cf_value,
     convergent_pair,
@@ -31,7 +32,7 @@ from .contfrac import (
 )
 from .cutting import crossed_edges, fan_chain, loop_verdict_geometric
 from .loops import NOTLOOP, is_infinite_loop, loop_example
-from .rationals import Immutable, Rational
+from .rationals import Immutable, Rational, _reduced
 from .sampling import _draw, random_finite_cf, random_periodic_cf, random_unit_rational
 from .surds import QuadSurd
 
@@ -239,15 +240,21 @@ def check_pro2(e: CFExpansion, n: int, k: int) -> CheckRecord:
     if q_k % n != 0 or q_k // n <= 1:
         return CheckRecord("pro2", params, False, True, f"q_k={q_k} not planted")
     q_prime = q_k // n
-    stripped = CFExpansion(e.a0, e.body, None, False)
-    scaled = multiply_cf(stripped, n)
+    scaled = multiply_cf(_finite((e.a0, *e.body), False), n)
     b_scaled = height(scaled)
     bound = n * e.entry(k + 1)
     target = Rational(p_k, q_prime)
-    pool = set(convergents(scaled)) | set(convergents(twin_of(scaled)))
-    ok = b_scaled >= bound and target in pool
+    ok = b_scaled >= bound and target in _convergent_pool(scaled)
     witness = "-" if ok else f"B={b_scaled} bound={bound} target={target} e={e}"
     return CheckRecord("pro2", params, True, ok, witness)
+
+
+def _convergent_pool(e: CFExpansion) -> set[Rational]:
+    """The convergents of a positive rational's two expansions: e's, and the twin's one
+    other, (p_L - p_{L-1})/(q_L - q_{L-1}), in lowest terms by its determinant against p_L/q_L."""
+    conv = convergents(e)
+    prev, last = conv[-2:]
+    return {*conv, _reduced(last.num - prev.num, last.den - prev.den)}
 
 
 def check_count_height(e: CFExpansion, p: int, m: int, L: int) -> CheckRecord:
@@ -412,8 +419,7 @@ def run_defs_equivalence_scan(
             for p in range(1, q):
                 if math.gcd(p, q) != 1:
                     continue
-                entries = euclid_entries(p, q)
-                e = CFExpansion(entries[0], tuple(entries[1:]), None, True)
+                e = _finite(euclid_entries(p, q), True)
                 for n in range(n_lo, n_hi + 1):
                     v1 = is_infinite_loop(e, n)
                     v2 = loop_verdict_geometric(e, n)
@@ -491,7 +497,7 @@ def run_dual_pushforward_scan(count: int, seed: int, keep_records: bool = False)
             scaled = multiply_cf(e, n)  # e is drawn without the oo-tail
             cap = max(img_a.den, img_b.den) + scaled.entry(0) + 2
             pool = _semiconvergent_pool(scaled, max(cap, 10))
-            conv_pool = set(convergents(scaled)) | set(convergents(twin_of(scaled)))
+            conv_pool = _convergent_pool(scaled)
             ok = img_a in pool and img_b in pool and (img_a in conv_pool or img_b in conv_pool)
             params = (("x", str(e)), ("n", n), ("k", k), ("m", m))
             yield CheckRecord("dual-pushforward", params, True, ok, "-" if ok else f"images {img_a},{img_b}")

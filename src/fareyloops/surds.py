@@ -72,7 +72,8 @@ class QuadSurd(Immutable):
     def __eq__(self, other):
         if not isinstance(other, QuadSurd):
             return NotImplemented
-        return self._key() == other._key()
+        P, Q, D = other.P, other.Q, other.D  # the keys' equality, cross-multiplied
+        return self.P * Q == P * self.Q and (self.Q > 0) == (Q > 0) and self.D * Q * Q == D * self.Q * self.Q
 
     def __hash__(self):
         return hash(self._key())

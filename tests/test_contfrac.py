@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fareyloops.contfrac import (
     CFExpansion,
+    _finite,
     cf_eval,
     cf_from_rational,
     cf_of_surd,
@@ -16,6 +17,8 @@ from fareyloops.contfrac import (
     convergent,
     convergent_pair,
     convergents,
+    euclid_entries,
+    fans,
     format_cf,
     height,
     multiply_cf,
@@ -23,6 +26,7 @@ from fareyloops.contfrac import (
     semiconvergent,
     shift_cf,
     surd_prefix,
+    twin_entries,
     twin_of,
 )
 from fareyloops.rationals import INFINITY, Rational
@@ -182,6 +186,63 @@ class TestSemiconvergents:
                 for m in range(e.entry(k + 1) + 1):
                     s = semiconvergent(e, k, m)
                     assert s.num * q - p * s.den == (-1) ** k
+
+
+def _assert_validated(got: Rational, p: int, q: int) -> None:
+    """got is the Rational that the validating constructor builds from p/q."""
+    want = Rational(p, q)
+    assert type(got) is Rational and (got.num, got.den) == (want.num, want.den), (got, p, q)
+    assert got == want and hash(got) == hash(want)
+
+
+class TestUncheckedBuilds:
+    """Convergents and semi-convergents are built unchecked, as the determinant
+    identity puts them in lowest terms, and Euclid's and twin entries through
+    ``_finite``: each build is the validating constructor's, in its fields,
+    equality and hash."""
+
+    @staticmethod
+    def seeded_expansions() -> list[CFExpansion]:
+        rng = random.Random("unchecked-builds")
+        finite = [random_finite_cf(rng, min_len=0, inf_tail=i % 2 == 1) for i in range(150)]
+        twins = [twin_of(e) for e in finite if e.a0 or e.body]
+        return finite + twins + [random_periodic_cf(rng) for _ in range(150)]
+
+    def test_convergents_are_the_validated_fractions(self):
+        for e in self.seeded_expansions():
+            upto = e.last_index if e.is_finite else 12
+            pairs = [fan[4:] for fan in itertools.islice(fans(e.digits()), upto + 2)]
+            got = convergents(e, upto)
+            assert len(got) == len(pairs) == upto + 2
+            for k, (conv, (p, q)) in enumerate(zip(got, pairs), start=-1):
+                _assert_validated(conv, p, q)
+                _assert_validated(convergent(e, k), p, q)
+
+    def test_semiconvergents_are_the_validated_fractions(self):
+        # every expansion's {0, 0} is the seed vertex 1/0
+        tail_fans = 0
+        for e in self.seeded_expansions():
+            last = e.last_index if e.is_finite else 12
+            for k, a, p_prev, q_prev, p, q in itertools.islice(fans(e.digits()), 1, last + 2):
+                if a is None and not e.inf_tail:
+                    break  # the final fan needs the oo-tail
+                tail_fans += a is None
+                for m in range(a + 1 if a is not None else 7):
+                    _assert_validated(semiconvergent(e, k, m), m * p + p_prev, m * q + q_prev)
+        assert tail_fans > 100
+
+    def test_finite_builds_what_the_constructor_builds(self):
+        rng = random.Random("finite-builds")
+        values = [Rational(n) for n in range(4)]
+        values += [Rational(rng.randint(0, 400), rng.randint(1, 60)) for _ in range(300)]
+        for x in values:
+            euclid = euclid_entries(x.num, x.den)
+            for entries in [euclid] + ([twin_entries(euclid)] if x.num else []):
+                for tail in (False, True):
+                    built = _finite(entries, tail)
+                    want = CFExpansion(entries[0], entries[1:], None, tail)
+                    assert type(built) is CFExpansion and built._astuple(built) == want._astuple(want)
+                    assert built == want and hash(built) == hash(want), (entries, tail)
 
 
 class TestHeight:

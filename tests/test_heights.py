@@ -17,6 +17,7 @@ from fareyloops.contfrac import (
     cf_of_surd,
     cf_value,
     convergent_pair,
+    convergents,
     euclid_entries,
     height,
     multiply_cf,
@@ -493,6 +494,19 @@ class TestPro2:
     def test_scan_is_clean(self):
         rep = run_pro2_scan(range(2, 8), 120, seed=3)
         assert rep.passed and rep.skipped == 0
+
+    def test_convergent_pool_is_that_of_both_expansions(self):
+        # the twin [..., a_L - 1, 1] shares every convergent of [..., a_L] but one
+        rng = random.Random("convergent-pool")
+        checked = 0
+        for _ in range(500):
+            e = random_finite_cf(rng, min_len=0, inf_tail=rng.random() < 0.5)
+            if not (e.a0 or e.body):
+                continue  # 0 has a single expansion
+            for x in (e, twin_of(e)):
+                assert heights._convergent_pool(x) == set(convergents(x)) | set(convergents(twin_of(x))), x
+                checked += 1
+        assert checked > 900
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_planting_needs_a_modulus_of_two_or_more(self, n):

@@ -84,6 +84,17 @@ class TestKeyOnRationals:
                 equal += key == other
         assert equal > 100
 
+    def test_equality_is_that_of_the_key(self):
+        # __eq__ cross-multiplies rather than building the key's Rationals
+        surds = self.seeded_surds()
+        equal = 0
+        for i, s in enumerate(surds):
+            for t in surds[i + 1:i + 41]:
+                for u in (t, QuadSurd(3 * t.P, 3 * t.Q, 9 * t.D)):
+                    assert (s == u) == (s._key() == u._key()) == (u == s), (s, u)
+                    equal += s == u
+        assert equal > 200
+
 
 class TestArithmetic:
     def test_floor(self):
