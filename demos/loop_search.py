@@ -5,8 +5,8 @@ A positive real is an infinite loop mod n when none of its semi-convergent
 denominators (tail progressions included) is divisible by n.  Loops exist for
 every n >= 4, as the examples show: they come from a proven family,
 [0; 1, n-3, (1, n-4)] for n >= 5, and are validated exactly.  Mod 2 and 3
-there is none, which an exhausted cycle search over a pruned finite graph of
-denominator pairs proves.
+there is none, which closing a pruned finite graph of denominator pairs
+proves: the start is among the states dropped for having no infinite walk.
 """
 
 from fareyloops import (

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import re
 import sys
 from typing import Optional, Sequence
@@ -457,6 +458,13 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except (ValueError, ZeroDivisionError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        if out is not sys.__stdout__:
+            raise
+        # the reader closed the pipe: as Python's signal docs advise, point
+        # stdout at devnull so the flush at exit stays quiet; 1 is EPIPE's status
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return 1
 
 
 if __name__ == "__main__":

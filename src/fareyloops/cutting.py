@@ -47,19 +47,16 @@ class CuttingWord(Immutable):
 
 
 def eta(w: CuttingWord) -> CFExpansion:
-    """Run lengths to partial quotients: L^n0 R^n1 L^n2 ... -> [n0; n1, n2, ...]."""
-    runs = list(w.runs)
+    """Run lengths to partial quotients: L^n0 R^n1 L^n2 ... -> [n0; n1, n2, ...].
+
+    The runs alternate strictly, so after an optional leading L-run they start with R.
+    """
+    runs = w.runs
     if runs[0][0] == "L":
-        a0 = runs[0][1]
-        rest = runs[1:]
+        a0, runs = runs[0][1], runs[1:]
     else:
         a0 = 0
-        rest = runs
-    for i, (letter, _) in enumerate(rest):
-        expected = "R" if i % 2 == 0 else "L"
-        if letter != expected:
-            raise ValueError("word does not start a valid L/R fan alternation")
-    return CFExpansion(a0, tuple(c for _, c in rest))
+    return CFExpansion(a0, tuple(c for _, c in runs))
 
 
 def eta_inverse(e: CFExpansion, depth: Optional[int] = None) -> CuttingWord:

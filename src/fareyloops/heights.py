@@ -37,16 +37,36 @@ from .sampling import _draw, random_finite_cf, random_periodic_cf, random_unit_r
 from .surds import QuadSurd
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Whether n is prime: the primes 2..41 as divisors, then Miller-Rabin to those 13 bases.
+
+    A failed base proves n composite.  Passing all 13 proves n prime below
+    `_MR_BOUND` (Sorenson and Webster, Math. Comp. 86, 2017); at or above it
+    such an n raises ValueError rather than get a guessed verdict.
+    """
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
+    if n >= _MR_BOUND:
+        raise ValueError(f"cannot decide whether {n} is prime: bases 2..41 prove it only below {_MR_BOUND}")
     return True
 
 

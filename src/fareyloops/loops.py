@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .contfrac import CFExpansion, fans, semiconvergent, surd_prefix, twin_of
 from .rationals import Immutable, Rational
@@ -279,64 +279,34 @@ def loop_exists(n: int) -> bool:
 
     For n >= 4 the loop of `loop_example`, which the exact decision has
     validated, proves existence; a failed validation raises, never answers.
-    For n < 4 the cycle search over the pruned graph decides: an infinite
-    unpruned walk in a finite graph must revisit a state, and a reachable
-    cycle conversely extends to an infinite walk; eventually constant letter
-    words (rational limits, decided through their tail progressions) appear
-    as single-letter cycles and are covered by the same pruning rule.  So an
-    exhausted search proves absence.
+    For n < 4 the pruned graph is closed: every state with no move into the
+    remaining set is dropped until none is.  The survivors are the greatest
+    set in which every state has a move inside the set: no round drops a
+    state of such a set, and what the rounds leave is one.  A state of that
+    set starts an infinite unpruned walk that never leaves it, and the states
+    of any infinite unpruned walk form such a set; so the survivors are
+    exactly the states with an infinite unpruned walk.  Eventually constant
+    letter words (rational limits, decided through their tail progressions)
+    are walks round a self-loop and are covered by the same pruning rule.
+    So a dropped start proves absence.
     """
     if n < 2:
         raise ValueError("modulus must be >= 2")
     if n >= 4:
         loop_example(n)  # raises RuntimeError if the validation fails
         return True
-    return _find_cycle(ModState(1 % n, 1 % n), loop_graph(n).__getitem__) is not None
-
-
-def _find_cycle(
-    start: ModState, moves: Callable[[ModState], Iterable[tuple[str, ModState]]]
-) -> Optional[tuple[list[str], list[str]]]:
-    """DFS from start for a reachable cycle; (prefix letters, cycle letters) or None.
-
-    `moves(state)` gives the unpruned (letter, target) moves.  The search
-    returns at the first edge back onto its own path; an exhausted search
-    proves that no cycle is reachable.
-    """
-    path_states = [start]
-    path_letters: list[str] = []
-    onstack = {start: 0}
-    iters = [iter(moves(start))]
-    visited = {start}
-    while iters:
-        try:
-            letter, target = next(iters[-1])
-        except StopIteration:
-            iters.pop()
-            dead = path_states.pop()
-            onstack.pop(dead)
-            if path_letters:
-                path_letters.pop()
-            continue
-        if target in onstack:
-            j = onstack[target]
-            return path_letters[:j], path_letters[j:] + [letter]
-        if target in visited:
-            continue
-        visited.add(target)
-        onstack[target] = len(path_states)
-        path_states.append(target)
-        path_letters.append(letter)
-        iters.append(iter(moves(target)))
-    return None
+    graph = loop_graph(n)
+    alive = set(graph)
+    while dead := {s for s in alive if not any(t in alive for _, t in graph[s])}:
+        alive -= dead
+    return ModState(1 % n, 1 % n) in alive
 
 
 def loop_example(n: int) -> CFExpansion:
     """A concrete infinite loop mod n, validated by the exact decision.
 
-    None exists mod 2 or 3: there the cycle search over the pruned graph
-    runs out (`_find_cycle` returns None, as the test suite pins in
-    `TestGraph.test_cycle_search_certificate`).  Mod 4 the answer is 1/2
+    None exists mod 2 or 3: there the closure of the pruned graph in
+    `loop_exists` drops the start state.  Mod 4 the answer is 1/2
     with its oo-tail, [0; 2, oo]: fan 0 draws 1 and 2, and the tail
     denominators 2m + 1 are odd.  For n >= 5 it is [0; 1, n-3, (1, n-4)],
     whose denominators q_{-1}, q_0, ... run mod n through 0, 1, 1, -2, -1 and

@@ -11,15 +11,22 @@ sign test and tests `is_reduced` until the period opens; the library now
 runs the period in a second loop with the floor inlined.  `crosses_edge` is
 the crossing predicate that compared a surd through the reflected rational
 comparisons and tested a rational against both endpoints first.
+
+`_find_cycle` is the depth-first search for a reachable cycle of the pruned
+residue-pair graph that decided `loop_exists` mod 2 and 3 before the library
+closed `loop_graph(n)` instead.  It returns the prefix and cycle letters of
+the walk it finds, so the tests keep it as an independent oracle for
+existence and the route `loop_example`'s closed-form family is checked
+against.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from fareyloops.contfrac import CFExpansion
-from fareyloops.loops import LoopVerdict
+from fareyloops.loops import LoopVerdict, ModState
 from fareyloops.rationals import FareyEdge, Rational
 from fareyloops.surds import QuadSurd
 
@@ -59,6 +66,43 @@ def _scan_cycle(steps, n: int, value: Union[CFExpansion, QuadSurd]) -> LoopVerdi
         u, v = v, (a * v + u) % n
         k += 1
     return LoopVerdict.loop()
+
+
+def _find_cycle(
+    start: ModState, moves: Callable[[ModState], Iterable[tuple[str, ModState]]]
+) -> Optional[tuple[list[str], list[str]]]:
+    """DFS from start for a reachable cycle; (prefix letters, cycle letters) or None.
+
+    `moves(state)` gives the unpruned (letter, target) moves.  The search
+    returns at the first edge back onto its own path; an exhausted search
+    proves that no cycle is reachable.
+    """
+    path_states = [start]
+    path_letters: list[str] = []
+    onstack = {start: 0}
+    iters = [iter(moves(start))]
+    visited = {start}
+    while iters:
+        try:
+            letter, target = next(iters[-1])
+        except StopIteration:
+            iters.pop()
+            dead = path_states.pop()
+            onstack.pop(dead)
+            if path_letters:
+                path_letters.pop()
+            continue
+        if target in onstack:
+            j = onstack[target]
+            return path_letters[:j], path_letters[j:] + [letter]
+        if target in visited:
+            continue
+        visited.add(target)
+        onstack[target] = len(path_states)
+        path_states.append(target)
+        path_letters.append(letter)
+        iters.append(iter(moves(target)))
+    return None
 
 
 def _floor(P: int, Q: int, s: int) -> int:

@@ -571,6 +571,51 @@ class TestInputErrors:
         assert capsys.readouterr().err == f"error: range must look like a..b, got {text!r}\n"
 
 
+    def test_large_prime_p_is_decided_in_a_fresh_process(self):
+        # a fresh process, so that trial division up to sqrt(p), about 1e9
+        # steps, is killed at the timeout instead of running on in the test process
+        start = time.perf_counter()
+        run = subprocess.run(
+            [sys.executable, "-m", "fareyloops.cli", "spectrum", "sqrt(2)", "-p", "1000000000000000003", "-L", "0"],
+            capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        )
+        assert time.perf_counter() - start < 1
+        assert (run.returncode, run.stdout, run.stderr) == (0, "l=0 B=2\n", "")
+
+    def test_p_past_the_miller_rabin_bound_is_rejected(self, capsys):
+        # a strong pseudoprime to every base 2..41: no verdict on it is proved
+        p = heights._MR_BOUND
+        code, out = run_cli("spectrum", "sqrt(2)", "-p", str(p), "-L", "0")
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            f"error: cannot decide whether {p} is prime: bases 2..41 prove it only below {p}\n"
+        )
+
+    def test_closed_pipe_exits_one_and_leaves_stderr_empty(self):
+        # record output of this scan is far above a pipe's 64 KiB buffer, so
+        # a write fails once the reader has closed its end
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fareyloops.cli", "--format", "record", "verify", "noloop",
+             "--count", "1000", "--seed", "7"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        )
+        assert proc.stdout.readline() == b"check=noloop n=4 pass=1 witness=-\n"
+        proc.stdout.close()
+        code = proc.wait(timeout=60)  # stderr stays far below a pipe's buffer
+        with proc.stderr:
+            assert (code, proc.stderr.read()) == (1, b"")
+
+    def test_broken_pipe_on_another_stream_is_raised(self):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError
+
+        with pytest.raises(BrokenPipeError):
+            main(["cf", "3/7"], out=Closed())
+
+
 class TestVerify:
     def test_passing_check_exits_zero(self):
         code, out = run_cli("verify", "noloop", "--n-range", "4..5", "--count", "20",

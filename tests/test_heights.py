@@ -2,6 +2,7 @@ import io
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,35 @@ SQRT2 = CFExpansion(1, (), (2,))
 
 def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_is_prime_equals_trial_division():
+    primes = []
+    for n in range(2, 200_000):
+        if all(n % f for f in itertools.takewhile(lambda f: f * f <= n, primes)):
+            primes.append(n)
+    assert [n for n in range(-3, 200_000) if is_prime(n)] == primes
+
+
+@pytest.mark.parametrize("n", [
+    561,  # a Carmichael number
+    3825123056546413051,  # a strong pseudoprime to every prime base up to 31
+    318665857834031151167461,  # a strong pseudoprime to every prime base up to 37
+])
+def test_is_prime_rejects_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_decides_a_large_prime_fast():
+    start = time.perf_counter()
+    assert is_prime(10**18 + 3)
+    assert time.perf_counter() - start < 0.01
+
+
+def test_is_prime_raises_where_the_bases_prove_nothing():
+    # 3317044064679887385961981 is a strong pseudoprime to every base 2..41
+    with pytest.raises(ValueError, match="cannot decide whether 3317044064679887385961981 is prime"):
+        is_prime(3317044064679887385961981)
 
 
 def test_floor_2sqrt_thresholds():

@@ -21,7 +21,6 @@ from fareyloops.loops import (
     LoopVerdict,
     ModState,
     _decimal_digits,
-    _find_cycle,
     _steps,
     is_infinite_loop,
     loop_example,
@@ -34,7 +33,7 @@ from fareyloops.loops import (
 from fareyloops.rationals import Rational
 from fareyloops.sampling import random_finite_cf, random_periodic_cf
 from fareyloops.surds import QuadSurd
-from reference_decider import _fan_hit, _scan_cycle
+from reference_decider import _fan_hit, _find_cycle, _scan_cycle
 
 GOLDEN_CONJ = CFExpansion(0, (), (1,))
 HALF = cf_from_rational(Rational(1, 2))[0]
@@ -676,6 +675,40 @@ class TestGraph:
         for n in range(2, 401):
             found = _find_cycle(ModState(1 % n, 1 % n), lambda s: successors(s, n))
             assert loop_exists(n) == (found is not None), n
+
+    # hand-made graphs for n = 2 with whether an infinite walk leaves the start ModState(1, 1)
+    HAND_MADE = {
+        "diamond without a cycle": (False, {
+            ModState(1, 1): (("L", "a"), ("R", "b")), "a": (("R", "c"),), "b": (("L", "c"),), "c": (),
+        }),
+        "five-state chain into a dead end": (False, {
+            ModState(1, 1): (("L", "a"),), "a": (("R", "b"),), "b": (("L", "c"),), "c": (("R", "d"),), "d": (),
+        }),
+        "cycle past a dead sibling": (True, {
+            ModState(1, 1): (("R", "a"),), "a": (("L", "dead"), ("R", "b")), "dead": (),
+            "b": (("L", "c"),), "c": (("R", "b"),),
+        }),
+        "self-loop at a leaf": (True, {ModState(1, 1): (("L", "a"),), "a": (("R", "b"),), "b": (("R", "b"),)}),
+        "self-loop at the start": (True, {ModState(1, 1): (("L", "dead"), ("R", ModState(1, 1))), "dead": ()}),
+    }
+
+    @pytest.mark.parametrize("name", HAND_MADE)
+    def test_existence_closes_hand_made_graphs(self, name, monkeypatch):
+        exists, graph = self.HAND_MADE[name]
+        monkeypatch.setattr(loops, "loop_graph", lambda n: graph)
+        assert (_find_cycle(ModState(1, 1), graph.__getitem__) is not None) is exists
+        assert loop_exists(2) is exists
+
+    def test_existence_builds_the_graph_below_four(self, monkeypatch):
+        built = []
+
+        def counted(n):
+            built.append(n)
+            return loop_graph(n)
+
+        monkeypatch.setattr(loops, "loop_graph", counted)
+        assert [loop_exists(n) for n in (2, 3)] == [False, False]
+        assert built == [2, 3]
 
     def test_existence_builds_no_graph_from_four_on(self, monkeypatch):
         def no_graph(n):
