@@ -454,7 +454,9 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         return 2
 
     try:
-        return COMMAND_HANDLERS[args.command](args, cfg, out)
+        code = COMMAND_HANDLERS[args.command](args, cfg, out)
+        out.flush()  # a closed pipe then fails here, not in the flush at exit
+        return code
     except (ValueError, ZeroDivisionError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,7 +2,7 @@ import io
 import itertools
 import math
 import random
-import time
+import timeit
 from fractions import Fraction
 
 import pytest
@@ -78,9 +78,10 @@ def test_is_prime_rejects_pseudoprimes(n):
 
 
 def test_is_prime_decides_a_large_prime_fast():
-    start = time.perf_counter()
     assert is_prime(10**18 + 3)
-    assert time.perf_counter() - start < 0.01
+    # the best of five, so that one pause of the machine fails nothing;
+    # trial division up to sqrt(10**18 + 3) takes minutes
+    assert min(timeit.repeat(lambda: is_prime(10**18 + 3), number=1, repeat=5)) < 0.01
 
 
 def test_is_prime_raises_where_the_bases_prove_nothing():
