@@ -18,17 +18,23 @@ import math
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .rationals import INFINITY, Immutable, Rational, _reduced
-from .surds import QuadSurd
+from .surds import PERIOD, QuadSurd, _Period
 
 Value = Union[Rational, QuadSurd]
 
 
-def _minimal_period(period: tuple[int, ...]) -> tuple[int, ...]:
+def _canonical_tail(body: tuple[int, ...], period: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(body, period) with the period minimal and the body's trailing entries that repeat it rotated into it."""
     k = len(period)
     for d in range(1, k // 2 + 1):
         if k % d == 0 and period[d:] == period[:-d]:  # a shift by d fixes it
-            return period[:d]
-    return period
+            period = period[:d]
+            break
+    end = len(body)
+    while end and body[end - 1] == period[-1]:
+        end -= 1
+        period = period[-1:] + period[:-1]
+    return body[:end], period
 
 
 class CFExpansion(Immutable):
@@ -54,13 +60,7 @@ class CFExpansion(Immutable):
                 raise ValueError("period must be nonempty")
             if min(period) < 1:
                 raise ValueError("period entries must be >= 1")
-            period = _minimal_period(period) if len(period) > 1 else period
-            if body and body[-1] == period[-1]:
-                end = len(body)
-                while end and body[end - 1] == period[-1]:
-                    end -= 1
-                    period = period[-1:] + period[:-1]
-                body = body[:end]
+            body, period = _canonical_tail(body, period)
         _set_a0(self, a0)
         _set_body(self, body)
         _set_period(self, period)
@@ -100,17 +100,15 @@ class CFExpansion(Immutable):
             return iter((self.a0, *self.body))
         return itertools.chain((self.a0,), self.body, itertools.cycle(self.period))
 
-    def steps(self) -> Iterator[tuple[Optional[int], bool]]:
-        """(a_k, starts_period) for k = 0, 1, ..., as ``QuadSurd.steps`` streams a surd's.
+    def steps(self) -> Iterator[Union[int, None, _Period]]:
+        """a_0, a_1, ... with ``PERIOD`` before each period pass, as ``QuadSurd.steps`` streams a surd's.
 
         The preperiod is minimal, so the value's period opens at offset 0 of
-        each pass over the period: those steps are flagged, no others.  A
-        finite expansion ends after a_L, or in (None, False) under the oo-tail."""
-        flags = itertools.repeat(False)
+        each pass over the period: the marker comes there and nowhere else.  A
+        finite expansion ends after a_L, or in None, its final fan, under the oo-tail."""
         if self.period is None:
-            return zip((self.a0, *self.body, None) if self.inf_tail else (self.a0, *self.body), flags)
-        period = zip(self.period, (True,) + (False,) * (len(self.period) - 1))
-        return itertools.chain(((self.a0, False),), zip(self.body, flags), itertools.cycle(period))
+            return iter((self.a0, *self.body, None) if self.inf_tail else (self.a0, *self.body))
+        return itertools.chain((self.a0, *self.body), itertools.cycle((PERIOD, *self.period)))
 
     def __str__(self):
         return format_cf(self)
@@ -392,7 +390,7 @@ def _surd_of_periodic(e: CFExpansion) -> QuadSurd:
     return QuadSurd(P, Q, D)
 
 
-def _expansion_steps(s: QuadSurd) -> Iterator[tuple[int, bool]]:
+def _expansion_steps(s: QuadSurd) -> Iterator[Union[int, _Period]]:
     """``s.steps()`` for the readers of a surd's expansion, which only a positive value has."""
     if not s.is_positive():
         raise ValueError("expansion requires a positive value")
@@ -402,25 +400,26 @@ def _expansion_steps(s: QuadSurd) -> Iterator[tuple[int, bool]]:
 def cf_of_surd(s: QuadSurd) -> CFExpansion:
     """Eventually periodic expansion of a positive quadratic irrational.
 
-    Reads ``QuadSurd.steps`` up to its second period flag: the first flag
-    opens the period, the second closes it, and the entries read are already
-    the canonical minimal form (see ``_canonical``).
+    Reads ``QuadSurd.steps`` up to its second ``PERIOD``: the digits before
+    the first marker are a_0 and the preperiod, those between the two are the
+    period, and both are already the canonical minimal form (see ``_canonical``).
     """
     entries: list[int] = []
     start = 0  # a_0 never opens the period
-    for a, starts_period in _expansion_steps(s):
-        if starts_period:
+    for a in _expansion_steps(s):
+        if a is PERIOD:
             if start:
                 break
             start = len(entries)
-        entries.append(a)
+        else:
+            entries.append(a)
     return _canonical(entries[0], tuple(entries[1:start]), tuple(entries[start:]), False)
 
 
 def surd_prefix(s: QuadSurd, depth: int) -> CFExpansion:
     """[a_0; a_1, ..., a_depth] of a positive surd, depth >= 0: ``QuadSurd.steps`` read
     that far and no further, however long the period that ``cf_of_surd`` reads."""
-    digits = [a for a, _ in itertools.islice(_expansion_steps(s), depth + 1)]
+    digits = list(itertools.islice((a for a in _expansion_steps(s) if a is not PERIOD), depth + 1))
     return CFExpansion(digits[0], digits[1:])
 
 

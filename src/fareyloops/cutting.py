@@ -15,7 +15,7 @@ from typing import Optional, Union
 from .contfrac import CFExpansion
 from .loops import LoopVerdict, _raw_walk, _steps
 from .rationals import INFINITY, FareyEdge, Immutable, Rational, _edge, _reduced
-from .surds import QuadSurd
+from .surds import PERIOD, QuadSurd
 
 Value = Union[Rational, QuadSurd]
 
@@ -180,7 +180,7 @@ def loop_verdict_geometric(e: Union[CFExpansion, QuadSurd], n: int) -> LoopVerdi
 
     The walk reads the steps of `loops._steps`, the input the denominator
     route reads too, and keeps its own state.  It saves (k mod 2, lo, hi) at
-    the first period start and is LOOP at a later start of that parity with
+    the first `PERIOD` and is LOOP at a later one of that parity with
     lo*hi0 = hi*lo0 (mod n): the steps are invertible linear maps, the zero
     test is unchanged by a unit multiple, and primitive pairs (Farey
     neighbours have coprime denominators) with that equality are unit
@@ -194,18 +194,20 @@ def loop_verdict_geometric(e: Union[CFExpansion, QuadSurd], n: int) -> LoopVerdi
     if n < 2:
         raise ValueError("modulus must be >= 2")
     steps, value = _steps(e)
-    lo, hi, saved = 1 % n, 0, None
-    for k, (a, starts_period) in enumerate(steps):
+    lo, hi, saved, k = 1 % n, 0, None, 0
+    for a in steps:
         odd = k % 2
-        if starts_period:
+        if a is PERIOD:
             if saved is None:
                 saved = odd, lo, hi
             elif saved[0] == odd and (lo * saved[2] - hi * saved[1]) % n == 0:
                 return LoopVerdict.loop()
+            continue
         x, h = (lo, hi) if odd else (hi, lo)  # odd fans move the lower endpoint
         m = _first_zero(x, h, n)
         if a is None or (m is not None and m <= a):  # a is None: the oo-tail
             return LoopVerdict.loop() if m is None else LoopVerdict.not_loop(k, m, value)
         end = (x + a * h) % n
         lo, hi = (end, hi) if odd else (lo, end)
+        k += 1
     return LoopVerdict.loop()

@@ -34,7 +34,7 @@ from .cutting import crossed_edges, fan_chain, loop_verdict_geometric
 from .loops import NOTLOOP, is_infinite_loop, loop_example
 from .rationals import Immutable, Rational, _reduced
 from .sampling import _draw, random_finite_cf, random_periodic_cf, random_unit_rational
-from .surds import QuadSurd
+from .surds import PERIOD, QuadSurd
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -79,9 +79,8 @@ def surd_height(s: QuadSurd, cap: Optional[int] = None) -> int:
     """Largest partial quotient (leading term excluded) of a quadratic irrational.
 
     Equal to ``height(cf_of_surd(s))``, read in one pass over
-    ``QuadSurd.steps`` in O(1) memory: the max runs over a_1 up to and
-    including the digit at the second period flag, where the first period
-    digit comes back.
+    ``QuadSurd.steps`` in O(1) memory: the max runs over a_1 up to the
+    second ``PERIOD``, the preperiod and one pass over the period.
 
     With a ``cap`` the scan stops at the first partial quotient >= cap and
     returns cap, so the result is min(height, cap): a result below the cap
@@ -91,15 +90,15 @@ def surd_height(s: QuadSurd, cap: Optional[int] = None) -> int:
     opened = False
     steps = _expansion_steps(s)
     next(steps)  # a_0
-    for a, starts_period in steps:
-        if a > best:
-            best = a
-            if cap is not None and best >= cap:
-                return cap
-        if starts_period:
+    for a in steps:
+        if a is PERIOD:
             if opened:
                 return best
             opened = True
+        elif a > best:
+            best = a
+            if cap is not None and best >= cap:
+                return cap
 
 
 def _check_levels(p: int, L: int) -> None:

@@ -23,7 +23,7 @@ from typing import Iterator, NamedTuple, Optional, Union
 
 from .contfrac import CFExpansion, fans, semiconvergent, surd_prefix, twin_of
 from .rationals import Immutable, Rational
-from .surds import QuadSurd
+from .surds import PERIOD, QuadSurd, _Period
 
 LOOP = "LOOP"
 NOTLOOP = "NOTLOOP"
@@ -139,16 +139,16 @@ class ModState(NamedTuple):
     v: int
 
 
-_Steps = Iterator[tuple[Optional[int], bool]]
+_Steps = Iterator[Union[int, None, _Period]]
 
 
 def _steps(e: Union[CFExpansion, QuadSurd]) -> tuple[_Steps, Union[CFExpansion, QuadSurd]]:
     """The input of both loop routes: the steps after a_0, and the value read.
 
-    Step k is (a_{k+1}, whether fan k starts a period), read off the value's
-    own `steps()`, whose period starts are canonical.  A finite expansion
-    carrying the oo-tail ends in the step (None, False), its unbounded final
-    fan; only a finite expansion's steps end.  Under the tail convention
+    Digit k is a_{k+1}, after a `PERIOD` if fan k starts a period, read off
+    the value's own `steps()`, whose period starts are canonical.  A finite
+    expansion carrying the oo-tail ends in None, its unbounded final fan;
+    only a finite expansion's steps end.  Under the tail convention
     Euclid's form [a_0; ..., a_L] (not ending in 1) decides the value alone,
     so a twin is read in Euclid's form: through its fan L the twin [a_0; ...,
     a_L - 1, 1] draws only Euclid's denominators, and its tail m*q_L + (q_L -
@@ -173,9 +173,9 @@ def _steps(e: Union[CFExpansion, QuadSurd]) -> tuple[_Steps, Union[CFExpansion, 
 def _scan_cycle(steps: _Steps, n: int, value: Union[CFExpansion, QuadSurd]) -> LoopVerdict:
     """The state-cycle scan behind every loop decision.
 
-    Step k gives a_{k+1}, which closes fan k at (u, v) = (q_{k-1}, q_k) mod n,
-    and whether fan k starts a period.  The pair at the first period start is
-    saved; a later start where the point [u : v] of P^1(Z/n) is back is LOOP:
+    Digit k is a_{k+1}, which closes fan k at (u, v) = (q_{k-1}, q_k) mod n,
+    after a `PERIOD` if fan k starts a period.  The pair at the first period
+    start is saved; a later start where the point [u : v] of P^1(Z/n) is back is LOOP:
     1. The step (u, v) -> (v, a*v + u) is invertible mod n, so from period start
        to period start the orbit is purely periodic.
     2. The fan test u + m*v = 0 (mod n) is unchanged by a unit multiple of (u, v).
@@ -186,20 +186,21 @@ def _scan_cycle(steps: _Steps, n: int, value: Union[CFExpansion, QuadSurd]) -> L
        stopped the scan: q_{k-1} is the last denominator of fan k - 2.
     Fan 0 is closed form: (u, v) = (0, 1) draws m = 1..a_1, so it hits at m = n
     exactly when a_1 >= n.  Later fans solve v*m = -u (mod n) by a gcd and an
-    inverse for the least m >= 0, a hit when m <= a_{k+1}.  A step with a = None
-    is the unbounded tail fan, where any root hits, and ends the steps.
+    inverse for the least m >= 0, a hit when m <= a_{k+1}.  A digit None is
+    the unbounded tail fan, where any root hits, and ends the steps.
     Only a finite expansion's steps run out, every fan scanned: LOOP.  NOTLOOP
     keeps `value` for its witness, so the scan holds O(1) memory.
     """
     u, v = 0, 1
     u0 = None
     k = 0
-    for a, boundary in steps:
-        if boundary:
+    for a in steps:
+        if a is PERIOD:
             if u0 is None:
                 u0, v0 = u, v
             elif (u * v0 - v * u0) % n == 0:
                 return LoopVerdict.loop()
+            continue
         if not k:
             if a is None or a >= n:
                 return LoopVerdict.not_loop(0, n, value)

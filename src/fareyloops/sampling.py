@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from typing import Callable
 
-from .contfrac import CFExpansion
+from .contfrac import CFExpansion, _canonical, _canonical_tail
 from .rationals import Rational
 
 
@@ -55,10 +55,11 @@ def random_periodic_cf(
     max_entry: int = 6,
     a0_max: int = 2,
 ) -> CFExpansion:
+    """[a0; pre, (period)] drawn as pre, period, a0: valid fields, of which only the canonical form is made."""
     bits = rng.getrandbits
-    pre = [_draw(bits, 1, max_entry) for _ in range(_draw(bits, 0, max_pre))]
-    period = [_draw(bits, 1, max_entry) for _ in range(_draw(bits, 1, max_period))]
-    return CFExpansion(_draw(bits, 0, a0_max), tuple(pre), tuple(period))
+    pre = tuple([_draw(bits, 1, max_entry) for _ in range(_draw(bits, 0, max_pre))])
+    period = tuple([_draw(bits, 1, max_entry) for _ in range(_draw(bits, 1, max_period))])
+    return _canonical(_draw(bits, 0, a0_max), *_canonical_tail(pre, period), False)
 
 
 def random_unit_rational(rng: random.Random, q_max: int = 500) -> Rational:

@@ -9,9 +9,19 @@ rationals, integer shifts/scalings and reciprocals are all exact.
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from typing import Iterator, Union
 
 from .rationals import Immutable, Rational
+
+
+class _Period:
+    """The type of ``PERIOD``, which a digit stream yields just before each pass over its period."""
+
+    def __repr__(self):
+        return "PERIOD"
+
+
+PERIOD = _Period()
 
 
 def is_square(n: int) -> bool:
@@ -95,31 +105,34 @@ class QuadSurd(Immutable):
     def floor(self) -> int:
         return _floor(self.P, self.Q, math.isqrt(self.D))
 
-    def steps(self) -> Iterator[tuple[int, bool]]:
-        """The integral expansion recurrence, one (a_k, starts_period) per step.
+    def steps(self) -> Iterator[Union[int, _Period]]:
+        """The integral expansion recurrence: a_0, a_1, ..., with ``PERIOD`` before each period pass.
 
         The complete quotient x_k = (P + sqrt(D))/Q has partial quotient
         a_k = floor(x_k); the next one is P' = a_k*Q - P, Q' = (D - P'^2)/Q.
         The stream never ends: a caller stops it.  The period opens at the
-        first x_k with k >= 1 that ``is_reduced``; that step and every return
-        of that x_k are flagged, no others, so a period runs from one flag
-        to the next.  x_0 is never flagged: a reduced x_0 makes x_1 reduced
-        too, so its period opens at k = 1 with a_0 as its last entry.
+        first x_k with k >= 1 that ``is_reduced``; the marker comes just
+        before its a_k and before a_k at every return of that x_k, nowhere
+        else, so the digits between two markers are one period.  x_0 never
+        opens it: a reduced x_0 makes x_1 reduced too, so its period opens at
+        k = 1 with a_0 as its last entry.
         """
         P, Q, D = self.P, self.Q, self.D
         s = math.isqrt(D)
         a = self.floor()
-        yield a, False
+        yield a
         while True:
             P = a * Q - P
             Q = (D - P * P) // Q
             a = _floor(P, Q, s)
             if is_reduced(P, Q, s):
                 break
-            yield a, False
+            yield a
         P0, Q0 = P, Q
         while True:
-            yield a, P == P0 and Q == Q0
+            if P == P0 and Q == Q0:
+                yield PERIOD
+            yield a
             P = a * Q - P
             Q = (D - P * P) // Q
             a = (P + s) // Q  # a reduced state's successor is reduced, so Q > 0

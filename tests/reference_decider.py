@@ -12,6 +12,10 @@ runs the period in a second loop with the floor inlined.  `crosses_edge` is
 the crossing predicate that compared a surd through the reflected rational
 comparisons and tested a rational against both endpoints first.
 
+`flagged` maps the library's marked digit streams back to the
+(a, starts_period) pairs that the frozen scans here read: the step streams
+yielded those pairs before `PERIOD` came just before each period pass.
+
 `_find_cycle` is the depth-first search for a reachable cycle of the pruned
 residue-pair graph that decided `loop_exists` mod 2 and 3 before the library
 closed `loop_graph(n)` instead.  It returns the prefix and cycle letters of
@@ -28,7 +32,18 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 from fareyloops.contfrac import CFExpansion
 from fareyloops.loops import LoopVerdict, ModState
 from fareyloops.rationals import FareyEdge, Rational
-from fareyloops.surds import QuadSurd
+from fareyloops.surds import PERIOD, QuadSurd
+
+
+def flagged(stream: Iterable) -> Iterator[tuple[Optional[int], bool]]:
+    """(a, starts_period) for each digit of a marked stream: whether `PERIOD` came just before it."""
+    starts = False
+    for a in stream:
+        if a is PERIOD:
+            starts = True
+        else:
+            yield a, starts
+            starts = False
 
 
 def _fan_hit(u: int, v: int, n: int, bound: Optional[int], min_m: int) -> Optional[int]:

@@ -21,7 +21,7 @@ from fareyloops.contfrac import CFExpansion, cf_of_surd
 from fareyloops.cutting import crossed_edges, eta_inverse
 from fareyloops.loops import is_infinite_loop, sb_walk
 from fareyloops.rationals import Rational
-from fareyloops.surds import QuadSurd
+from fareyloops.surds import PERIOD, QuadSurd
 
 SMALL_VERIFY = {
     "noloop": ["--n-range", "4..5", "--count", "10"],
@@ -267,7 +267,14 @@ class TestCommands:
             a = (a0 + m) // d
             digits.append(a)
         read, steps = [], QuadSurd.steps
-        monkeypatch.setattr(QuadSurd, "steps", lambda s: (read.append(x) or x for x in steps(s)))
+
+        def counted(s):  # the digits read, PERIOD markers excluded
+            for x in steps(s):
+                if x is not PERIOD:
+                    read.append(x)
+                yield x
+
+        monkeypatch.setattr(QuadSurd, "steps", counted)
 
         def prefix(depth):
             return "[" + str(a0) + "; " + ", ".join(map(str, digits[1:depth + 1])) + "]"

@@ -43,7 +43,7 @@ from fareyloops.rationals import INFINITY, FareyEdge, Rational, farey_mediant
 from fareyloops.sampling import random_finite_cf, random_periodic_cf
 from fareyloops.surds import QuadSurd
 import reference_decider
-from reference_decider import _fan_hit
+from reference_decider import _fan_hit, flagged
 
 GOLDEN_CONJ = CFExpansion(0, (), (1,))
 
@@ -553,12 +553,13 @@ class TestEuclidReference:
 
 def _stepwise_geometric(e, n: int) -> LoopVerdict:
     """The edge route walked one `_children` step per crossed edge (a run
-    a > n folded to n + (a - n) % n steps), the oo-tail solved by `_fan_hit`."""
+    a > n folded to n + (a - n) % n steps), the oo-tail solved by `_fan_hit`,
+    on the steps read as flagged pairs."""
     if n < 2:
         raise ValueError("modulus must be >= 2")
     steps, source = _steps(e)
     edge, saved, k = (1 % n, 0), None, -1
-    for k, (a, starts_period) in enumerate(steps):
+    for k, (a, starts_period) in enumerate(flagged(steps)):
         if a is None:
             value, kept = edge[::-1] if k % 2 else edge
             m = _fan_hit(kept, value, n, None, 1)

@@ -50,7 +50,7 @@ from fareyloops.loops import NOTLOOP, LoopVerdict, is_infinite_loop, loop_exampl
 from fareyloops.rationals import Rational
 from fareyloops.sampling import random_finite_cf, random_periodic_cf
 from fareyloops.surds import QuadSurd
-from reference_decider import surd_steps
+from reference_decider import flagged, surd_steps
 
 GOLDEN_CONJ = CFExpansion(0, (), (1,))
 SQRT2 = CFExpansion(1, (), (2,))
@@ -426,7 +426,7 @@ class TestCappedHeight:
             flags += step[1]
             if flags == 4:
                 break
-        assert list(itertools.islice(s.steps(), len(want))) == want, s
+        assert list(itertools.islice(flagged(s.steps()), len(want))) == want, s
 
     def test_steps_flag_each_period_start(self):
         # the period opens at k0 = max(start, 1) = 1 + len(body), since a
@@ -434,7 +434,7 @@ class TestCappedHeight:
         for s in split_population():
             _, body, period = seen_dict_split(s)
             k0, L = 1 + len(body), len(period)
-            flags = [flag for _, flag in itertools.islice(s.steps(), k0 + 3 * L + 1)]
+            flags = [flag for _, flag in itertools.islice(flagged(s.steps()), k0 + 3 * L + 1)]
             assert [k for k, flag in enumerate(flags) if flag] == [k0 + j * L for j in range(4)], s
 
     def test_long_period_in_constant_memory(self):

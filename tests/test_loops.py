@@ -32,8 +32,8 @@ from fareyloops.loops import (
 )
 from fareyloops.rationals import Rational
 from fareyloops.sampling import random_finite_cf, random_periodic_cf
-from fareyloops.surds import QuadSurd
-from reference_decider import _fan_hit, _find_cycle, _scan_cycle
+from fareyloops.surds import PERIOD, QuadSurd
+from reference_decider import _fan_hit, _find_cycle, _scan_cycle, flagged
 
 GOLDEN_CONJ = CFExpansion(0, (), (1,))
 HALF = cf_from_rational(Rational(1, 2))[0]
@@ -309,11 +309,11 @@ FROZEN_SCAN_MODULI = (2, 3, 5, 7, 97, 101, 997, 4, 8, 9, 25, 27, 49, 128, 243, 6
 
 def assert_matches_frozen_scan(x, n: int) -> LoopVerdict:
     """`is_infinite_loop(x, n)` equals the frozen scan of `reference_decider`
-    run on fresh steps of x, field by field, in its record and in its
-    witness."""
+    run on fresh steps of x, read as flagged pairs, field by field, in its
+    record and in its witness."""
     got = is_infinite_loop(x, n)
     steps, source = _steps(x)
-    want = _scan_cycle(steps, n, source)
+    want = _scan_cycle(flagged(steps), n, source)
     assert got._fields() == want._fields(), (x, n, got, want)
     assert got.record() == want.record(), (x, n)
     assert got.witness == want.witness, (x, n)
@@ -449,16 +449,21 @@ def seen_set_verdict(x, n):
 
 @pytest.fixture
 def state_budget(monkeypatch):
-    """Caps the steps a surd hands out, one per complete quotient, at `.limit`
-    and counts them in `.read`; a scan that asks for a step past the limit
-    has failed to close, and fails loudly instead of hanging."""
+    """Caps the digits a surd hands out, one per complete quotient, at `.limit`
+    and counts them in `.read`, its `PERIOD` markers free; a scan that asks
+    for a digit past the limit has failed to close, and fails loudly instead
+    of hanging."""
     budget = types.SimpleNamespace(limit=0, read=0)
 
     def steps(s):
-        for step in itertools.islice(UNPATCHED_STEPS(s), budget.limit):
-            budget.read += 1
+        digits = 0
+        for step in UNPATCHED_STEPS(s):
+            if step is not PERIOD:
+                if digits == budget.limit:
+                    raise AssertionError(f"the scan of {s} asked for a digit past its budget of {budget.limit}")
+                digits += 1
+                budget.read += 1
             yield step
-        raise AssertionError(f"the scan of {s} asked for a step past its budget of {budget.limit}")
 
     monkeypatch.setattr(QuadSurd, "steps", steps)
     return budget
@@ -466,7 +471,7 @@ def state_budget(monkeypatch):
 
 def assert_agrees_with_seen_set(x, n, budget):
     *expected, steps = seen_set_verdict(x, n)
-    # the step of a_0, then one step per fan up to and including the last
+    # the digit of a_0, then one digit per fan up to and including the last
     budget.limit = steps + 2
     v = is_infinite_loop(x, n)
     assert [v.kind, v.witness_k, v.witness_m] == expected, (x, n)
@@ -509,8 +514,9 @@ class TestProjectiveClosure:
             if (u * v0 - v * u0) % n == 0:
                 break
         assert returns == 486
-        # the step of a_0, the steps of fans 0 and 1, then 486 periods of 3
-        state_budget.limit = 1 + 2 + 3 * returns
+        # the digit of a_0 and of fan 0, then 486 periods of 3 from fan 1:
+        # the marker that closes them comes before fan 1 + 3*486's digit
+        state_budget.limit = 1 + 1 + 3 * returns
         assert is_infinite_loop(cf_value(LOOP_CASE), n).kind == LOOP
         assert state_budget.read == state_budget.limit
 
@@ -564,12 +570,15 @@ class TestStepStream:
 
     @staticmethod
     def assert_same_steps(surd, e):
-        # a_0, the preperiod and three periods of e, flags included
-        count = 1 + len(e.body) + 3 * len(e.period)
+        # a_0, the preperiod and three periods of e, each after its marker
+        count = 1 + len(e.body) + 3 * (1 + len(e.period))
         expected = list(itertools.islice(e.steps(), count))
         assert list(itertools.islice(surd.steps(), count)) == expected, (surd, e)
-        assert sum(starts for _, starts in expected) == 3
-        assert [a for a, _ in expected] == list(itertools.islice(e.digits(), count))
+        assert [k for k, a in enumerate(expected) if a is PERIOD] == [
+            1 + len(e.body) + j * (1 + len(e.period)) for j in range(3)
+        ]
+        digits = [a for a in expected if a is not PERIOD]
+        assert digits == list(itertools.islice(e.digits(), len(digits)))
         for x in (surd, e):
             steps, value = _steps(x)
             assert value is x
@@ -603,7 +612,7 @@ class TestStepStream:
                 continue
             for x in (e, CFExpansion(e.a0, e.body), twin_of(e)):
                 entries = [x.a0, *x.body, *([None] if x.inf_tail else [])]
-                assert list(x.steps()) == [(a, False) for a in entries], x
+                assert list(x.steps()) == entries, x
                 steps, value = _steps(x)
                 if x.inf_tail and x.body[-1:] == (1,):
                     assert value == twin_of(x) and value.body[-1:] != (1,), x

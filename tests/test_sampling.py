@@ -184,6 +184,26 @@ def test_sampler_matches_its_randint_oracle(sampler, oracle, kwargs):
     assert mismatches == 0
 
 
+@pytest.mark.parametrize("max_pre, max_period, max_entry, a0_max", [(2, 3, 6, 2), (3, 4, 2, 3)])
+def test_periodic_sampler_builds_the_constructors_fields(max_pre, max_period, max_entry, a0_max):
+    # the draws are built unchecked and canonicalised alone: each result must
+    # have the fields the validating constructor makes of the same draws
+    rotated = shortened = 0
+    for i in range(2000):
+        ours, ref = _pair(f"periodic-fields:{i}")
+        got = random_periodic_cf(ours, max_pre, max_period, max_entry, a0_max)
+        pre = [ref.randint(1, max_entry) for _ in range(ref.randint(0, max_pre))]
+        period = [ref.randint(1, max_entry) for _ in range(ref.randint(1, max_period))]
+        want = CFExpansion(ref.randint(0, a0_max), tuple(pre), tuple(period))
+        fields = [(type(x), x) for x in (got.a0, got.body, got.period, got.inf_tail)]
+        assert type(got) is CFExpansion
+        assert fields == [(type(x), x) for x in (want.a0, want.body, want.period, want.inf_tail)], i
+        assert ours.getstate() == ref.getstate(), i
+        rotated += len(got.body) < len(pre)
+        shortened += len(got.period) < len(period)
+    assert rotated > 100 and shortened > 100
+
+
 @pytest.mark.parametrize("q_max", (500, 3, 10**30))
 def test_unit_rational_prints_as_the_fraction_of_its_draws(q_max):
     for i in range(500):
