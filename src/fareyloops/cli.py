@@ -222,7 +222,7 @@ def cmd_gamma_path(args, cfg: Config, out) -> int:
     if run.terminated:
         print(f"terminated after {run.rounds_run} rounds", file=out)
     else:
-        print(f"exceeded max_iter={run.rounds_run} (nonterminating={int(run.nonterminating)})", file=out)
+        print(f"exceeded max_iter={run.rounds_run} (nonterminating={int(gamma_paths.nonterminating(n))})", file=out)
     return 0
 
 

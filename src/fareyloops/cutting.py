@@ -9,11 +9,10 @@ geometry is computed.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Optional, Union
 
 from .contfrac import CFExpansion
-from .loops import LoopVerdict, _raw_walk, _steps
+from .loops import LoopVerdict, _first_zero, _raw_walk, _steps
 from .rationals import INFINITY, FareyEdge, Immutable, Rational, _edge, _reduced
 from .surds import PERIOD, QuadSurd
 
@@ -153,16 +152,6 @@ def fan_chain(edges: list[FareyEdge]) -> list[tuple[Rational, int]]:
 
 # ---------------------------------------------------------------------------
 # geometric loop verdict
-
-
-def _first_zero(x: int, h: int, n: int) -> Optional[int]:
-    """Least m >= 1 with x + m*h = 0 (mod n), or None.  A zero needs g = gcd(h, n)
-    to divide x, and then m = -(x/g) * (h/g)^-1 mod n/g, taken in 1..n/g."""
-    g = math.gcd(h, n)
-    if x % g:
-        return None
-    n //= g
-    return -(x // g) * pow(h // g, -1, n) % n or n
 
 
 def loop_verdict_geometric(e: Union[CFExpansion, QuadSurd], n: int) -> LoopVerdict:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .loops import _children
+from .loops import _children, _first_zero
 from .rationals import Immutable, Rational, farey_mediant, is_gamma0_neighbor
 
 DEFAULT_MATERIALIZE_LIMIT = 1 << 17  # vertices per round
@@ -29,28 +29,18 @@ class MediantRun(Immutable):
 
     ``rounds`` holds the materialised iterations starting from round 0; when
     the projected sequence length passes the size guard later rounds are
-    dropped but ``terminated``/``rounds_run`` stay exact.  ``nonterminating``
-    is the verdict's ``nonterminating(n)``, left out of equality and hash.
+    dropped but ``terminated``/``rounds_run`` stay exact.
     """
 
-    __slots__ = ("terminated", "rounds_run", "rounds", "nonterminating")
+    __slots__ = ("terminated", "rounds_run", "rounds")
 
-    def __init__(self, terminated: bool, rounds_run: int, rounds: tuple, nonterminating: bool = False):
+    def __init__(self, terminated: bool, rounds_run: int, rounds: tuple):
         _set_terminated(self, terminated)
         _set_rounds_run(self, rounds_run)
         _set_rounds(self, rounds)
-        _set_nonterminating(self, nonterminating)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._astuple(self)[:3] == other._astuple(other)[:3]
-
-    def __hash__(self):
-        return hash(self._astuple(self)[:3])
 
 
-_set_terminated, _set_rounds_run, _set_rounds, _set_nonterminating = MediantRun._setters()
+_set_terminated, _set_rounds_run, _set_rounds = MediantRun._setters()
 
 
 def _unresolved_rounds(n: int, max_iter: int) -> Optional[int]:
@@ -63,20 +53,15 @@ def _unresolved_rounds(n: int, max_iter: int) -> Optional[int]:
     return None
 
 
-def _verdict(n: int, max_iter: int) -> tuple[bool, int, bool]:
-    """(terminated, rounds_run, nonterminating(n)) of the insertion process at level n.
-
-    Round 1 holds the pair (1, 2), so when ``nonterminating(n)`` shows that
-    pair regenerating, every round keeps an unresolved pair and the run
-    cannot end; only otherwise are the unresolved pairs tracked.
-    """
+def _verdict(n: int, max_iter: int) -> tuple[bool, int]:
+    """(terminated, rounds_run) of the insertion process at level n; the
+    unresolved pairs are tracked only where ``nonterminating(n)`` fails."""
     if n < 2:
         raise ValueError("modulus must be >= 2")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    blocked = nonterminating(n)
-    stop = None if blocked else _unresolved_rounds(n, max_iter)
-    return stop is not None, stop or max_iter, blocked
+    stop = None if nonterminating(n) else _unresolved_rounds(n, max_iter)
+    return stop is not None, stop or max_iter
 
 
 def _rounds(seq: list, step, rounds_run: int, materialize_limit: int) -> tuple:
@@ -98,7 +83,7 @@ def v_algorithm(
     Each round inserts the mediant between every consecutive pair that is not
     a level-n neighbour; the run terminates when all pairs are neighbours.
     """
-    terminated, rounds_run, blocked = _verdict(n, max_iter)
+    terminated, rounds_run = _verdict(n, max_iter)
 
     def step(verts):
         nxt = [verts[0]]
@@ -112,7 +97,7 @@ def v_algorithm(
     if terminated and len(rounds) == rounds_run + 1:
         final = rounds[-1]
         assert all(is_gamma0_neighbor(a, b, n) for a, b in zip(final, final[1:]))
-    return MediantRun(terminated, rounds_run, rounds, blocked)
+    return MediantRun(terminated, rounds_run, rounds)
 
 
 def d_algorithm(
@@ -125,7 +110,7 @@ def d_algorithm(
     consecutive denominators are coprime; asserted each round.  So a pair is
     unresolved iff both members are nonzero.
     """
-    terminated, rounds_run, blocked = _verdict(n, max_iter)
+    terminated, rounds_run = _verdict(n, max_iter)
     residue = list(range(n)) * 2  # residue[u + v] is (u + v) mod n
 
     def step(seq):
@@ -138,30 +123,40 @@ def d_algorithm(
         return nxt
 
     rounds = _rounds([1, 1], step, rounds_run, materialize_limit)
-    return MediantRun(terminated, rounds_run, rounds, blocked)
+    return MediantRun(terminated, rounds_run, rounds)
 
 
 def nonterminating(n: int) -> bool:
     """True iff the insertion process can never terminate.
 
-    Structural criterion: the residue pair (1, 2) regenerates itself, i.e.
-    (1, 2) is reachable from itself in at least one step of the unresolved
-    pair expansion.  Once a sequence contains an adjacent (1, 2) it then
-    contains one at every later round.
+    Criterion: the pair (1, 2) of round 1 regenerates under `_children`, so
+    every later round keeps an unresolved pair.  One word per class of n is
+    replayed: L takes (u, v) to (u, v + j*u), R to (u + j*v, v), each run one
+    `_first_zero` jump, pruned at its least j creating an entry 0 mod n.
+    - n even, R^(n/2): creates 1 + 2j, odd, and ends at 1 + n = 1.
+    - n = 3 (mod 4), n >= 7, L^2 R^((n-1)/2) L^2 R: L^2 creates 3, 4; the R
+      run creates 1 + 4j < 2n, never n in this class, and ends at -1; then
+      L^2 creates 3, 2 and R creates 1.
+    - n = 1 (mod 4), L^((n-3)/2) R L R^((n-1)/4): the L run creates 3..(n+1)/2,
+      R (n+3)/2 and L n + 2 = 2; the R run creates even entries up to n + 1 = 1.
+    Mod 2 the pair (1, 2) has a zero entry and mod 3 a zero sum: no children.
     """
     if n < 2:
         raise ValueError("modulus must be >= 2")
-    target = (1 % n, 2 % n)
-    if target[0] == 0 or target[1] == 0:
+    u, v = start = 1 % n, 2 % n
+    if not (u and v):
         return False
-    frontier = list(_children(*target, n))
-    seen = set(frontier)
-    while frontier:
-        pair = frontier.pop()
-        if pair == target:
-            return True
-        for child in _children(*pair, n):
-            if child not in seen:
-                seen.add(child)
-                frontier.append(child)
-    return False
+    if n % 2 == 0:
+        word = (("R", n // 2),)
+    elif n % 4 == 3:
+        word = (("L", 2), ("R", (n - 1) // 2), ("L", 2), ("R", 1))
+    else:
+        word = (("L", (n - 3) // 2), ("R", 1), ("L", 1), ("R", (n - 1) // 4))
+    for letter, j in word:
+        x, h = (v, u) if letter == "L" else (u, v)
+        m = _first_zero(x, h, n)
+        if m is not None and m <= j:
+            return False
+        x = (x + j * h) % n
+        u, v = (u, x) if letter == "L" else (x, v)
+    return (u, v) == start

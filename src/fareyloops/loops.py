@@ -248,6 +248,16 @@ def _children(u: int, v: int, n: int) -> tuple[tuple[int, int], ...]:
     return ((u, w), (w, v)) if w else ()
 
 
+def _first_zero(x: int, h: int, n: int) -> Optional[int]:
+    """Least m >= 1 with x + m*h = 0 (mod n), or None.  A zero needs g = gcd(h, n)
+    to divide x, and then m = -(x/g) * (h/g)^-1 mod n/g, taken in 1..n/g."""
+    g = math.gcd(h, n)
+    if x % g:
+        return None
+    n //= g
+    return -(x // g) * pow(h // g, -1, n) % n or n
+
+
 def successors(state: ModState, n: int) -> tuple[tuple[str, ModState], ...]:
     """Unpruned moves; the created denominator u+v must not vanish mod n."""
     return tuple(zip("LR", map(ModState._make, reversed(_children(*state, n)))))

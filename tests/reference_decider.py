@@ -22,6 +22,11 @@ closed `loop_graph(n)` instead.  It returns the prefix and cycle letters of
 the walk it finds, so the tests keep it as an independent oracle for
 existence and the route `loop_example`'s closed-form family is checked
 against.
+
+`regenerates` is the depth-first search that decided
+`gamma_paths.nonterminating` before it replayed one closed-form word per
+residue class of n: whether the residue pair (1, 2) is reachable from itself
+in at least one step of `_children`.  Its time and memory are linear in n.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import math
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from fareyloops.contfrac import CFExpansion
-from fareyloops.loops import LoopVerdict, ModState
+from fareyloops.loops import LoopVerdict, ModState, _children
 from fareyloops.rationals import FareyEdge, Rational
 from fareyloops.surds import PERIOD, QuadSurd
 
@@ -165,3 +170,23 @@ def crosses_edge(alpha: Union[Rational, QuadSurd], edge: FareyEdge) -> bool:
     if v.is_infinite:
         return alpha > u
     return u < alpha and alpha < v
+
+
+def regenerates(n: int) -> bool:
+    """True iff the pair (1, 2) mod n is reachable from itself under `_children`."""
+    if n < 2:
+        raise ValueError("modulus must be >= 2")
+    target = (1 % n, 2 % n)
+    if target[0] == 0 or target[1] == 0:
+        return False
+    frontier = list(_children(*target, n))
+    seen = set(frontier)
+    while frontier:
+        pair = frontier.pop()
+        if pair == target:
+            return True
+        for child in _children(*pair, n):
+            if child not in seen:
+                seen.add(child)
+                frontier.append(child)
+    return False

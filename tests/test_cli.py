@@ -210,6 +210,21 @@ class TestCommands:
         assert run.returncode == 0
         assert run.stdout.splitlines() == [f"n={n} loop_exists=1" for n in range(1000000, 1000003)]
 
+    @pytest.mark.parametrize("mod", ["1000000000", "12157665459056928801"])
+    def test_gamma_path_at_huge_moduli_in_a_fresh_process(self, mod):
+        # a fresh process, so that a regeneration test linear in n is killed
+        # at the timeout instead of running on in the test process; no
+        # --denoms, whose residue table is itself linear in n
+        start = time.perf_counter()
+        run = subprocess.run(
+            [sys.executable, "-m", "fareyloops.cli", "gamma-path", "--mod", mod, "--max-iter", "3"],
+            capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        )
+        assert time.perf_counter() - start < 1
+        assert run.returncode == 0
+        assert run.stdout.splitlines()[-1] == "exceeded max_iter=3 (nonterminating=1)"
+
     def test_semiconv_reads_each_fan_once_in_a_fresh_process(self):
         # a fresh process, so that a table rebuilt from scratch at every
         # vertex (O(k^2) convergent steps) is killed at the timeout

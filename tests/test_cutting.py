@@ -21,7 +21,6 @@ from fareyloops.contfrac import (
 )
 from fareyloops.cutting import (
     CuttingWord,
-    _first_zero,
     crossed_edges,
     crosses_edge,
     eta,
@@ -34,6 +33,7 @@ from fareyloops.loops import (
     NOTLOOP,
     LoopVerdict,
     _children,
+    _first_zero,
     _raw_walk,
     _steps,
     is_infinite_loop,

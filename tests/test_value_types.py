@@ -34,10 +34,6 @@ def _verdict_key(v: LoopVerdict) -> tuple:
     return (*v._fields(), v.witness)
 
 
-def _run_key(run: MediantRun) -> tuple:
-    return _fields(run)[:3]  # nonterminating is left out
-
-
 _HALF_ROUNDS = ((ZERO, Rational(1)), (ZERO, Rational(1, 2), Rational(1)))
 
 
@@ -140,12 +136,12 @@ CASES = [
     ),
     pytest.param(
         v_algorithm(2, 1),
-        MediantRun(True, 1, _HALF_ROUNDS, nonterminating=True),
+        MediantRun(True, 1, _HALF_ROUNDS),
         MediantRun(False, 1, _HALF_ROUNDS),
-        _run_key,
-        _run_key,
+        _fields,
+        _fields,
         "MediantRun(terminated=True, rounds_run=1, rounds=((Rational(0, 1), Rational(1, 1)), "
-        "(Rational(0, 1), Rational(1, 2), Rational(1, 1))), nonterminating=False)",
+        "(Rational(0, 1), Rational(1, 2), Rational(1, 1))))",
         id="MediantRun",
     ),
 ]
@@ -280,17 +276,6 @@ def test_object_new_is_called_only_in_the_known_unchecked_builders():
     for path in sorted(package.rglob("*.py")):
         sites += _object_new_sites(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert sorted(sites) == list(UNCHECKED_BUILDERS)
-
-
-def test_mediant_run_equality_and_hash_ignore_nonterminating():
-    run = v_algorithm(5, 2)
-    assert (run.terminated, run.nonterminating) == (False, True)
-    flipped = MediantRun(run.terminated, run.rounds_run, run.rounds)
-    assert run == flipped and hash(run) == hash(flipped) and len({run, flipped}) == 1
-    assert repr(run) == repr(flipped).replace("nonterminating=False", "nonterminating=True")
-    assert run != MediantRun(run.terminated, run.rounds_run - 1, run.rounds, True)
-    for rebuild in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
-        assert rebuild(run).nonterminating is True and rebuild(flipped).nonterminating is False
 
 
 def test_records_keep_their_checks():
