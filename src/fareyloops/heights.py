@@ -409,7 +409,7 @@ def run_pro2_scan(
 
 
 def run_count_scan(
-    pm_values: Sequence[tuple[int, int]], count: int, seed: int, L: int = 20, keep_records: bool = False
+    pm_values: Sequence[tuple[int, int]], count: int, seed: int, L: int, keep_records: bool = False
 ) -> ScanReport:
     def cases(rng: random.Random, p: int, m: int) -> Iterator[CheckRecord]:
         population = [random_periodic_cf(rng, max_entry=4) for _ in range(count)]

@@ -1,18 +1,15 @@
 """Exact rationals with a point at infinity, plus the Farey-structure predicates.
 
 ``Rational`` is the library's one rational type; no module imports ``fractions``.
-Values are reduced fractions num/den with den >= 0, hashed by ``Fraction``'s
-formula.  The single point at infinity is stored canonically as 1/0 and
-compares greater than every finite rational.  Everything here is immutable and pure.
+Values are reduced fractions num/den with den >= 0, hashed on that pair (an
+integer on its int).  The single point at infinity is stored canonically as 1/0
+and compares greater than every finite rational.  Everything here is immutable and pure.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import sys
-
-_HASH_MODULUS = sys.hash_info.modulus
 
 
 class Immutable:
@@ -142,17 +139,8 @@ class Rational(Immutable):
         return Rational(-self.num, self.den)
 
     def __hash__(self):
-        # Fraction's hash formula on the reduced pair, which for integers is
-        # hash(num): equal to both, as __eq__ accepts ints
-        num, den = self.num, self.den
-        if den == 0:
-            return hash(("rational-infinity",))
-        if den % _HASH_MODULUS:
-            h = hash(hash(abs(num)) * pow(den, -1, _HASH_MODULUS))
-        else:
-            h = sys.hash_info.inf
-        # 0 <= h < modulus, so hash(-h) is -h, or -2 for h = 1, as for ints
-        return hash(-h) if num < 0 else h
+        # equal values share one reduced pair; an integer hashes as the int, which __eq__ accepts
+        return hash(self.num) if self.den == 1 else hash((self.num, self.den))
 
     def __repr__(self):
         return f"Rational({self.num}, {self.den})"

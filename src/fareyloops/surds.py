@@ -74,7 +74,7 @@ class QuadSurd(Immutable):
         _set_D(self, D)
 
     # The pair (rational part, signed radical part) determines the value, so equality and
-    # hashing avoid any integer factorisation; Rational hashes as the Fraction key did.
+    # hashing avoid any integer factorisation; the key's Rationals hash their reduced pairs.
     def _key(self):
         sign = 1 if self.Q > 0 else -1
         return (Rational(self.P, self.Q), sign, Rational(self.D, self.Q * self.Q))

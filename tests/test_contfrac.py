@@ -311,7 +311,7 @@ class TestSurdExpansion:
                 assert cf_value(cf_of_surd(surd)) == surd
 
     def test_matches_sympy(self):
-        # an oracle that shares no code with QuadSurd.steps; CI installs no sympy
+        # an oracle that shares no code with QuadSurd.steps; CI installs sympy, so it runs there
         sympy_cf = pytest.importorskip("sympy.ntheory.continued_fraction").continued_fraction_periodic
         rng = random.Random(41)
         checked = 0

@@ -1,6 +1,5 @@
 import itertools
 import sys
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -214,21 +213,31 @@ def test_gamma0_is_a_farey_edge_with_one_denominator_divisible(p, q, r, s, n):
 
 @given(
     st.integers(min_value=-(10**30), max_value=10**30),
-    st.integers(min_value=1, max_value=10**30)
+    st.integers(min_value=0, max_value=10**30)
     | st.just(1)
     | st.integers(min_value=1, max_value=5).map(lambda k: k * sys.hash_info.modulus),
+    st.integers(min_value=-(10**20), max_value=10**20).filter(bool),
 )
-def test_hash_matches_fraction_and_int(p, q):
-    # __eq__ accepts ints and Fraction is the reference formula, so both
-    # hashes must agree: negative numerators, integers, and denominators
-    # that the hash modulus divides (no inverse: Fraction hashes those as inf)
-    assert hash(Rational(p, q)) == hash(Fraction(p, q))
-    if q == 1:
-        assert hash(Rational(p)) == hash(p)
+def test_equal_values_hash_equal(p, q, k):
+    # sets and dicts rely only on a == b implying hash(a) == hash(b): the
+    # same value built from a scaled pair, and an integer against its int.
+    # Covers negatives, 0, huge values, denominators that the hash modulus
+    # divides, and infinity (q = 0, any sign of numerator)
+    if (p, q) == (0, 0):
+        return
+    a, b = Rational(p, q), Rational(k * p, k * q)
+    assert a == b and hash(a) == hash(b)
+    if q and p % q == 0:
+        assert a == p // q and hash(a) == hash(p // q)
 
 
-def test_hash_of_infinity_and_minus_one():
-    assert hash(INFINITY) == hash(("rational-infinity",))
-    # hash() maps a -1 from __hash__ to -2 by itself; a direct call does not
-    assert Rational(-1).__hash__() == (-1).__hash__() == -2
-    assert hash(Rational(-1, sys.hash_info.modulus)) == hash(Fraction(-1, sys.hash_info.modulus))
+def test_hash_of_infinity_minus_one_and_int_keys():
+    assert INFINITY == Rational(-7, 0) and hash(INFINITY) == hash(Rational(-7, 0))
+    # hash() maps a -1 from __hash__ to -2 by itself, as it does for the int
+    assert hash(Rational(-1)) == hash(-1) == -2 and hash(Rational(3, -3)) == hash(-1)
+    assert hash(Rational(0, -5)) == hash(0)
+    m = sys.hash_info.modulus
+    assert Rational(-2 * m, 2 * m * m) == Rational(-1, m) and hash(Rational(-2 * m, 2 * m * m)) == hash(Rational(-1, m))
+    # Rational(2) and 2 are one key, either way round
+    assert {Rational(2): "r"}[2] == "r" and {2: "i"}[Rational(4, 2)] == "i"
+    assert len({Rational(2), 2, Rational(-6, -3)}) == 1

@@ -49,8 +49,8 @@ def _fraction_key(s: QuadSurd) -> tuple:
 
 
 class TestKeyOnRationals:
-    """The equality key is built from Rationals; hash and equality must stay
-    those of the Fraction key, so every set and dict of surds is unchanged."""
+    """The equality key is built from Rationals; equality must stay that of
+    the Fraction key, and equal surds must hash equal."""
 
     @staticmethod
     def seeded_surds(count=2000):
@@ -68,11 +68,19 @@ class TestKeyOnRationals:
         assert rescaled > count // 4 and sum(s.Q < 0 for s in surds) > count // 4
         return surds
 
-    def test_hash_is_that_of_the_fraction_key(self):
-        for s in self.seeded_surds():
-            assert hash(s) == hash(_fraction_key(s)), s
-            twin = QuadSurd(3 * s.P, 3 * s.Q, 9 * s.D)
-            assert twin == s and hash(twin) == hash(s)
+    def test_equal_surds_hash_equal(self):
+        # the scaling (sP, sQ, s^2 D) with s > 0 names the same value
+        surds = self.seeded_surds()
+        for s in surds:
+            for k in (2, 3, 10**12):
+                twin = QuadSurd(k * s.P, k * s.Q, k * k * s.D)
+                assert twin == s and hash(twin) == hash(s), (s, k)
+        # and so does every pair the constructor left at different triples
+        hashes = {}
+        for s in surds:
+            hashes.setdefault(_fraction_key(s), set()).add(hash(s))
+        assert all(len(h) == 1 for h in hashes.values())
+        assert len(hashes) < len(surds) // 2
 
     def test_equal_exactly_when_the_fraction_keys_are(self):
         surds = self.seeded_surds()
